@@ -4,8 +4,9 @@ periodic tolerance report.
 
 The 32 matrices have 13 rows each: row m of matrix k is the k-th subset-L
 sequence multiplied by the phase ramp of the m-th ADS element.  The report
-sweeps every pair of matrices over every shift with the direct summation
-path and cross-checks the separable approximation.
+sweeps every pair of matrices over every shift, from the exact correlations
+of the base sequences split at the wrap point, and cross-checks the
+separable approximation.
 """
 
 from qcss import (

@@ -29,7 +29,6 @@ from .correlation import (
     classify_tightness,
     correlation_tensor,
     matrix_correlation,
-    per_shift_maxima,
     periodic_correlation,
     phase_transform,
     report_per_shift_csv,

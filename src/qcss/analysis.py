@@ -167,7 +167,9 @@ def sweep(n_values, x_values, empirical: bool = False, degree_cap: int = EMPIRIC
     full set and measures delta_max.
 
     Cells with n - x < 2 are degenerate and skipped.  Empirical mode refuses
-    degrees above ``degree_cap`` (the sweep cost grows like 4^n).
+    degrees above ``degree_cap``: each cell walks the 4^n family states and
+    runs a census of K^2 P log P operations (K = 2^n, P = 2^(n+1)), so its
+    cost grows like 8^n.
     """
     if empirical:
         over = [n for n in n_values if n > degree_cap]

@@ -250,9 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (stdout when omitted)")
         p.add_argument("--format", choices=["json", "csv"], default=None)
         p.add_argument("--cache-dir", help="cache directory (default: $QCSS_CACHE_DIR)")
-        p.add_argument("--jobs", type=int, default=1, help="parallelism hint (advisory)")
-        p.add_argument("--digits", type=int, default=3, help="decimals in table output")
-        p.add_argument("--force", action="store_true", help="exceed the desk-scale caps")
 
     p_family = sub.add_parser("family", help="build the quaternary family for degree n")
     p_family.add_argument("--n", type=int, required=True)
@@ -272,12 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_qcss.add_argument("--ds", choices=["singer", "legendre"], default="singer")
     p_qcss.add_argument("--verify", action="store_true", help="fail (exit 3) on hard invariant violations")
     p_qcss.add_argument("--cap", type=int, default=8, help="largest n swept without --force")
+    p_qcss.add_argument("--force", action="store_true", help="exceed --cap")
     common(p_qcss)
     p_qcss.set_defaults(func=cmd_qcss)
 
     p_tables = sub.add_parser("tables", help="emit one asymptotic tightness table")
     p_tables.add_argument("--table", type=int, choices=[1, 2, 3], required=True)
     p_tables.add_argument("--x-max", type=int, default=7)
+    p_tables.add_argument("--digits", type=int, default=3, help="decimals in table output")
     common(p_tables)
     p_tables.set_defaults(func=cmd_tables)
 

@@ -4,14 +4,15 @@ report.
 
 Entries of every sequence here are roots of unity stored as integer phases
 modulo a common root order L, so building blocks stay exact; complex values
-only appear when a correlation sum is evaluated.  The per-shift sweep has a
-direct summation path (the reference) and an FFT path that must agree with
-it to 1e-9 on every reported maximum.
+only appear when a correlation sum is evaluated.  The census streams the
+correlation tensor from exact aperiodic correlations of the base sequences;
+``periodic_correlation`` is the scalar reference it is tested against.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -19,9 +20,11 @@ from functools import lru_cache
 import numpy as np
 
 from .diffsets import CyclicSubset, exp_sum_profile
+from .errors import ConstructionError
 
 MAGNITUDE_TOL = 1e-6  # distinct algebraic magnitudes at desk scale differ by far more
 EXACT_TOL = 1e-9
+BLOCK_BYTES = 1 << 20  # spectral products held at once by the census
 
 
 @lru_cache(maxsize=64)
@@ -172,44 +175,46 @@ def build_qcss(base_sequences, shift_set: CyclicSubset, provenance: dict | None 
     )
 
 
-def correlation_tensor(qcss: QcssSet, method: str = "direct") -> np.ndarray:
-    """All matrix correlations: tensor G[tau, k1, k2] = R(C_k1, C_k2; tau).
+def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
+    """Stream the tensor G[tau, k, l] = R(C_k, C_l; tau) in blocks of k.
 
-    "direct" evaluates the defining sum (vectorized over entries); "fft"
-    computes row cross-correlations spectrally.  Both return the identical
-    tensor up to roundoff.
+    Row d of matrix k is a_k = i^(v_k) ramped by exp(2 pi i d t / q) with t
+    in 0..N-1; splitting each periodic sum at the wrap point gives
+
+        G[tau, k, l] = E(-tau) C_kl(tau) + E(N - tau) C_kl(tau - N)
+
+    with the aperiodic base correlation C_kl(u) = sum_t a_k(t) conj(a_l(t+u))
+    and E(x) = sum_{d in D} exp(2 pi i d x / q).  C comes from one zero-padded
+    inverse FFT per block, rounded to Gaussian integers, so the cost does not
+    depend on M; memory is O(B K N), B fixed by BLOCK_BYTES.
+
+    Yields (start, values, base, residual): values[b, l, tau] = G[tau, k, l]
+    and base[b, l, tau] = R(a_k, a_l; tau), exact, for k = start + b;
+    residual is the largest distance of C from the Gaussian integers.
+    Raises ConstructionError if it reaches 0.5.
     """
-    Z = roots_table(qcss.root_order)[qcss.phases]
-    K, M, N = Z.shape
-    if method == "direct":
-        flat = Z.reshape(K, M * N)
-        out = np.empty((N, K, K), dtype=complex)
-        for tau in range(N):
-            shifted = np.roll(Z, -tau, axis=2).reshape(K, M * N)
-            out[tau] = flat @ np.conj(shifted).T
-        return out
-    if method == "fft":
-        X = np.fft.fft(Z, axis=2)
-        spec = np.einsum("kmj,lmj->klj", X, np.conj(X))
-        c = np.fft.ifft(spec, axis=2)
-        # c[k, l, s] = sum_t a_t conj(b_(t-s)); relabel s -> -tau mod N
-        idx = (-np.arange(N)) % N
-        return np.transpose(c[:, :, idx], (2, 0, 1))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def per_shift_maxima(tensor: np.ndarray) -> np.ndarray:
-    """Max correlation magnitude at each shift; the in-phase autocorrelation
-    (trivially M*N) is excluded at tau = 0."""
-    n_shifts, K, _ = tensor.shape
-    out = np.empty(n_shifts)
-    for tau in range(n_shifts):
-        mag = np.abs(tensor[tau])
-        if tau == 0:
-            mag = mag.copy()
-            np.fill_diagonal(mag, 0.0)
-        out[tau] = mag.max()
-    return out
+    K, _, N = qcss.phases.shape
+    a = roots_table(4)[np.array(qcss.base, dtype=np.int64)]
+    P = 1 << (2 * N - 1).bit_length()  # >= 2N: lag -N reads as 0, not an alias
+    spectra = np.fft.fft(a, n=P, axis=1)
+    dtau = np.outer(np.arange(N), qcss.shifts)
+    ramp = roots_table(qcss.q)
+    e_in = ramp[-dtau % qcss.q].sum(axis=1)  # E(-tau)
+    e_wrap = ramp[(N * np.array(qcss.shifts) - dtau) % qcss.q].sum(axis=1)  # E(N - tau)
+    rows = max(1, BLOCK_BYTES // (16 * K * P))
+    for start in range(0, K, rows):
+        # entry u of ifft(conj(F_k) F_l) is conj(C_kl(u)), u taken mod P
+        c = np.fft.ifft(np.conj(spectra[start : start + rows, None]) * spectra[None], axis=2)
+        exact = np.rint(c)
+        residual = float(np.abs(c - exact).max())
+        if residual >= 0.5:
+            raise ConstructionError(
+                f"spectral correlations miss the Gaussian integers by {residual}",
+                witness=(start, residual),
+            )
+        np.conjugate(exact, out=exact)
+        in_range, wrapped = exact[:, :, :N], exact[:, :, P - N :]  # C(tau), C(tau - N)
+        yield start, e_in * in_range + e_wrap * wrapped, in_range + wrapped, residual
 
 
 def welch_lower_bound(K: int, M: int, N: int) -> float:
@@ -249,6 +254,7 @@ class CorrelationReport:
     cross value need not match).  factorization_gap_max measures how far the
     exact magnitudes sit from |R(v, v'; tau)| * Delta(tau), the separable form
     that would hold if the phase ramp commuted with cyclic wrapping.
+    rounding_residual is the largest rounding residual of the census.
     """
 
     delta_a: float
@@ -260,6 +266,7 @@ class CorrelationReport:
     r1_observed: float
     r2_observed: float
     factorization_gap_max: float
+    rounding_residual: float
     q: int
     num_sets: int
     num_rows: int
@@ -272,41 +279,32 @@ class CorrelationReport:
         return "R2" if tau % self.q == 0 else "R1"
 
 
-def _base_correlation_magnitudes(base: np.ndarray, tau: int) -> np.ndarray:
-    """|R(v_k1, v_k2; tau)| for all pairs of raw Z4 base sequences, by exact
-    residue counting."""
-    d = (base[:, None, :] - np.roll(base, -tau, axis=1)[None, :, :]) % 4
-    re = (np.count_nonzero(d == 0, axis=2) - np.count_nonzero(d == 2, axis=2)).astype(np.int64)
-    im = (np.count_nonzero(d == 1, axis=2) - np.count_nonzero(d == 3, axis=2)).astype(np.int64)
-    return np.sqrt((re * re + im * im).astype(float))
-
-
-def tolerances(qcss: QcssSet, method: str = "direct") -> CorrelationReport:
-    """Full sweep over sets and shifts producing the tolerance report."""
+def tolerances(qcss: QcssSet) -> CorrelationReport:
+    """Full sweep over sets and shifts producing the tolerance report,
+    reduced block by block as ``correlation_tensor`` streams it."""
     K, M, N = qcss.phases.shape
     if K < 2:
         raise ValueError("tolerance census needs at least two matrices")
-    tensor = correlation_tensor(qcss, method=method)
-    per_shift = per_shift_maxima(tensor)
-
-    mags = np.abs(tensor)
-    diag = mags[:, np.arange(K), np.arange(K)]
-    delta_a = float(diag[1:].max())
-    off = ~np.eye(K, dtype=bool)
-    delta_c = float(max(mags[tau][off].max() for tau in range(N)))
+    profile = exp_sum_profile(CyclicSubset(modulus=qcss.q, elements=qcss.shifts))
+    ramp_sum = profile.values[np.arange(N) % qcss.q]  # |E(tau)|
+    per_shift = np.zeros(N)
+    delta_a = delta_c = gap = residual = 0.0
+    for start, values, base, block_residual in correlation_tensor(qcss):
+        mags = np.abs(values)
+        gap = max(gap, float(np.abs(mags - np.abs(base) * ramp_sum).max()))
+        residual = max(residual, block_residual)
+        b = np.arange(len(mags))
+        diag = b, start + b
+        delta_a = max(delta_a, float(mags[diag][:, 1:].max()))
+        mags[diag + (0,)] = 0.0  # in-phase autocorrelation, trivially M*N
+        per_shift = np.maximum(per_shift, mags.max(axis=(0, 1)))
+        mags[diag] = 0.0
+        delta_c = max(delta_c, float(mags.max()))
     delta_max = max(delta_a, delta_c)
 
-    r1_shifts = [tau for tau in range(1, N) if tau % qcss.q != 0]
-    r2_shifts = [tau for tau in range(1, N) if tau % qcss.q == 0]
-    r1 = float(per_shift[r1_shifts].max()) if r1_shifts else 0.0
-    r2 = float(per_shift[r2_shifts].max()) if r2_shifts else 0.0
-
-    profile = exp_sum_profile(CyclicSubset(modulus=qcss.q, elements=qcss.shifts))
-    base = np.array(qcss.base, dtype=np.int64)
-    gap = 0.0
-    for tau in range(N):
-        separable = _base_correlation_magnitudes(base, tau) * profile.values[tau % qcss.q]
-        gap = max(gap, float(np.abs(mags[tau] - separable).max()))
+    in_r2 = np.arange(1, N) % qcss.q == 0
+    r1 = float(per_shift[1:][~in_r2].max(initial=0.0))
+    r2 = float(per_shift[1:][in_r2].max(initial=0.0))
 
     bound = welch_lower_bound(K, M, N)
     rho = delta_max / bound if bound > 0 else None
@@ -320,6 +318,7 @@ def tolerances(qcss: QcssSet, method: str = "direct") -> CorrelationReport:
         r1_observed=r1,
         r2_observed=r2,
         factorization_gap_max=gap,
+        rounding_residual=residual,
         q=qcss.q,
         num_sets=K,
         num_rows=M,

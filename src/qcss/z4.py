@@ -267,23 +267,28 @@ def subset_l(family: FamilyA, verify: bool = True) -> tuple[tuple[int, ...], ...
 
     With ``verify`` (default) every unordered pair is checked to correlate to
     exactly -1 + 0i at shift zero; a violation raises ConstructionError with
-    the witness pair.
+    the first failing pair (i < j) as witness.
     """
     L = family.members[1:]
     if verify:
+        # i^v = x + iy with x, y in {-1, 0, 1}, and the zero-shift correlation
+        # sum_t (x + iy)(x' - iy') is (x.x' + y.y') + i(y.x' - x.y'): one
+        # matmul gives both parts as integer sums of at most 2N < 2^53 terms,
+        # exact in float64.  Any entry that is not exactly -1 + 0i, integral
+        # or not, fails its pair.
         A = np.array(L, dtype=np.int64)
-        for i in range(len(L) - 1):
-            d = (A[i] - A[i + 1 :]) % 4
-            re = np.count_nonzero(d == 0, axis=1) - np.count_nonzero(d == 2, axis=1)
-            im = np.count_nonzero(d == 1, axis=1) - np.count_nonzero(d == 3, axis=1)
-            bad = np.flatnonzero((re != -1) | (im != 0))
-            if bad.size:
-                j = i + 1 + int(bad[0])
-                raise ConstructionError(
-                    f"zero-shift correlation of members {i + 1} and {j + 1} is "
-                    f"{complex(int(re[bad[0]]), int(im[bad[0]]))}, not -1",
-                    witness=(L[i], L[j]),
-                )
+        x = np.array([1.0, 0.0, -1.0, 0.0])[A]
+        y = np.array([0.0, 1.0, 0.0, -1.0])[A]
+        parts = np.block([[x, y], [y, -x]])
+        re, im = np.split(parts @ parts[: len(L)].T, 2)
+        bad = np.argwhere(np.triu((re != -1) | (im != 0), k=1))
+        if bad.size:
+            i, j = (int(v) for v in bad[0])
+            raise ConstructionError(
+                f"zero-shift correlation of members {i + 1} and {j + 1} is "
+                f"{complex(re[i, j], im[i, j])}, not -1",
+                witness=(L[i], L[j]),
+            )
     return L
 
 

@@ -198,6 +198,18 @@ def test_qcss_with_cache_dir(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--n", "4", "--jobs", "2"],
+        ["qcss", "--n", "5", "--digits", "3"],
+        ["tables", "--table", "2", "--force"],
+    ],
+)
+def test_flags_outside_their_command_are_config_errors(argv, tmp_path):
+    assert run(argv + ["--out", str(tmp_path / "x.out")]) == 2
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "family" in capsys.readouterr().out

@@ -11,7 +11,6 @@ from qcss.correlation import (
     classify_tightness,
     correlation_tensor,
     matrix_correlation,
-    per_shift_maxima,
     periodic_correlation,
     phase_transform,
     roots_table,
@@ -19,6 +18,7 @@ from qcss.correlation import (
     tolerances,
     welch_lower_bound,
 )
+from qcss.errors import ConstructionError
 
 WELCH_32_13_31 = 15.476521067056753  # sqrt(169 * 961 * (19/13) / 991)
 
@@ -31,6 +31,12 @@ def qcss5(family5):
 @pytest.fixture(scope="module")
 def report5(qcss5):
     return tolerances(qcss5)
+
+
+def full_tensor(qset):
+    """The streamed blocks joined into G[tau, k1, k2]."""
+    blocks = [values for _, values, _, _ in correlation_tensor(qset)]
+    return np.concatenate(blocks).transpose(2, 0, 1)
 
 
 def random_phase_sequence(rng, root_order, length):
@@ -171,7 +177,7 @@ def test_matrix_correlation_cross_at_zero_shift(qcss5):
 
 
 def test_tensor_matches_scalar_path(qcss5):
-    tensor = correlation_tensor(qcss5, method="direct")
+    tensor = full_tensor(qcss5)
     rng = np.random.default_rng(5)
     for _ in range(12):
         k1, k2 = rng.integers(0, 32, size=2)
@@ -180,25 +186,36 @@ def test_tensor_matches_scalar_path(qcss5):
         assert tensor[tau, k1, k2] == pytest.approx(scalar, abs=1e-9)
 
 
-def test_fft_path_agrees_with_direct(qcss5):
-    direct = correlation_tensor(qcss5, method="direct")
-    fft = correlation_tensor(qcss5, method="fft")
-    assert np.abs(direct - fft).max() <= 1e-9
-    assert np.abs(per_shift_maxima(direct) - per_shift_maxima(fft)).max() <= 1e-9
+def test_tensor_matches_direct_sum(qcss5, report5):
+    # the defining sum, vectorized over entries: R(C_k1, C_k2; tau) for all pairs
+    Z = roots_table(qcss5.root_order)[qcss5.phases]
+    flat = Z.reshape(32, -1)
+    direct = np.stack(
+        [flat @ np.conj(np.roll(Z, -tau, axis=2).reshape(32, -1)).T for tau in range(31)]
+    )
+    assert np.abs(full_tensor(qcss5) - direct).max() <= 1e-9
+    mags = np.abs(direct)
+    mags[0][np.diag_indices(32)] = 0.0
+    assert np.abs(mags.max(axis=(1, 2)) - report5.per_shift_max).max() <= 1e-9
 
 
 def test_tensor_conjugate_symmetry(qcss5):
-    tensor = correlation_tensor(qcss5)
+    tensor = full_tensor(qcss5)
     n = qcss5.period
     for tau in (1, 5, 28):
         assert np.allclose(tensor[tau], np.conj(tensor[(n - tau) % n]).T, atol=1e-9)
 
 
-def test_per_shift_maxima_excludes_inphase_energy(qcss5):
-    tensor = correlation_tensor(qcss5)
-    per_shift = per_shift_maxima(tensor)
-    assert per_shift[0] == pytest.approx(13.0, abs=1e-9)  # cross only at tau = 0
-    assert per_shift[0] < 13 * 31
+def test_per_shift_maxima_excludes_inphase_energy(report5):
+    assert report5.per_shift_max[0] == pytest.approx(13.0, abs=1e-9)  # cross only at tau = 0
+    assert report5.per_shift_max[0] < 13 * 31
+
+
+def test_rounding_residual_guard(qcss5, monkeypatch):
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda x, axis: ifft(x, axis=axis) + (0.5 + 0.5j))
+    with pytest.raises(ConstructionError):
+        tolerances(qcss5)
 
 
 # ------------------------------------------------------- tolerance report
@@ -231,8 +248,7 @@ def test_report_bound_validity(report5):
 def test_report_recomputed_maxima_scalar_loop(qcss5, report5):
     # exact-phase integrity: the reported maximum is reproduced by the
     # definitional scalar sum at its argmax location
-    tensor = correlation_tensor(qcss5)
-    mags = np.abs(tensor)
+    mags = np.abs(full_tensor(qcss5))
     for tau in range(qcss5.period):
         if tau == 0:
             m = mags[0].copy()

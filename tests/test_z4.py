@@ -169,7 +169,7 @@ def test_subset_l_flags_misaligned_member(family3):
     )
     with pytest.raises(ConstructionError) as err:
         qcss.subset_l(tampered)
-    assert err.value.witness is not None
+    assert err.value.witness == (members[1], broken)  # the first failing pair
 
 
 def test_build_family_guards():
