@@ -43,6 +43,18 @@ def _dump_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_cache(path: Path, doc) -> None:
+    """Write a cache entry atomically: a temporary file in the same directory,
+    then os.replace, so readers never see a partial entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=2) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _cache_dir(args) -> Path | None:
     cache = args.cache_dir or os.environ.get("QCSS_CACHE_DIR")
     return Path(cache) if cache else None
@@ -56,8 +68,7 @@ def _load_or_build_family(n: int, args) -> z4.FamilyA:
         return z4.family_from_json(json.loads(path.read_text()), verify=True)
     family = z4.build_family_a(n, coeffs=_parse_poly(poly) if poly else None)
     if path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(z4.family_to_json(family), indent=2) + "\n")
+        _write_cache(path, z4.family_to_json(family))
     return family
 
 
@@ -77,8 +88,7 @@ def _build_ads(f: int, ds_kind: str, args) -> diffsets.CyclicSubset:
         return diffsets.ads_from_json(json.loads(path.read_text()), verify=True)
     U = diffsets.lift_ads_to_z4f(W)
     if path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(diffsets.ads_to_json(U, diffsets.CANONICAL_PATTERN), indent=2) + "\n")
+        _write_cache(path, diffsets.ads_to_json(U, diffsets.CANONICAL_PATTERN))
     return U
 
 

@@ -1,15 +1,15 @@
 """Quaternary sequence machinery: the even/odd-split lift of a binary
 primitive polynomial into Z4, linear recurrences over Z4, and the optimal
-family of 2^n + 1 cyclically inequivalent sequences it generates.
+family of 2^n + 1 cyclically inequivalent sequences it generates (Family A
+of Boztas, Hammons and Kumar), run from one seed per cyclic class.
 
 Sequences are tuples of residues mod 4.  Correlations of raw Z4 sequences
-are Gaussian integers and are computed here by exact integer counting, so
-equality checks like "this value is -1" carry no floating-point slack.
+are Gaussian integers, counted exactly or rounded with a checked residual,
+so equality checks like "this value is -1" carry no floating-point slack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +17,9 @@ import numpy as np
 from . import binpoly
 from .errors import ConstructionError
 
-MAX_FAMILY_DEGREE = 12  # 4^n state enumeration; n = 12 takes minutes
+# The seeded build with its checks takes ~0.3 s at n = 10 and ~6 s with a
+# ~0.8 GB peak at n = 12 (2-core VM); the alpha census grows like 8^n.
+MAX_FAMILY_DEGREE = 12
 
 
 def graeffe_lift(coeffs) -> tuple[int, ...]:
@@ -91,28 +93,6 @@ def run_z4_recurrence(coeffs, init, length: int | None = None) -> tuple[int, ...
     return tuple(s[:length])
 
 
-def _least_rotation_index(s) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
-    d = tuple(s) + tuple(s)
-    n2 = len(d)
-    fail = [-1] * n2
-    k = 0
-    for j in range(1, n2):
-        sj = d[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != d[k + i + 1]:
-            if sj < d[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != d[k + i + 1]:
-            if sj < d[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
 def z4_correlation(a, b, tau: int = 0) -> complex:
     """Periodic correlation of two Z4 sequences at a given shift, as the
     exact Gaussian integer sum_t i^(a_t - b_(t+tau))."""
@@ -152,63 +132,48 @@ class FamilyA:
         return self.members[0]
 
 
-def _cyclic_orbits(f, n: int) -> list[list[int]]:
-    """Partition the 4^n - 1 nonzero states into orbits of the shift map,
-    returning each orbit as its symbol sequence (one full period)."""
-    total = 1 << (2 * n)
-    codes = np.arange(total, dtype=np.int64)
-    acc = np.zeros(total, dtype=np.int64)
-    for j in range(n):
-        acc += f[j] * ((codes >> (2 * j)) & 3)
-    nxt = ((codes >> 2) | (((-acc) % 4) << (2 * (n - 1)))).astype(np.int64)
-    del codes, acc
-    visited = np.zeros(total, dtype=bool)
-    visited[0] = True
-    orbits = []
-    for start in range(1, total):
-        if visited[start]:
-            continue
-        orbit = []
-        c = start
-        while True:
-            orbit.append(c)
-            visited[c] = True
-            c = int(nxt[c])
-            if c == start:
-                break
-        orbits.append([code & 3 for code in orbit])
-    return orbits
+def _window_codes(rows: np.ndarray, f, n: int):
+    """Big-endian base-4 codes of the cyclic n-windows of 2^n + 1 rows of
+    period N ([k, t] encodes rows[k, t .. t + n - 1], indices mod N), and
+    None if the rows are one full cyclic class each of the recurrence with
+    polynomial f, else (message, witness).
 
-
-def _aligned_rotation(symbols, ref) -> tuple[int, ...] | None:
-    """Rotation of ``symbols`` whose zero-shift correlation with ``ref`` is
-    exactly -1 + 0i, or None if no rotation qualifies.
-
-    Candidate shifts are pre-filtered by matching the mod-2 reduction of the
-    sequence against the reduction of ``ref`` (the aligned rotation must agree
-    there); the exact integer correlation has the final word, with a full
-    scan as fallback.
+    Each row must satisfy the recurrence cyclically and the 4^n - 1 codes
+    must hit every nonzero state once: they do iff none is zero and all are
+    distinct (pigeonhole), so one boolean mask decides it.
     """
-    s = np.asarray(symbols, dtype=np.int64)
-    r = np.asarray(ref, dtype=np.int64)
-    period = len(r)
-    bits = np.concatenate([s % 2, (s % 2)[: period - 1]])
-    probe = (r % 2)[: min(period, 24)]
-    w = len(probe)
-    cands = [sh for sh in range(period) if np.array_equal(bits[sh : sh + w], probe)]
-    for candidates in (cands, range(period)):
-        for sh in candidates:
-            rot = np.concatenate([s[sh:], s[:sh]])
-            c = np.bincount((rot - r) % 4, minlength=4)
-            if c[0] - c[2] == -1 and c[1] == c[3]:
-                return tuple(int(v) for v in rot)
-    return None
+    acc = np.roll(rows, -n, axis=1)
+    codes = np.zeros(rows.shape, dtype=np.int32)  # 4^n < 2^31 up to MAX_FAMILY_DEGREE
+    for j in range(n):
+        window = np.roll(rows, -j, axis=1)
+        acc += f[j] * window
+        codes = 4 * codes + window
+    broken = np.flatnonzero(np.any(acc % 4, axis=1))
+    if broken.size:
+        k = int(broken[0])
+        return codes, (f"row {k} does not satisfy the recurrence", (k, tuple(rows[k].tolist())))
+    seen = np.zeros(1 << (2 * n), dtype=bool)
+    seen[codes] = True
+    if not seen[0] and np.count_nonzero(seen) == codes.size:
+        return codes, None
+    # a zero window makes its whole row zero, so some code always repeats
+    code = int(np.flatnonzero(np.bincount(codes.ravel()) > 1)[0])
+    where = [divmod(int(i), codes.shape[1]) for i in np.flatnonzero(codes.ravel() == code)[:2]]
+    return codes, (f"state code {code} is the window at (row, shift) {where}", (code, where))
 
 
 def build_family_a(n: int, coeffs=None) -> FamilyA:
-    """Enumerate all nonzero solutions of the Z4 recurrence for degree n,
-    partition them into cyclic classes, and return one aligned representative
-    per class.
+    """Run the Z4 recurrence from one seed per cyclic class and return one
+    canonical, aligned representative per class.
+
+    The binary-valued class starts from 2*e0 and the 2^n unit classes from
+    e0 + 2y, y in GF(2)^n, e0 = (1, 0, ..., 0).  All unit rows reduce mod 2
+    to the one m-sequence started from e0, so they are already aligned with
+    each other.  Once all windows are distinct, a row's least rotation is
+    the one starting at its least window code.  So member 0 is the binary
+    row at its least rotation, and the unit rows follow, ordered by least
+    window code and all rotated by the one shift that puts the first of them
+    at its least rotation.
 
     Parameters
     ----------
@@ -219,9 +184,8 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     Raises
     ------
     ConstructionError
-        if the class structure or the zero-shift alignment expected of the
-        family fails empirically (this is the falsification path, never
-        silently patched).
+        if the rows are not the cyclic classes or are misaligned at shift
+        zero (the falsification path, never silently patched).
     """
     if not 2 <= n <= MAX_FAMILY_DEGREE:
         raise ValueError(f"degree must be in [2, {MAX_FAMILY_DEGREE}], got {n}")
@@ -229,37 +193,27 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     if binpoly.poly_degree(h) != n:
         raise ValueError("polynomial degree does not match n")
     f = graeffe_lift(h)
-    period = (1 << n) - 1
-    orbits = _cyclic_orbits(f, n)
-    short = [o for o in orbits if len(o) != period]
-    if short or len(orbits) != (1 << n) + 1:
-        raise ConstructionError(
-            f"expected {(1 << n) + 1} cyclic classes of size {period}, found "
-            f"{len(orbits)} classes ({len(short)} with the wrong size)",
-            witness=short[:1],
-        )
-    canon = []
-    for sym in orbits:
-        k = _least_rotation_index(sym)
-        canon.append(tuple(sym[k:] + sym[:k]))
-    even = [c for c in canon if all(v % 2 == 0 for v in c)]
-    if len(even) != 1:
-        raise ConstructionError(
-            f"expected exactly one binary-valued class, found {len(even)}",
-            witness=even,
-        )
-    rest = sorted(c for c in canon if c != even[0])
-    members = [even[0], rest[0]]
-    ref = rest[0]
-    for c in rest[1:]:
-        rot = _aligned_rotation(c, ref)
-        if rot is None:
-            raise ConstructionError(
-                "no rotation of a class correlates to -1 with the reference member",
-                witness=(ref, c),
-            )
-        members.append(rot)
-    return FamilyA(n=n, polynomial=f, members=tuple(members))
+    K = (1 << n) + 1
+    # s[t] is symbol t of every row: one numpy step per time index; int8
+    # arithmetic wraps mod 256, which keeps every residue mod 4
+    s = np.zeros(((1 << n) - 1, K), dtype=np.int8)
+    s[0] = [2] + [1] * (K - 1)
+    s[:n, 1:] += 2 * ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1)
+    taps = -np.array(f[:n], dtype=np.int8)
+    for t in range(len(s) - n):
+        s[t + n] = (taps @ s[t : t + n]) % 4
+    rows = np.ascontiguousarray(s.T)
+    codes, failure = _window_codes(rows, f, n)
+    if failure is not None:
+        message, witness = failure
+        raise ConstructionError(f"seeded rows are not the cyclic classes: {message}", witness=witness)
+    least, start = codes.min(axis=1), codes.argmin(axis=1)
+    units = 1 + np.argsort(least[1:])
+    rotated = np.roll(rows[units], -start[units[0]], axis=1)
+    members = np.vstack([np.roll(rows[0], -start[0]), rotated])
+    family = FamilyA(n=n, polynomial=f, members=tuple(map(tuple, members.tolist())))
+    subset_l(family, verify=True)
+    return family
 
 
 def subset_l(family: FamilyA, verify: bool = True) -> tuple[tuple[int, ...], ...]:
@@ -271,62 +225,53 @@ def subset_l(family: FamilyA, verify: bool = True) -> tuple[tuple[int, ...], ...
     """
     L = family.members[1:]
     if verify:
-        # i^v = x + iy with x, y in {-1, 0, 1}, and the zero-shift correlation
-        # sum_t (x + iy)(x' - iy') is (x.x' + y.y') + i(y.x' - x.y'): one
-        # matmul gives both parts as integer sums of at most 2N < 2^53 terms,
-        # exact in float64.  Any entry that is not exactly -1 + 0i, integral
-        # or not, fails its pair.
-        A = np.array(L, dtype=np.int64)
-        x = np.array([1.0, 0.0, -1.0, 0.0])[A]
-        y = np.array([0.0, 1.0, 0.0, -1.0])[A]
-        parts = np.block([[x, y], [y, -x]])
-        re, im = np.split(parts @ parts[: len(L)].T, 2)
-        bad = np.argwhere(np.triu((re != -1) | (im != 0), k=1))
+        # the zero-shift correlation sum_t i^(v_t - v'_t) is entry (v, v') of
+        # Z Z^H for Z = i^A: one complex64 matmul, exact because every part
+        # of every product and partial sum is an integer of magnitude at most
+        # N < 2^24.  Any entry that is not exactly -1 + 0i, integral or not,
+        # fails its pair.
+        Z = np.array([1, 1j, -1, -1j], dtype=np.complex64)[np.array(L)]
+        gram = Z @ Z.conj().T
+        bad = np.argwhere(np.triu(gram != -1, k=1))
         if bad.size:
             i, j = (int(v) for v in bad[0])
             raise ConstructionError(
                 f"zero-shift correlation of members {i + 1} and {j + 1} is "
-                f"{complex(re[i, j], im[i, j])}, not -1",
+                f"{complex(gram[i, j])}, not -1",
                 witness=(L[i], L[j]),
             )
     return L
 
 
-def family_alpha_max(family: FamilyA, method: str = "auto") -> float:
+def family_alpha_max(family: FamilyA) -> float:
     """Maximum correlation magnitude over all member pairs and shifts,
     excluding only the in-phase autocorrelation.
 
-    ``method``: "exact" counts residues (integer arithmetic, the reference
-    path), "fft" uses spectral cross-correlation, "auto" picks exact up to a
-    memory budget.
+    One inverse FFT of length N per member i, against members i, i+1, ...,
+    covers every pair: (l, i) is the conjugate of (i, l) at the opposite
+    shift.  The largest entry is rounded to its Gaussian integer, so the
+    result is the square root of an exact norm; ConstructionError, with the
+    pair, the shift (as in ``z4_correlation``) and the value as witness, if
+    that entry misses the Gaussian integers by 0.5 or more.
     """
-    A = np.array(family.members, dtype=np.int64)
-    K, N = A.shape
-    if method == "auto":
-        method = "exact" if K * K * N <= 3 * 10**8 else "fft"
-    if method == "exact":
-        best = 0
-        for tau in range(N):
-            d = (A[:, None, :] - np.roll(A, -tau, axis=1)[None, :, :]) % 4
-            re = (np.count_nonzero(d == 0, axis=2) - np.count_nonzero(d == 2, axis=2)).astype(np.int64)
-            im = (np.count_nonzero(d == 1, axis=2) - np.count_nonzero(d == 3, axis=2)).astype(np.int64)
-            sq = re * re + im * im
-            if tau == 0:
-                np.fill_diagonal(sq, 0)
-            best = max(best, int(sq.max()))
-        return math.sqrt(best)
-    if method == "fft":
-        Z = np.array([1, 1j, -1, -1j])[A]
-        X = np.fft.fft(Z, axis=1)
-        best = 0.0
-        for i in range(K):
-            spec = X[i] * np.conj(X[i:])
-            c = np.fft.ifft(spec, axis=1)
-            mags = np.abs(c)
-            mags[0, 0] = 0.0  # in-phase autocorrelation of member i
-            best = max(best, float(mags.max()))
-        return best
-    raise ValueError(f"unknown method {method!r}")
+    N = family.period
+    spectra = np.fft.fft(np.array([1, 1j, -1, -1j])[np.array(family.members)], axis=1)
+    best, witness = -1.0, None
+    for i in range(family.size):
+        c = np.fft.ifft(spectra[i] * np.conj(spectra[i:]), axis=1)
+        mags = np.abs(c)
+        mags[0, 0] = 0.0  # in-phase autocorrelation of member i
+        j = int(mags.argmax())
+        if mags.flat[j] > best:
+            best, witness = float(mags.flat[j]), (i, i + j // N, -j % N, complex(c.flat[j]))
+    value = witness[3]
+    exact = complex(round(value.real), round(value.imag))
+    if abs(value - exact) >= 0.5:
+        raise ConstructionError(
+            f"the largest family correlation misses the Gaussian integers by {abs(value - exact)}",
+            witness=witness,
+        )
+    return abs(exact)  # the square root of the exact norm re^2 + im^2
 
 
 def family_to_json(family: FamilyA) -> dict:
@@ -341,25 +286,20 @@ def family_to_json(family: FamilyA) -> dict:
 
 def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     """Rebuild a family from its export form, re-checking the cheap
-    invariants (count, recurrence membership, binary-valued member 0)."""
+    invariants: count, recurrence membership, binary-valued member 0, and
+    distinct cyclic classes (the members' n-windows partition the nonzero
+    states, so no member repeats another or a rotation of it)."""
     n = int(doc["n"])
     f = tuple(int(c) % 4 for c in doc["polynomial"])
     members = tuple(tuple(int(v) % 4 for v in m) for m in doc["members"])
     fam = FamilyA(n=n, polynomial=f, members=members)
     if verify:
-        period = fam.period
-        if len(members) != (1 << n) + 1:
-            raise ValueError("member count does not match 2^n + 1")
-        if any(len(m) != period for m in members):
-            raise ValueError("member period mismatch")
-        if any(v % 2 for v in members[0]):
+        A = np.array(members, dtype=np.int8)  # ragged members raise ValueError
+        if A.shape != ((1 << n) + 1, fam.period):
+            raise ValueError(f"members have shape {A.shape}, not 2^n + 1 rows of period 2^n - 1")
+        if np.any(A[0] % 2):
             raise ValueError("member 0 must be binary-valued (symbols in {0, 2})")
-        fa = np.array(f[:n], dtype=np.int64)
-        for m in members:
-            s = np.array(m, dtype=np.int64)
-            acc = np.zeros(period, dtype=np.int64)
-            for j in range(n):
-                acc += fa[j] * np.roll(s, -j)
-            if np.any((np.roll(s, -n) + acc) % 4):
-                raise ValueError("a member does not satisfy the recurrence")
+        failure = _window_codes(A, f, n)[1]
+        if failure is not None:
+            raise ValueError(f"members are not distinct cyclic classes: {failure[0]}")
     return fam

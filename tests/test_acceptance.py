@@ -84,11 +84,11 @@ def test_c04_family_alpha_max():
     ok = True
     details = []
     for n, expected_sq in ((4, 25), (6, 81)):
-        measured = z4.family_alpha_max(z4.build_family_a(n), method="exact")
+        measured = z4.family_alpha_max(z4.build_family_a(n))
         ok &= abs(measured - math.sqrt(expected_sq)) <= 1e-6
         details.append(f"n={n}: {measured:.6f}")
     for n in (3, 5):
-        measured = z4.family_alpha_max(z4.build_family_a(n), method="exact")
+        measured = z4.family_alpha_max(z4.build_family_a(n))
         bound = 1 + 2 ** (n / 2)
         ok &= measured <= bound + 1e-6
         details.append(f"n={n}: {measured:.6f} <= {bound:.6f} (recorded)")

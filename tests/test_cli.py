@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -179,6 +180,21 @@ def test_corrupt_cache_is_rejected(tmp_path):
     doc["members"][0][0] = 1  # breaks the binary-valued member invariant
     cached.write_text(json.dumps(doc))
     assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,entry",
+    [(["family", "--n", "4"], "family-a/n4.json"), (["ads", "--f", "7"], "ads/f7-singer.json")],
+)
+def test_failed_cache_write_leaves_no_entry(argv, entry, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    cache = tmp_path / "cache"
+    assert run(argv + ["--cache-dir", str(cache), "--out", str(tmp_path / "a.json")]) == 2
+    assert not (cache / entry).exists()
+    assert not any((cache / entry).parent.iterdir())  # no temporary file left either
 
 
 def test_cache_dir_from_environment(tmp_path, monkeypatch):

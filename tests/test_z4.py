@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -131,7 +133,7 @@ ALPHA_MAX_SQUARED = {3: 13, 4: 25, 5: 41, 6: 81}  # brute-force sweep oracle
 )
 def test_family_alpha_max(fixture_name, n, request):
     family = request.getfixturevalue(fixture_name)
-    measured = z4.family_alpha_max(family, method="exact")
+    measured = z4.family_alpha_max(family)
     assert abs(measured - math.sqrt(ALPHA_MAX_SQUARED[n])) <= 1e-6
     # even degrees meet 1 + 2^(n/2) exactly; odd degrees stay below it
     bound = 1 + 2 ** (n / 2)
@@ -141,10 +143,26 @@ def test_family_alpha_max(fixture_name, n, request):
         assert measured <= bound + 1e-6
 
 
-def test_alpha_max_fft_path_agrees(family4):
-    exact = z4.family_alpha_max(family4, method="exact")
-    fft = z4.family_alpha_max(family4, method="fft")
-    assert abs(exact - fft) <= 1e-9
+def test_alpha_max_fft_path_agrees(family3, family4):
+    # engine against the scalar oracle: every pair and shift but the in-phase
+    # autocorrelations, counted exactly by z4_correlation
+    for family in (family3, family4):
+        oracle = max(
+            abs(z4.z4_correlation(a, b, tau))
+            for (i, a), (j, b) in itertools.product(enumerate(family.members), repeat=2)
+            for tau in range(family.period)
+            if i != j or tau
+        )
+        assert abs(z4.family_alpha_max(family) - oracle) <= 1e-9
+
+
+def test_alpha_max_rounding_residual_guard(family4, monkeypatch):
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda x, axis: ifft(x, axis=axis) + (0.5 + 0.5j))
+    with pytest.raises(ConstructionError) as err:
+        z4.family_alpha_max(family4)
+    i, j, tau, value = err.value.witness
+    assert 0 <= i <= j < family4.size and 0 <= tau < family4.period
 
 
 @pytest.mark.parametrize(
@@ -170,6 +188,45 @@ def test_subset_l_flags_misaligned_member(family3):
     with pytest.raises(ConstructionError) as err:
         qcss.subset_l(tampered)
     assert err.value.witness == (members[1], broken)  # the first failing pair
+
+
+def test_build_falsifies_a_wrong_lift(monkeypatch):
+    # x^3 - 1: every sequence has period 3, so no row closes after 7 symbols
+    monkeypatch.setattr(z4, "graeffe_lift", lambda h: (3, 0, 0, 1))
+    with pytest.raises(ConstructionError, match="does not satisfy the recurrence"):
+        z4.build_family_a(3)
+    # x^4 + x^3 + x^2 + x + 1 divides x^5 - 1: rows close after 15 symbols
+    # but repeat every 5, so their windows cannot partition the states
+    monkeypatch.setattr(z4, "graeffe_lift", lambda h: (1, 1, 1, 1, 1))
+    with pytest.raises(ConstructionError, match="is the window at") as err:
+        z4.build_family_a(4)
+    code, where = err.value.witness
+    assert len(where) == 2 and where[0][0] == where[1][0]  # one row, twice
+
+
+# sha256 of json.dumps(family_to_json(build_family_a(n, coeffs))), computed
+# with the earlier 4^n state-walk construction: the seeded build must give
+# the same members in the same order, byte for byte
+FAMILY_DIGESTS = {
+    (2, None): "d49b1990119a0515679be776eb68de3f8fca5db13b495ad375252bedc60a7738",
+    (3, None): "789a58802ff1bb2887b2d2fbbb64e217a19520f48ffed0783ff8fca5c12df4b0",
+    (4, None): "1726334e6cc5a08a206eca9d9467ae405732dec2ce811da3ab31d59b33b59c66",
+    (5, None): "7926fdb323b1d747684c792d002d83970aacd5e55f5e1ea287b6f5c1b9af28e1",
+    (6, None): "fa935af4bd32ee6509355f3847ff300e5594f5d45cea8b1c224b3db64dd42707",
+    (7, None): "f28e4618ca0a8862a2839bf8f3fa95396a5532ae83843a507b1a32b3347fdb27",
+    (8, None): "b2a490039fc5b3ae155cb9ea2b00a506ce5e18672624b454597ad5547b5fc531",
+    (9, None): "a0c795aa141f0ea64658374b1a9ac00b38934ee310b5e11c34b2248b9f0d58fc",
+    (10, None): "6bc4ad0bd40aad65e85d64f9046753cb2b1d2abe97fc94b9343d1884bd789ccf",
+    # x^8 + x^5 + x^3 + x^2 + 1, not the table entry for degree 8
+    (8, (1, 0, 1, 1, 0, 1, 0, 0, 1)): "fe97ecc29de4c298ab1ddbc1c5415332be15b75e21cca3e25e3807ac6cdfa01b",
+}
+
+
+@pytest.mark.parametrize("n,coeffs", list(FAMILY_DIGESTS))
+def test_family_export_is_pinned(n, coeffs):
+    family = z4.build_family_a(n, coeffs=coeffs)
+    text = json.dumps(z4.family_to_json(family))
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[n, coeffs]
 
 
 def test_build_family_guards():
@@ -199,10 +256,12 @@ def test_family_json_roundtrip(family4):
         z4.family_from_json(doc_bad)
 
 
-def test_least_rotation_matches_brute_force():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        size = int(rng.integers(1, 12))
-        seq = tuple(int(v) for v in rng.integers(0, 4, size=size))
-        k = z4._least_rotation_index(seq)
-        assert seq[k:] + seq[:k] == min(all_rotations(seq))
+def test_family_json_rejects_duplicated_classes(family4):
+    # member 3 replaced by a copy, then by a rotation, of member 2: both
+    # still satisfy the recurrence, but two members now share their windows
+    member2 = family4.members[2]
+    for dup in (member2, member2[5:] + member2[:5]):
+        doc = z4.family_to_json(family4)
+        doc["members"][3] = list(dup)
+        with pytest.raises(ValueError, match="not distinct cyclic classes"):
+            z4.family_from_json(doc)
