@@ -85,7 +85,12 @@ def _build_ads(f: int, ds_kind: str, args) -> diffsets.CyclicSubset:
     else:
         raise ValueError(f"unknown difference-set kind {ds_kind!r}")
     if path and path.exists():
-        return diffsets.ads_from_json(json.loads(path.read_text()), verify=True)
+        U = diffsets.ads_from_json(json.loads(path.read_text()), verify=True)
+        # an entry with the right parameters may still be another set (a
+        # translate, say): it must be the very union the lift of W builds
+        if U != diffsets.coset_union(W, diffsets.CANONICAL_PATTERN):
+            raise ValueError(f"cached {path} is not the lift of the {ds_kind} set for f = {f}")
+        return U
     U = diffsets.lift_ads_to_z4f(W)
     if path:
         _write_cache(path, diffsets.ads_to_json(U, diffsets.CANONICAL_PATTERN))

@@ -4,8 +4,8 @@ family of 2^n + 1 cyclically inequivalent sequences it generates (Family A
 of Boztas, Hammons and Kumar), run from one seed per cyclic class.
 
 Sequences are tuples of residues mod 4.  Correlations of raw Z4 sequences
-are Gaussian integers, counted exactly or rounded with a checked residual,
-so equality checks like "this value is -1" carry no floating-point slack.
+are Gaussian integers, counted exactly (no FFT, no rounding), so equality
+checks like "this value is -1" carry no floating-point slack.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import binpoly
 from .errors import ConstructionError
 
 # The seeded build with its checks takes ~0.3 s at n = 10 and ~6 s with a
-# ~0.8 GB peak at n = 12 (2-core VM); the alpha census grows like 8^n.
+# ~0.8 GB peak at n = 12 (2-core VM); family_alpha_max adds ~0.1 s and ~1.5 s.
 MAX_FAMILY_DEGREE = 12
 
 
@@ -36,14 +36,9 @@ def graeffe_lift(coeffs) -> tuple[int, ...]:
         raise ValueError("the only monic primitive polynomial of degree 1 is x + 1")
     h = [int(c) for c in coeffs]
     h_neg = [c if i % 2 == 0 else -c for i, c in enumerate(h)]  # h(-x)
-    prod = [0] * (2 * n + 1)
-    for i, a in enumerate(h):
-        if a:
-            for j, b in enumerate(h_neg):
-                prod[i + j] += a * b
-    # h(x) h(-x) is even in x; its even coefficients give f
+    prod = np.convolve(h, h_neg)  # h(x) h(-x) is even in x; its even coefficients give f
     sign = -1 if n % 2 else 1
-    f = tuple((sign * prod[2 * j]) % 4 for j in range(n + 1))
+    f = tuple(int(sign * prod[2 * j]) % 4 for j in range(n + 1))
     assert f[n] == 1
     return f
 
@@ -86,10 +81,7 @@ def run_z4_recurrence(coeffs, init, length: int | None = None) -> tuple[int, ...
         length = (1 << n) - 1
     s = list(init)
     for t in range(length - n):
-        acc = 0
-        for j in range(n):
-            acc += f[j] * s[t + j]
-        s.append((-acc) % 4)
+        s.append(-sum(c * v for c, v in zip(f, s[t : t + n])) % 4)
     return tuple(s[:length])
 
 
@@ -142,6 +134,8 @@ def _window_codes(rows: np.ndarray, f, n: int):
     must hit every nonzero state once: they do iff none is zero and all are
     distinct (pigeonhole), so one boolean mask decides it.
     """
+    if rows.shape != ((1 << n) + 1, (1 << n) - 1):
+        return None, (f"shape {rows.shape} is not 2^n + 1 rows of period 2^n - 1", rows.shape)
     acc = np.roll(rows, -n, axis=1)
     codes = np.zeros(rows.shape, dtype=np.int32)  # 4^n < 2^31 up to MAX_FAMILY_DEGREE
     for j in range(n):
@@ -245,33 +239,36 @@ def subset_l(family: FamilyA, verify: bool = True) -> tuple[tuple[int, ...], ...
 
 def family_alpha_max(family: FamilyA) -> float:
     """Maximum correlation magnitude over all member pairs and shifts,
-    excluding only the in-phase autocorrelation.
+    excluding only the in-phase autocorrelation, without summing one.
 
-    One inverse FFT of length N per member i, against members i, i+1, ...,
-    covers every pair: (l, i) is the conjugate of (i, l) at the opposite
-    shift.  The largest entry is rounded to its Gaussian integer, so the
-    result is the square root of an exact norm; ConstructionError, with the
-    pair, the shift (as in ``z4_correlation``) and the value as witness, if
-    that entry misses the Gaussian integers by 0.5 or more.
+    The members' n-windows must be every nonzero state once (checked).  The
+    recurrence is linear, so u = s_i - s_j(. + tau) is a solution: zero only
+    in phase, else a rotation of the member m_k whose window it shares, so
+    C_ij(tau) = S_k = sum_t i^(m_k(t)).  And for i != k, s_i - m_k is a
+    rotation s_j(. + tau) of a member, so every S_k occurs: the result is
+    max_k |S_k|, with S_k = (c0 - c2) + (c1 - c3)i from row k's symbol
+    counts c_v.  The witness takes i = 0 (1 if k = 0) and (j, tau) from the
+    window code of s_i - m_k, and is certified by ``z4_correlation``.
+
+    Raises ConstructionError with the window witness if the members are not
+    the cyclic classes, or with (i, j, tau, S_k) if the certificate fails.
     """
-    N = family.period
-    spectra = np.fft.fft(np.array([1, 1j, -1, -1j])[np.array(family.members)], axis=1)
-    best, witness = -1.0, None
-    for i in range(family.size):
-        c = np.fft.ifft(spectra[i] * np.conj(spectra[i:]), axis=1)
-        mags = np.abs(c)
-        mags[0, 0] = 0.0  # in-phase autocorrelation of member i
-        j = int(mags.argmax())
-        if mags.flat[j] > best:
-            best, witness = float(mags.flat[j]), (i, i + j // N, -j % N, complex(c.flat[j]))
-    value = witness[3]
-    exact = complex(round(value.real), round(value.imag))
-    if abs(value - exact) >= 0.5:
+    A, n = np.array(family.members, dtype=np.int8), family.n
+    codes, failure = _window_codes(A, family.polynomial, n)
+    if failure is not None:
+        raise ConstructionError(f"members are not the cyclic classes: {failure[0]}", witness=failure[1])
+    c = np.stack([np.count_nonzero(A == v, axis=1) for v in range(4)])
+    re, im = c[0] - c[2], c[1] - c[3]
+    k = int(np.argmax(re * re + im * im))
+    value, i = complex(int(re[k]), int(im[k])), int(k == 0)
+    code = int("".join(map(str, (A[i, :n] - A[k, :n]) % 4)), 4)  # big-endian base 4
+    j, tau = divmod(int(np.flatnonzero(codes.ravel() == code)[0]), family.period)
+    if z4_correlation(family.members[i], family.members[j], tau) != value:
         raise ConstructionError(
-            f"the largest family correlation misses the Gaussian integers by {abs(value - exact)}",
-            witness=witness,
+            f"correlation of members {i}, {j} at shift {tau} is not member {k}'s symbol sum {value}",
+            witness=(i, j, tau, value),
         )
-    return abs(exact)  # the square root of the exact norm re^2 + im^2
+    return abs(value)  # the square root of the exact norm re^2 + im^2
 
 
 def family_to_json(family: FamilyA) -> dict:
@@ -286,20 +283,23 @@ def family_to_json(family: FamilyA) -> dict:
 
 def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     """Rebuild a family from its export form, re-checking the cheap
-    invariants: count, recurrence membership, binary-valued member 0, and
-    distinct cyclic classes (the members' n-windows partition the nonzero
-    states, so no member repeats another or a rotation of it)."""
+    invariants: binary-valued member 0, distinct full cyclic classes of the
+    recurrence (the members' n-windows partition the nonzero states, so no
+    member repeats another or a rotation of it), and alignment at shift 0."""
     n = int(doc["n"])
     f = tuple(int(c) % 4 for c in doc["polynomial"])
     members = tuple(tuple(int(v) % 4 for v in m) for m in doc["members"])
     fam = FamilyA(n=n, polynomial=f, members=members)
     if verify:
         A = np.array(members, dtype=np.int8)  # ragged members raise ValueError
-        if A.shape != ((1 << n) + 1, fam.period):
-            raise ValueError(f"members have shape {A.shape}, not 2^n + 1 rows of period 2^n - 1")
-        if np.any(A[0] % 2):
+        if np.any(A[:1] % 2):
             raise ValueError("member 0 must be binary-valued (symbols in {0, 2})")
         failure = _window_codes(A, f, n)[1]
         if failure is not None:
             raise ValueError(f"members are not distinct cyclic classes: {failure[0]}")
+        # one mod-2 reduction under members 1.. makes each difference of two 2x a
+        # binary m-sequence (2^(n-1) twos, 2^(n-1) - 1 zeros): correlation -1 at 0
+        off = np.flatnonzero(np.any((A[2:] - A[1]) % 2, axis=1))
+        if off.size:
+            raise ValueError(f"member {2 + int(off[0])} does not share member 1's mod-2 reduction")
     return fam

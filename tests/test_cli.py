@@ -182,6 +182,34 @@ def test_corrupt_cache_is_rejected(tmp_path):
     assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 2
 
 
+def test_misaligned_cache_entry_is_rejected(tmp_path):
+    # member 3 rotated by one symbol is still a full cyclic class, but no
+    # longer correlates to -1 with the other members at shift zero
+    cache = tmp_path / "cache"
+    out = tmp_path / "a.json"
+    assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 0
+    cached = cache / "family-a" / "n4.json"
+    doc = json.loads(cached.read_text())
+    doc["members"][3] = doc["members"][3][1:] + doc["members"][3][:1]
+    cached.write_text(json.dumps(doc))
+    assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 2
+    assert run(["qcss", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 2
+
+
+def test_translated_ads_cache_entry_is_rejected(tmp_path):
+    # a translate of the ADS has the same classification, so only the
+    # comparison with the lift of W tells it apart
+    cache = tmp_path / "cache"
+    out = tmp_path / "a.json"
+    assert run(["ads", "--f", "7", "--cache-dir", str(cache), "--out", str(out)]) == 0
+    cached = cache / "ads" / "f7-singer.json"
+    doc = json.loads(cached.read_text())
+    doc["elements"] = sorted((e + 1) % doc["q"] for e in doc["elements"])
+    cached.write_text(json.dumps(doc))
+    assert run(["ads", "--f", "7", "--cache-dir", str(cache), "--out", str(out)]) == 2
+    assert run(["qcss", "--n", "5", "--cache-dir", str(cache), "--out", str(out)]) == 2
+
+
 @pytest.mark.parametrize(
     "argv,entry",
     [(["family", "--n", "4"], "family-a/n4.json"), (["ads", "--f", "7"], "ads/f7-singer.json")],

@@ -143,26 +143,85 @@ def test_family_alpha_max(fixture_name, n, request):
         assert measured <= bound + 1e-6
 
 
-def test_alpha_max_fft_path_agrees(family3, family4):
-    # engine against the scalar oracle: every pair and shift but the in-phase
-    # autocorrelations, counted exactly by z4_correlation
+def brute_force_alpha(family):
+    # every pair and shift but the in-phase autocorrelations, counted
+    # exactly by z4_correlation
+    return max(
+        abs(z4.z4_correlation(a, b, tau))
+        for (i, a), (j, b) in itertools.product(enumerate(family.members), repeat=2)
+        for tau in range(family.period)
+        if i != j or tau
+    )
+
+
+def fft_alpha(family):
+    # all ordered pairs at once: C[i, j] = ifft(F_i conj(F_j)) runs over the
+    # same shifts as z4_correlation, in the opposite direction
+    F = np.fft.fft(np.array([1, 1j, -1, -1j])[np.array(family.members)], axis=1)
+    mags = np.abs(np.fft.ifft(F[:, None, :] * F.conj()[None, :, :], axis=2))
+    mags[np.arange(family.size), np.arange(family.size), 0] = 0.0
+    return float(mags.max())
+
+
+def test_alpha_max_matches_oracle(family3, family4):
     for family in (family3, family4):
-        oracle = max(
-            abs(z4.z4_correlation(a, b, tau))
-            for (i, a), (j, b) in itertools.product(enumerate(family.members), repeat=2)
-            for tau in range(family.period)
-            if i != j or tau
-        )
+        oracle = brute_force_alpha(family)
         assert abs(z4.family_alpha_max(family) - oracle) <= 1e-9
 
 
-def test_alpha_max_rounding_residual_guard(family4, monkeypatch):
-    ifft = np.fft.ifft
-    monkeypatch.setattr(np.fft, "ifft", lambda x, axis: ifft(x, axis=axis) + (0.5 + 0.5j))
+PRIMITIVE_3_TO_6 = [
+    (n, (1,) + mid + (1,))
+    for n in range(3, 7)
+    for mid in itertools.product((0, 1), repeat=n - 1)
+    if binpoly.is_primitive_binary((1,) + mid + (1,))
+]
+
+
+@pytest.mark.parametrize("n,coeffs", PRIMITIVE_3_TO_6)
+def test_alpha_max_every_primitive_polynomial(n, coeffs):
+    family = z4.build_family_a(n, coeffs=coeffs)
+    oracle = brute_force_alpha(family) if n <= 4 else fft_alpha(family)
+    assert abs(z4.family_alpha_max(family) - oracle) <= 1e-9
+
+
+def test_alpha_max_rejects_a_non_family(family4):
+    members = list(family4.members)
+    copied = members[:3] + [members[2]] + members[4:]
+    with pytest.raises(ConstructionError, match="is the window at") as err:
+        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, members=tuple(copied)))
+    code, where = err.value.witness
+    assert [row for row, _ in where] == [2, 3] and where[0][1] == where[1][1]
+    broken = members[5][:7] + ((members[5][7] + 1) % 4,) + members[5][8:]
+    tampered = members[:5] + [broken] + members[6:]
+    with pytest.raises(ConstructionError, match="does not satisfy the recurrence") as err:
+        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, members=tuple(tampered)))
+    assert err.value.witness == (5, broken)
+    # a missing member leaves the other windows distinct, but not every state
+    with pytest.raises(ConstructionError, match=r"is not 2\^n \+ 1 rows") as err:
+        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, members=tuple(members[:-1])))
+    assert err.value.witness == (16, 15)
+
+
+@pytest.mark.parametrize("largest_first", [False, True])
+@pytest.mark.parametrize("fixture_name", ["family3", "family4", "family5", "family6"])
+def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request, monkeypatch):
+    # an oracle that disagrees makes the certificate fail and expose its
+    # witness, which the real oracle must reproduce; with the largest symbol
+    # sum moved to member 0 the witness must start from member 1
+    family = request.getfixturevalue(fixture_name)
+    alpha = z4.family_alpha_max(family)
+    if largest_first:
+        members = sorted(family.members, key=lambda m: -abs(sum(1j**v for v in m)))
+        family = z4.FamilyA(n=family.n, polynomial=family.polynomial, members=tuple(members))
+        assert z4.family_alpha_max(family) == alpha
+    oracle = z4.z4_correlation
+    monkeypatch.setattr(z4, "z4_correlation", lambda a, b, tau: oracle(a, b, tau) + 1)
     with pytest.raises(ConstructionError) as err:
-        z4.family_alpha_max(family4)
+        z4.family_alpha_max(family)
     i, j, tau, value = err.value.witness
-    assert 0 <= i <= j < family4.size and 0 <= tau < family4.period
+    assert (i != j or tau) and 0 <= tau < family.period  # not in phase
+    assert oracle(family.members[i], family.members[j], tau) == value
+    assert abs(value) == alpha and i == int(largest_first)
 
 
 @pytest.mark.parametrize(
