@@ -28,12 +28,12 @@ EXIT_FALSIFIED = 3
 EXIT_CAP = 4
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _dump_json(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _dump_text(_json_text(doc), out)
 
 
 def _dump_text(text: str, out: str | None) -> None:
@@ -43,13 +43,13 @@ def _dump_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_cache(path: Path, doc) -> None:
+def _write_cache(path: Path, text: str) -> None:
     """Write a cache entry atomically: a temporary file in the same directory,
     then os.replace, so readers never see a partial entry."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(doc, indent=2) + "\n")
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -68,7 +68,7 @@ def _load_or_build_family(n: int, args) -> z4.FamilyA:
         return z4.family_from_json(json.loads(path.read_text()), verify=True)
     family = z4.build_family_a(n, coeffs=_parse_poly(poly) if poly else None)
     if path:
-        _write_cache(path, z4.family_to_json(family))
+        _write_cache(path, z4.family_json_text(family))
     return family
 
 
@@ -93,7 +93,7 @@ def _build_ads(f: int, ds_kind: str, args) -> diffsets.CyclicSubset:
         return U
     U = diffsets.lift_ads_to_z4f(W)
     if path:
-        _write_cache(path, diffsets.ads_to_json(U, diffsets.CANONICAL_PATTERN))
+        _write_cache(path, _json_text(diffsets.ads_to_json(U, diffsets.CANONICAL_PATTERN)))
     return U
 
 
@@ -109,7 +109,7 @@ def cmd_family(args) -> int:
         raise ValueError("family export is JSON-only")
     family = _load_or_build_family(args.n, args)
     alpha = z4.family_alpha_max(family)
-    _dump_json(z4.family_to_json(family), args.out)
+    _dump_text(z4.family_json_text(family), args.out)
     print(f"familyA n={family.n} size={family.size} alpha_max={alpha:.6f}")
     return EXIT_OK
 

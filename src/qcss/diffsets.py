@@ -311,11 +311,20 @@ def ads_to_json(U: CyclicSubset, pattern: CosetPattern | None = None) -> dict:
 
 
 def ads_from_json(doc: dict, verify: bool = True) -> CyclicSubset:
-    """Rebuild a subset from its export form, re-classifying on load."""
-    U = CyclicSubset(modulus=int(doc["q"]), elements=tuple(int(e) for e in doc["elements"]))
+    """Rebuild a subset from its export form, re-classifying on load.
+
+    A document that lacks a key or holds a value of the wrong type raises
+    ValueError."""
+    if not isinstance(doc, dict) or not {"q", "elements"} <= doc.keys():
+        raise ValueError("an ADS document is an object with the keys q and elements")
+    q, elements, stored = doc["q"], doc["elements"], doc.get("classification", {})
+    if type(q) is not int or not isinstance(elements, list) or any(type(e) is not int for e in elements):
+        raise ValueError("ADS modulus and elements must be integers")
+    if not isinstance(stored, dict):
+        raise ValueError(f"ADS classification must be an object, got {stored!r}")
+    U = CyclicSubset(modulus=q, elements=tuple(elements))
     if verify:
         c = classify_set(U)
-        stored = doc.get("classification", {})
         got = (c.kind, c.p, c.m, c.lam, c.t)
         want = (
             stored.get("kind"),

@@ -10,15 +10,17 @@ checks like "this value is -1" carry no floating-point slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import binpoly
 from .errors import ConstructionError
 
-# The seeded build with its checks takes ~0.3 s at n = 10 and ~6 s with a
-# ~0.8 GB peak at n = 12 (2-core VM); family_alpha_max adds ~0.1 s and ~1.5 s.
+# The seeded build with its checks takes ~0.2 s at n = 10 and ~7 s with a
+# ~0.8 GB peak at n = 12 (2-core VM); family_alpha_max adds ~0.03 s and
+# ~0.8 s, and family_json_text ~0.04 s and ~0.3 s (151 MB of text).
 MAX_FAMILY_DEGREE = 12
 
 
@@ -105,11 +107,23 @@ class FamilyA:
     ``members[0]`` is the binary-valued class (symbols in {0, 2}); all later
     members are rotation-aligned so every pair correlates to exactly -1 at
     shift zero.
+
+    ``array`` holds the same symbols as a read-only int8 (K, N) array.  A
+    caller that already has them as an array passes it in; otherwise it is
+    built from ``members``.  It takes no part in equality or ``repr``.
     """
 
     n: int
     polynomial: tuple[int, ...]  # Z4 coefficients, constant term first
     members: tuple[tuple[int, ...], ...]
+    array: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        A = np.array(self.members if self.array is None else self.array, dtype=np.int8)
+        if A.shape[:1] != (len(self.members),):
+            raise ValueError(f"member array of shape {A.shape} does not hold {len(self.members)} members")
+        A.setflags(write=False)
+        object.__setattr__(self, "array", A)
 
     @property
     def period(self) -> int:
@@ -205,7 +219,7 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     units = 1 + np.argsort(least[1:])
     rotated = np.roll(rows[units], -start[units[0]], axis=1)
     members = np.vstack([np.roll(rows[0], -start[0]), rotated])
-    family = FamilyA(n=n, polynomial=f, members=tuple(map(tuple, members.tolist())))
+    family = FamilyA(n=n, polynomial=f, members=tuple(map(tuple, members.tolist())), array=members)
     subset_l(family, verify=True)
     return family
 
@@ -224,7 +238,7 @@ def subset_l(family: FamilyA, verify: bool = True) -> tuple[tuple[int, ...], ...
         # of every product and partial sum is an integer of magnitude at most
         # N < 2^24.  Any entry that is not exactly -1 + 0i, integral or not,
         # fails its pair.
-        Z = np.array([1, 1j, -1, -1j], dtype=np.complex64)[np.array(L)]
+        Z = np.array([1, 1j, -1, -1j], dtype=np.complex64)[family.array[1:]]
         gram = Z @ Z.conj().T
         bad = np.argwhere(np.triu(gram != -1, k=1))
         if bad.size:
@@ -253,7 +267,7 @@ def family_alpha_max(family: FamilyA) -> float:
     Raises ConstructionError with the window witness if the members are not
     the cyclic classes, or with (i, j, tau, S_k) if the certificate fails.
     """
-    A, n = np.array(family.members, dtype=np.int8), family.n
+    A, n = family.array, family.n
     codes, failure = _window_codes(A, family.polynomial, n)
     if failure is not None:
         raise ConstructionError(f"members are not the cyclic classes: {failure[0]}", witness=failure[1])
@@ -263,7 +277,7 @@ def family_alpha_max(family: FamilyA) -> float:
     value, i = complex(int(re[k]), int(im[k])), int(k == 0)
     code = int("".join(map(str, (A[i, :n] - A[k, :n]) % 4)), 4)  # big-endian base 4
     j, tau = divmod(int(np.flatnonzero(codes.ravel() == code)[0]), family.period)
-    if z4_correlation(family.members[i], family.members[j], tau) != value:
+    if z4_correlation(A[i], A[j], tau) != value:
         raise ConstructionError(
             f"correlation of members {i}, {j} at shift {tau} is not member {k}'s symbol sum {value}",
             witness=(i, j, tau, value),
@@ -271,27 +285,58 @@ def family_alpha_max(family: FamilyA) -> float:
     return abs(value)  # the square root of the exact norm re^2 + im^2
 
 
+def _family_doc(family: FamilyA, members: list) -> dict:
+    return {"n": family.n, "polynomial": list(family.polynomial), "members": members, "l0_index": 0}
+
+
 def family_to_json(family: FamilyA) -> dict:
     """Cache/export form: symbols as plain integers 0-3."""
-    return {
-        "n": family.n,
-        "polynomial": list(family.polynomial),
-        "members": [list(m) for m in family.members],
-        "l0_index": 0,
-    }
+    return _family_doc(family, [list(m) for m in family.members])
+
+
+def family_json_text(family: FamilyA) -> str:
+    """``json.dumps(family_to_json(family), indent=2) + "\\n"``, byte for byte,
+    built from the member array instead of one Python object per symbol.
+
+    Each member is a fixed-width block of 9N + 12 bytes: its opening line,
+    N - 1 symbol lines "      d,", the last symbol line without the comma and
+    the closing line "    ],".  All K blocks are filled at once in one uint8
+    buffer and decoded together; only the last block's trailing ",\\n" goes.
+    """
+    K, N = family.array.shape
+    row = b"    [\n" + b"      0,\n" * (N - 1) + b"      0\n    ],\n"
+    buf = np.empty((K, len(row)), dtype=np.uint8)
+    buf[:] = np.frombuffer(row, dtype=np.uint8)
+    buf[:, 12::9] += family.array.view(np.uint8)  # symbol t sits at byte 12 + 9t
+    head, tail = json.dumps(_family_doc(family, []), indent=2).split("[]")
+    return f"{head}[\n{str(memoryview(buf.reshape(-1)[:-2]), 'ascii')}\n  ]{tail}\n"
 
 
 def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     """Rebuild a family from its export form, re-checking the cheap
     invariants: binary-valued member 0, distinct full cyclic classes of the
     recurrence (the members' n-windows partition the nonzero states, so no
-    member repeats another or a rotation of it), and alignment at shift 0."""
-    n = int(doc["n"])
-    f = tuple(int(c) % 4 for c in doc["polynomial"])
-    members = tuple(tuple(int(v) % 4 for v in m) for m in doc["members"])
-    fam = FamilyA(n=n, polynomial=f, members=members)
+    member repeats another or a rotation of it), and alignment at shift 0.
+
+    A document that lacks a key, holds a value of the wrong type, or has a
+    non-integer symbol or members of unequal length raises ValueError."""
+    if not isinstance(doc, dict) or not {"n", "polynomial", "members"} <= doc.keys():
+        raise ValueError("a family document is an object with the keys n, polynomial and members")
+    n, poly, members = doc["n"], doc["polynomial"], doc["members"]
+    if type(n) is not int or not 2 <= n <= MAX_FAMILY_DEGREE:
+        raise ValueError(f"family degree must be an integer in [2, {MAX_FAMILY_DEGREE}], got {n!r}")
+    if not isinstance(poly, list) or len(poly) != n + 1 or any(type(c) is not int for c in poly):
+        raise ValueError(f"family polynomial must be {n + 1} integers, got {poly!r}")
+    try:
+        A = np.array(members)
+    except ValueError as exc:
+        raise ValueError("family members must be lists of equal length") from exc
+    if A.ndim != 2 or A.dtype.kind != "i":
+        raise ValueError("family members must be lists of integer symbols of equal length")
+    A = A.astype(np.int8) % 4  # the int8 cast wraps mod 256, which keeps residues mod 4
+    f = tuple(c % 4 for c in poly)
+    fam = FamilyA(n=n, polynomial=f, members=tuple(map(tuple, A.tolist())), array=A)
     if verify:
-        A = np.array(members, dtype=np.int8)  # ragged members raise ValueError
         if np.any(A[:1] % 2):
             raise ValueError("member 0 must be binary-valued (symbols in {0, 2})")
         failure = _window_codes(A, f, n)[1]

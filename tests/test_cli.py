@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -159,6 +160,41 @@ def test_family_cache_roundtrip(tmp_path):
     assert (cache / "family-a" / "n4.json").exists()
     assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of `qcss family --n 5` output, written by json.dumps(doc, indent=2)
+# before the array writer replaced it
+FAMILY_N5_SHA256 = "e8f1a7a07a64024dc4ca8b94d23cfbc295c9e52d337801a1ec86ea550bd9f36e"
+
+
+def test_family_cache_entry_and_export_keep_their_bytes(tmp_path):
+    cache, out = tmp_path / "cache", tmp_path / "a.json"
+    assert run(["family", "--n", "5", "--cache-dir", str(cache), "--out", str(out)]) == 0
+    for path in (out, cache / "family-a" / "n5.json"):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILY_N5_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv,entry,edit",
+    [
+        (["family", "--n", "4"], "family-a/n4.json", lambda d: d.pop("n")),
+        (["family", "--n", "4"], "family-a/n4.json", lambda d: d["members"][2].pop()),
+        (["family", "--n", "4"], "family-a/n4.json", lambda d: d["members"][2].__setitem__(0, 0.5)),
+        (["ads", "--f", "7"], "ads/f7-singer.json", lambda d: d.update(classification=3)),
+        (["ads", "--f", "7"], "ads/f7-singer.json", lambda d: d.pop("q")),
+    ],
+    ids=["family-no-n", "family-ragged", "family-float-symbol", "ads-int-classification", "ads-no-q"],
+)
+def test_malformed_cache_entry_is_a_config_error(argv, entry, edit, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = argv + ["--cache-dir", str(cache), "--out", str(tmp_path / "a.json")]
+    assert run(args) == 0
+    doc = json.loads((cache / entry).read_text())
+    edit(doc)
+    (cache / entry).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ads_cache_roundtrip(tmp_path):

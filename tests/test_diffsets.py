@@ -254,3 +254,27 @@ def test_json_roundtrip():
     doc["classification"]["lambda"] = 4
     with pytest.raises(ValueError):
         diffsets.ads_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("q"),
+        lambda d: d.pop("elements"),
+        lambda d: d.update(q="28"),
+        lambda d: d.update(elements=3),
+        lambda d: d["elements"].__setitem__(0, 0.5),
+        lambda d: d["elements"].__setitem__(0, None),
+        lambda d: d.update(classification=3),
+        lambda d: d.update(classification=[28, 13, 5, 6]),
+    ],
+    ids=["no-q", "no-elements", "string-q", "int-elements", "float-element", "null-element",
+         "int-classification", "list-classification"],
+)
+def test_malformed_ads_document_is_a_value_error(edit):
+    doc = diffsets.ads_to_json(lift_ads_to_z4f(singer_ds(3)), CANONICAL_PATTERN)
+    edit(doc)
+    with pytest.raises(ValueError):
+        diffsets.ads_from_json(doc)
+    with pytest.raises(ValueError):
+        diffsets.ads_from_json([doc])

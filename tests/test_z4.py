@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcss
 from qcss import binpoly, z4
@@ -284,8 +286,11 @@ FAMILY_DIGESTS = {
 @pytest.mark.parametrize("n,coeffs", list(FAMILY_DIGESTS))
 def test_family_export_is_pinned(n, coeffs):
     family = z4.build_family_a(n, coeffs=coeffs)
-    text = json.dumps(z4.family_to_json(family))
+    doc = z4.family_to_json(family)
+    text = json.dumps(doc)
     assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[n, coeffs]
+    # the array writer gives the indented dump's bytes
+    assert z4.family_json_text(family) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_build_family_guards():
@@ -324,3 +329,74 @@ def test_family_json_rejects_duplicated_classes(family4):
         doc["members"][3] = list(dup)
         with pytest.raises(ValueError, match="not distinct cyclic classes"):
             z4.family_from_json(doc)
+
+
+PRIMITIVE_2_TO_7 = [
+    (n, (1,) + mid + (1,))
+    for n in range(2, 8)
+    for mid in itertools.product((0, 1), repeat=n - 1)
+    if binpoly.is_primitive_binary((1,) + mid + (1,))
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PRIMITIVE_2_TO_7))
+def test_family_text_roundtrip(case):
+    n, coeffs = case
+    family = z4.build_family_a(n, coeffs=coeffs)
+    rebuilt = z4.family_from_json(json.loads(z4.family_json_text(family)))
+    assert rebuilt == family
+    # a family built from its members alone, as the tampered-family tests
+    # build them, gets the same array and gives the same results
+    plain = z4.FamilyA(n=n, polynomial=family.polynomial, members=family.members)
+    assert plain == family
+    for fam in (family, rebuilt, plain):
+        assert fam.array.dtype == np.int8 and not fam.array.flags.writeable
+        np.testing.assert_array_equal(fam.array, np.array(family.members, dtype=np.int8))
+        with pytest.raises(ValueError):
+            fam.array[0, 0] = 1
+        assert z4.subset_l(fam) == family.members[1:]
+        assert z4.family_alpha_max(fam) == z4.family_alpha_max(family)
+        assert z4.family_json_text(fam) == json.dumps(z4.family_to_json(family), indent=2) + "\n"
+
+
+def test_family_array_must_hold_the_members(family3):
+    with pytest.raises(ValueError, match="does not hold 9 members"):
+        z4.FamilyA(n=3, polynomial=family3.polynomial, members=family3.members, array=family3.array[1:])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("n"),
+        lambda d: d.pop("members"),
+        lambda d: d.update(n="4"),
+        lambda d: d.update(n=13),
+        lambda d: d.update(polynomial=3),
+        lambda d: d.update(polynomial=[3, 1, 2]),
+        lambda d: d["members"][3].__setitem__(0, 1.5),
+        lambda d: d["members"][3].__setitem__(0, "1"),
+        lambda d: d["members"][3].__setitem__(0, None),
+        lambda d: d["members"][3].pop(),
+        lambda d: d["members"][3].__setitem__(0, [1]),
+        lambda d: d.update(members=5),
+        lambda d: d.update(members=[]),
+    ],
+    ids=[
+        "no-n", "no-members", "string-n", "n-too-large", "int-polynomial", "short-polynomial",
+        "float-symbol", "string-symbol", "null-symbol", "ragged", "nested-symbol", "int-members",
+        "no-rows",
+    ],
+)
+def test_malformed_family_document_is_a_value_error(edit, family4):
+    doc = z4.family_to_json(family4)
+    edit(doc)
+    for verify in (True, False):
+        with pytest.raises(ValueError):
+            z4.family_from_json(doc, verify=verify)
+
+
+@pytest.mark.parametrize("doc", [None, [], "family"])
+def test_family_document_must_be_an_object(doc):
+    with pytest.raises(ValueError, match="is an object"):
+        z4.family_from_json(doc)
