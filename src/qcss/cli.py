@@ -6,7 +6,7 @@ files) and reports through exit codes:
     0  success
     2  configuration error (bad arguments, unsupported sizes)
     3  an expected construction property was falsified on concrete data
-    4  resource cap exceeded
+    4  resource cap exceeded, or out of memory
 """
 
 from __future__ import annotations
@@ -60,16 +60,19 @@ def _cache_dir(args) -> Path | None:
     return Path(cache) if cache else None
 
 
-def _load_or_build_family(n: int, args) -> z4.FamilyA:
+def _load_or_build_family(n: int, args) -> tuple[z4.FamilyA, str | None]:
+    """The family, and its JSON text when a cache miss had to render it."""
     poly = getattr(args, "poly", None)  # custom polynomials bypass the cache
     cache = _cache_dir(args)
     path = cache / "family-a" / f"n{n}.json" if cache and poly is None else None
     if path and path.exists():
-        return z4.family_from_json(json.loads(path.read_text()), verify=True)
+        return z4.family_from_json(json.loads(path.read_text()), verify=True), None
     family = z4.build_family_a(n, coeffs=_parse_poly(poly) if poly else None)
+    text = None
     if path:
-        _write_cache(path, z4.family_json_text(family))
-    return family
+        text = z4.family_json_text(family)
+        _write_cache(path, text)
+    return family, text
 
 
 def _build_ads(f: int, ds_kind: str, args) -> diffsets.CyclicSubset:
@@ -107,9 +110,9 @@ def _parse_poly(text: str) -> tuple[int, ...]:
 def cmd_family(args) -> int:
     if args.format == "csv":
         raise ValueError("family export is JSON-only")
-    family = _load_or_build_family(args.n, args)
+    family, text = _load_or_build_family(args.n, args)
     alpha = z4.family_alpha_max(family)
-    _dump_text(z4.family_json_text(family), args.out)
+    _dump_text(text or z4.family_json_text(family), args.out)
     print(f"familyA n={family.n} size={family.size} alpha_max={alpha:.6f}")
     return EXIT_OK
 
@@ -147,7 +150,7 @@ def cmd_qcss(args) -> int:
             f"n = {n} means a {1 << n}x{1 << n} pair sweep over {(1 << n) - 1} shifts"
         )
     params = analysis.construction_params(n)
-    family = _load_or_build_family(n, args)
+    family, _ = _load_or_build_family(n, args)
     base = z4.subset_l(family)
     ads = _build_ads(params.f, args.ds, args)
     qset = correlation.build_qcss(
@@ -185,8 +188,9 @@ def cmd_qcss(args) -> int:
             )
         if (report.num_sets, report.num_rows, report.period) != (params.K, params.M, params.N):
             failures.append("set shape does not match the parameter formulas")
-        entries = correlation.roots_table(qset.root_order)[qset.phases]
-        if not np.allclose(np.abs(entries), 1.0, atol=1e-12):
+        # every entry is table[phase] with the phase reduced mod the table's length
+        table = correlation.roots_table(qset.root_order)
+        if not np.allclose(np.abs(table), 1.0, rtol=0, atol=1e-12):
             failures.append("non-unimodular entry found")
         expected_max = max(report.r1_observed, report.r2_observed, float(report.per_shift_max[0]))
         if abs(expected_max - report.delta_max) > 1e-9:
@@ -322,6 +326,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"resource cap: out of memory ({exc})", file=sys.stderr)
         return EXIT_CAP
     except ConstructionError as exc:
         print(f"construction falsified: {exc}", file=sys.stderr)

@@ -4,9 +4,11 @@ report.
 
 Entries of every sequence here are roots of unity stored as integer phases
 modulo a common root order L, so building blocks stay exact; complex values
-only appear when a correlation sum is evaluated.  The census streams the
-correlation tensor from exact aperiodic correlations of the base sequences;
-``periodic_correlation`` is the scalar reference it is tested against.
+only appear when a correlation sum is evaluated.  An assembled set stores
+its base sequences and shift set, not its K*M*N entries.  The census streams
+the correlation tensor from exact aperiodic correlations of the base
+sequences; ``periodic_correlation`` is the scalar reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -127,50 +129,75 @@ def matrix_correlation(c1: QcssMatrix, c2: QcssMatrix, tau: int) -> complex:
 @dataclass(frozen=True, eq=False)
 class QcssSet:
     """K matrices assembled from base sequences v_k and a shift set D: matrix
-    k has rows phase_transform(v_k, d, q) for d in D, sorted."""
+    k has rows phase_transform(v_k, d, q) for d in D, sorted.
+
+    Only the read-only int8 (K, N) ``base`` of Z4 symbols and the shifts are
+    stored.  ``matrix(k)`` builds one (M, N) matrix on demand for the scalar
+    oracle; ``phases`` builds the whole (K, M, N) tensor on each access, and
+    the census never reads it.
+    """
 
     root_order: int
-    phases: np.ndarray  # shape (K, M, N)
+    base: np.ndarray  # shape (K, N), symbols 0..3
     q: int
     shifts: tuple[int, ...]
-    base: tuple[tuple[int, ...], ...]
     provenance: dict = field(default_factory=dict)
 
     @property
     def num_sets(self) -> int:
-        return self.phases.shape[0]
+        return self.base.shape[0]
 
     @property
     def num_rows(self) -> int:
-        return self.phases.shape[1]
+        return len(self.shifts)
 
     @property
     def period(self) -> int:
-        return self.phases.shape[2]
+        return self.base.shape[1]
+
+    def _phases(self, base: np.ndarray) -> np.ndarray:
+        """Phases of base symbols (..., N) under every ramp: (..., M, N),
+        unreduced; ``phase_transform``'s formula for all d in D at once."""
+        L = self.root_order
+        ramp = np.outer(self.shifts, np.arange(self.period, dtype=np.int64)) * (L // self.q)
+        return base[..., None, :].astype(np.int64) * (L // 4) + ramp
 
     def matrix(self, k: int) -> QcssMatrix:
-        return QcssMatrix(root_order=self.root_order, phases=self.phases[k], user_index=k)
+        return QcssMatrix(root_order=self.root_order, phases=self._phases(self.base[k]), user_index=k)
+
+    @property
+    def phases(self) -> np.ndarray:
+        """The full (K, M, N) phase tensor, K*M*N int64 values, for tests."""
+        p = self._phases(self.base) % self.root_order
+        p.setflags(write=False)
+        return p
 
 
 def build_qcss(base_sequences, shift_set: CyclicSubset, provenance: dict | None = None) -> QcssSet:
-    """Assemble the K = len(base_sequences) matrices over the shift set."""
-    base = tuple(tuple(int(v) % 4 for v in s) for s in base_sequences)
-    if not base or shift_set.size == 0:
-        raise ValueError("need at least one base sequence and a nonempty shift set")
-    n_len = len(base[0])
-    if any(len(s) != n_len for s in base):
+    """Assemble K matrices from a (K, N) array-like of Z4 base sequences,
+    such as ``subset_l(family)``, over the shift set.
+
+    The symbols are stored once, reduced mod 4, as a read-only int8 array;
+    no row of any matrix is built here.
+    """
+    try:
+        base = np.asarray(base_sequences)
+    except ValueError as exc:  # nested sequences of unequal length
+        raise ValueError("base sequences must share one length") from exc
+    if base.dtype == object:
         raise ValueError("base sequences must share one length")
+    if base.ndim != 2 or len(base) == 0 or shift_set.size == 0:
+        raise ValueError("need at least one base sequence and a nonempty shift set")
+    if base.dtype.kind not in "iu":
+        raise ValueError(f"base symbols must be integers, got dtype {base.dtype}")
+    base = (base % 4).astype(np.int8)
+    base.setflags(write=False)
     q = shift_set.modulus
-    L = 4 * q // math.gcd(4, q)
-    rows = []
-    for v in base:
-        rows.append(np.stack([phase_transform(v, d, q).phases for d in shift_set.elements]))
     return QcssSet(
-        root_order=L,
-        phases=np.stack(rows),
+        root_order=4 * q // math.gcd(4, q),
+        base=base,
         q=q,
         shifts=shift_set.elements,
-        base=base,
         provenance=dict(provenance or {}),
     )
 
@@ -193,8 +220,8 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     residual is the largest distance of C from the Gaussian integers.
     Raises ConstructionError if it reaches 0.5.
     """
-    K, _, N = qcss.phases.shape
-    a = roots_table(4)[np.array(qcss.base, dtype=np.int64)]
+    K, N = qcss.base.shape
+    a = roots_table(4)[qcss.base]
     P = 1 << (2 * N - 1).bit_length()  # >= 2N: lag -N reads as 0, not an alias
     spectra = np.fft.fft(a, n=P, axis=1)
     dtau = np.outer(np.arange(N), qcss.shifts)
@@ -282,7 +309,8 @@ class CorrelationReport:
 def tolerances(qcss: QcssSet) -> CorrelationReport:
     """Full sweep over sets and shifts producing the tolerance report,
     reduced block by block as ``correlation_tensor`` streams it."""
-    K, M, N = qcss.phases.shape
+    K, N = qcss.base.shape
+    M = qcss.num_rows
     if K < 2:
         raise ValueError("tolerance census needs at least two matrices")
     profile = exp_sum_profile(CyclicSubset(modulus=qcss.q, elements=qcss.shifts))

@@ -3,9 +3,9 @@ primitive polynomial into Z4, linear recurrences over Z4, and the optimal
 family of 2^n + 1 cyclically inequivalent sequences it generates (Family A
 of Boztas, Hammons and Kumar), run from one seed per cyclic class.
 
-Sequences are tuples of residues mod 4.  Correlations of raw Z4 sequences
-are Gaussian integers, counted exactly (no FFT, no rounding), so equality
-checks like "this value is -1" carry no floating-point slack.
+Sequences are tuples or int8 arrays of residues mod 4.  Correlations of raw
+Z4 sequences are Gaussian integers, counted exactly (no FFT, no rounding),
+so equality checks like "this value is -1" carry no floating-point slack.
 """
 
 from __future__ import annotations
@@ -224,21 +224,22 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     return family
 
 
-def subset_l(family: FamilyA, verify: bool = True) -> tuple[tuple[int, ...], ...]:
-    """The 2^n aligned members excluding the binary-valued one.
+def subset_l(family: FamilyA, verify: bool = True) -> np.ndarray:
+    """The 2^n aligned members excluding the binary-valued one, as the
+    read-only int8 (2^n, N) view ``family.array[1:]``.
 
     With ``verify`` (default) every unordered pair is checked to correlate to
     exactly -1 + 0i at shift zero; a violation raises ConstructionError with
-    the first failing pair (i < j) as witness.
+    the first failing pair (i < j), as symbol tuples, as witness.
     """
-    L = family.members[1:]
+    L = family.array[1:]
     if verify:
         # the zero-shift correlation sum_t i^(v_t - v'_t) is entry (v, v') of
         # Z Z^H for Z = i^A: one complex64 matmul, exact because every part
         # of every product and partial sum is an integer of magnitude at most
         # N < 2^24.  Any entry that is not exactly -1 + 0i, integral or not,
         # fails its pair.
-        Z = np.array([1, 1j, -1, -1j], dtype=np.complex64)[family.array[1:]]
+        Z = np.array([1, 1j, -1, -1j], dtype=np.complex64)[L]
         gram = Z @ Z.conj().T
         bad = np.argwhere(np.triu(gram != -1, k=1))
         if bad.size:
@@ -246,7 +247,7 @@ def subset_l(family: FamilyA, verify: bool = True) -> tuple[tuple[int, ...], ...
             raise ConstructionError(
                 f"zero-shift correlation of members {i + 1} and {j + 1} is "
                 f"{complex(gram[i, j])}, not -1",
-                witness=(L[i], L[j]),
+                witness=(tuple(L[i].tolist()), tuple(L[j].tolist())),
             )
     return L
 

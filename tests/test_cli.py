@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from qcss import cli
+from qcss import cli, correlation, z4
 
 
 def run(argv):
@@ -97,6 +97,55 @@ def test_qcss_resource_cap(tmp_path):
     assert run(["qcss", "--n", "9", "--out", str(tmp_path / "x.json")]) == 4
 
 
+# sha256 of `qcss qcss --n 5` output in both formats, taken before the set
+# stopped storing its K*M*N phase tensor
+QCSS_N5_SHA256 = {
+    "json": "0a96cb9ec9f087ab3c2b329d2aa2c3c30b44d055eb259f16c0ac5b8d8610e59a",
+    "csv": "a98a3b0d3fca2f4744d13004c0b31e656fac4efeb57ee01887381442a48e60f3",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(QCSS_N5_SHA256))
+def test_qcss_export_keeps_its_bytes(fmt, tmp_path):
+    out = tmp_path / f"report.{fmt}"
+    assert run(["qcss", "--n", "5", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == QCSS_N5_SHA256[fmt]
+
+
+def test_census_and_verify_never_build_the_tensor(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the full phase tensor was built")
+
+    monkeypatch.setattr(correlation.QcssSet, "phases", property(refuse))
+    assert run(["qcss", "--n", "5", "--verify", "--out", str(tmp_path / "r.json")]) == 0
+    assert "verify: ok" in capsys.readouterr().out
+
+
+def test_verify_flags_a_non_unimodular_root(tmp_path, monkeypatch, capsys):
+    # every entry of the n = 5 set is roots_table(28)[phase]
+    real = correlation.roots_table
+
+    def skewed(order):
+        table = real(order)
+        if order == 28:
+            table = table.copy()
+            table[5] *= 1.0 + 1e-9
+        return table
+
+    monkeypatch.setattr(correlation, "roots_table", skewed)
+    assert run(["qcss", "--n", "5", "--verify", "--out", str(tmp_path / "r.json")]) == 3
+    assert "verify: non-unimodular entry found" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_a_resource_cap(tmp_path, monkeypatch, capsys):
+    def exhausted(qset):
+        raise MemoryError("Unable to allocate 4.27 GiB")
+
+    monkeypatch.setattr(correlation, "tolerances", exhausted)
+    assert run(["qcss", "--n", "4", "--out", str(tmp_path / "r.json")]) == 4
+    assert capsys.readouterr().err.startswith("resource cap: out of memory")
+
+
 def test_tables_command(tmp_path):
     out = tmp_path / "t2.csv"
     assert run(["tables", "--table", "2", "--x-max", "7", "--out", str(out)]) == 0
@@ -172,6 +221,16 @@ def test_family_cache_entry_and_export_keep_their_bytes(tmp_path):
     assert run(["family", "--n", "5", "--cache-dir", str(cache), "--out", str(out)]) == 0
     for path in (out, cache / "family-a" / "n5.json"):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILY_N5_SHA256
+
+
+def test_family_cache_miss_renders_the_text_once(tmp_path, monkeypatch):
+    calls = []
+    render = z4.family_json_text
+    monkeypatch.setattr(z4, "family_json_text", lambda fam: calls.append(fam) or render(fam))
+    cache, out = tmp_path / "cache", tmp_path / "a.json"
+    assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert out.read_bytes() == (cache / "family-a" / "n4.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -159,10 +159,17 @@ def test_build_shapes_n5(qcss5):
 
 
 def test_build_guards(family4):
-    with pytest.raises(ValueError):
-        build_qcss([], diffsets.singer_ds(3))
-    with pytest.raises(ValueError):
-        build_qcss([(0, 1), (0, 1, 2)], diffsets.singer_ds(3))
+    shifts = diffsets.singer_ds(3)
+    for empty in ([], np.empty((0, 15), dtype=np.int8)):
+        with pytest.raises(ValueError, match="at least one base sequence"):
+            build_qcss(empty, shifts)
+    ragged = [(0, 1), (0, 1, 2)]
+    rows = [np.array(r, dtype=np.int8) for r in ragged]
+    for base in (ragged, rows, np.array(rows, dtype=object)):
+        with pytest.raises(ValueError, match="share one length"):
+            build_qcss(base, shifts)
+    with pytest.raises(ValueError, match="must be integers"):
+        build_qcss(np.zeros((2, 3)), shifts)
 
 
 def test_matrix_correlation_in_phase(qcss5):

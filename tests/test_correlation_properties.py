@@ -23,20 +23,23 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def small_sets(draw):
+def set_inputs(draw, symbols=st.integers(0, 3)):
     """Random base sequences and any shift set build_qcss accepts: q may
     exceed N or not divide it, and D need not be a difference set."""
     K = draw(st.integers(2, 4))
     N = draw(st.integers(2, 9))
     q = draw(st.integers(1, 12))
     shifts = draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=min(q, 5)))
-    base = draw(st.lists(st.lists(st.integers(0, 3), min_size=N, max_size=N),
-                         min_size=K, max_size=K))
-    return build_qcss(base, CyclicSubset(modulus=q, elements=tuple(shifts)))
+    base = draw(st.lists(st.lists(symbols, min_size=N, max_size=N), min_size=K, max_size=K))
+    return base, CyclicSubset(modulus=q, elements=tuple(shifts))
+
+
+def small_sets():
+    return set_inputs().map(lambda inputs: build_qcss(*inputs))
 
 
 def oracle_tensor(qset):
-    K, _, N = qset.phases.shape
+    K, N = qset.num_sets, qset.period
     return np.array([[[matrix_correlation(qset.matrix(k), qset.matrix(l), tau)
                        for l in range(K)] for k in range(K)] for tau in range(N)])
 
@@ -51,7 +54,7 @@ def aperiodic(a, b, u):
 @given(small_sets(), st.integers(0, 4096))
 def test_engine_matches_scalar_oracle(qset, block_bytes):
     # budgets up to 4096 bytes give every block size from one row to all K
-    K, _, N = qset.phases.shape
+    K, N = qset.num_sets, qset.period
     oracle = oracle_tensor(qset)
     with mock.patch.object(correlation, "BLOCK_BYTES", block_bytes):
         blocks = list(correlation_tensor(qset))
@@ -68,7 +71,7 @@ def test_engine_matches_scalar_oracle(qset, block_bytes):
 @SETTINGS
 @given(small_sets(), st.data())
 def test_wrap_split_identity(qset, data):
-    K, _, N = qset.phases.shape
+    K, N = qset.num_sets, qset.period
     k, l = data.draw(st.integers(0, K - 1)), data.draw(st.integers(0, K - 1))
     tau = data.draw(st.integers(0, N - 1))
     q = qset.q
@@ -85,7 +88,7 @@ def test_wrap_split_identity(qset, data):
 @SETTINGS
 @given(small_sets(), st.integers(0, 4096))
 def test_reported_maxima_reproduced_at_argmax(qset, block_bytes):
-    K, _, N = qset.phases.shape
+    K, N = qset.num_sets, qset.period
     with mock.patch.object(correlation, "BLOCK_BYTES", block_bytes):
         report = tolerances(qset)
     mags = np.abs(np.concatenate([v for _, v, _, _ in correlation_tensor(qset)]))  # [k, l, tau]
@@ -106,3 +109,20 @@ def test_reported_maxima_reproduced_at_argmax(qset, block_bytes):
         k, l = np.unravel_index(np.argmax(mags[:, :, tau]), (K, K))
         assert abs(oracle_at((k, l, tau)) - report.per_shift_max[tau]) <= 1e-9
     assert 0.0 <= report.rounding_residual < 1e-9
+
+
+@SETTINGS
+@given(set_inputs(symbols=st.integers(-9, 9)), st.booleans(), st.data())
+def test_matrix_matches_per_row_assembly(inputs, as_array, data):
+    base, shift_set = inputs
+    qset = build_qcss(np.array(base) if as_array else base, shift_set)
+    assert qset.base.dtype == np.int8 and not qset.base.flags.writeable
+    np.testing.assert_array_equal(qset.base, np.array(base) % 4)
+    assert qset.num_rows == shift_set.size
+    k = data.draw(st.integers(0, len(base) - 1))
+    # the assembly build_qcss used to run: one phase_transform per (k, d)
+    rows = np.stack([phase_transform(base[k], d, qset.q).phases for d in shift_set.elements])
+    matrix = qset.matrix(k)
+    assert (matrix.root_order, matrix.user_index) == (qset.root_order, k)
+    np.testing.assert_array_equal(matrix.phases, rows)
+    np.testing.assert_array_equal(qset.phases[k], rows)

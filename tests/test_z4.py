@@ -355,7 +355,8 @@ def test_family_text_roundtrip(case):
         np.testing.assert_array_equal(fam.array, np.array(family.members, dtype=np.int8))
         with pytest.raises(ValueError):
             fam.array[0, 0] = 1
-        assert z4.subset_l(fam) == family.members[1:]
+        assert np.array_equal(z4.subset_l(fam), family.members[1:])
+        assert np.shares_memory(z4.subset_l(fam), fam.array)  # a view, not a copy
         assert z4.family_alpha_max(fam) == z4.family_alpha_max(family)
         assert z4.family_json_text(fam) == json.dumps(z4.family_to_json(family), indent=2) + "\n"
 
