@@ -1,26 +1,32 @@
 """Quaternary sequence machinery: the even/odd-split lift of a binary
 primitive polynomial into Z4, linear recurrences over Z4, and the optimal
 family of 2^n + 1 cyclically inequivalent sequences it generates (Family A
-of Boztas, Hammons and Kumar), run from one seed per cyclic class.
+of Boztas, Hammons and Kumar), run from one seed per cyclic class and
+stored as one int8 (K, N) array.
 
 Sequences are tuples or int8 arrays of residues mod 4.  Correlations of raw
 Z4 sequences are Gaussian integers, counted exactly (no FFT, no rounding),
 so equality checks like "this value is -1" carry no floating-point slack.
+No check of the family sums a correlation census: once the members'
+n-windows show they are the cyclic classes, alpha_max follows from their
+symbol sums and subset L's -1 at shift zero from one shared reduction
+mod 2, both in O(K N).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import binpoly
 from .errors import ConstructionError
 
-# The seeded build with its checks takes ~0.2 s at n = 10 and ~7 s with a
-# ~0.8 GB peak at n = 12 (2-core VM); family_alpha_max adds ~0.03 s and
-# ~0.8 s, and family_json_text ~0.04 s and ~0.3 s (151 MB of text).
+# The seeded build with its checks takes ~0.05 s at n = 10 and ~1.1 s at
+# n = 12 (2-core VM); family_alpha_max adds ~0.03 s and ~0.6 s, and
+# family_json_text ~0.02 s and ~0.3 s (151 MB of text, which with its
+# encoding on write sets the ~0.4 GB peak of `qcss family --n 12`).
 MAX_FAMILY_DEGREE = 12
 
 
@@ -99,31 +105,39 @@ def z4_correlation(a, b, tau: int = 0) -> complex:
     return complex(int(c[0]) - int(c[2]), int(c[1]) - int(c[3]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyA:
     """The set of 2^n + 1 canonical representatives of the cyclic classes of
-    nonzero solutions of the Z4 recurrence.
+    nonzero solutions of the Z4 recurrence, stored once as the read-only int8
+    (K, N) array ``array`` of residues mod 4, one member per row.
 
-    ``members[0]`` is the binary-valued class (symbols in {0, 2}); all later
-    members are rotation-aligned so every pair correlates to exactly -1 at
-    shift zero.
-
-    ``array`` holds the same symbols as a read-only int8 (K, N) array.  A
-    caller that already has them as an array passes it in; otherwise it is
-    built from ``members``.  It takes no part in equality or ``repr``.
+    Row 0 is the binary-valued class (symbols in {0, 2}); rows 1.. are
+    rotation-aligned so every pair of them correlates to exactly -1 at shift
+    zero.  The constructor takes any 2-D integer array-like and copies it;
+    ragged rows, another number of dimensions or non-integer symbols raise
+    ValueError.  Two families are equal when n, the polynomial and every
+    symbol agree.
     """
 
     n: int
     polynomial: tuple[int, ...]  # Z4 coefficients, constant term first
-    members: tuple[tuple[int, ...], ...]
-    array: np.ndarray = field(default=None, compare=False, repr=False)
+    array: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.members if self.array is None else self.array, dtype=np.int8)
-        if A.shape[:1] != (len(self.members),):
-            raise ValueError(f"member array of shape {A.shape} does not hold {len(self.members)} members")
+        try:
+            A = np.asarray(self.array)
+        except ValueError as exc:  # nested sequences of unequal length
+            raise ValueError("family members must be rows of equal length") from exc
+        if A.ndim != 2 or A.dtype.kind not in "iu":
+            raise ValueError(f"family members must be a 2-D integer array, got shape {A.shape} of {A.dtype}")
+        A = A.astype(np.int8)  # always a copy, so no caller keeps a writable alias
         A.setflags(write=False)
         object.__setattr__(self, "array", A)
+
+    def __eq__(self, other):
+        if not isinstance(other, FamilyA):
+            return NotImplemented
+        return (self.n, self.polynomial) == (other.n, other.polynomial) and np.array_equal(self.array, other.array)
 
     @property
     def period(self) -> int:
@@ -131,11 +145,16 @@ class FamilyA:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.array)
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """The members as a tuple of symbol tuples, built on each access."""
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def l0(self) -> tuple[int, ...]:
-        return self.members[0]
+        return tuple(self.array[0].tolist())
 
 
 def _window_codes(rows: np.ndarray, f, n: int):
@@ -150,13 +169,23 @@ def _window_codes(rows: np.ndarray, f, n: int):
     """
     if rows.shape != ((1 << n) + 1, (1 << n) - 1):
         return None, (f"shape {rows.shape} is not 2^n + 1 rows of period 2^n - 1", rows.shape)
-    acc = np.roll(rows, -n, axis=1)
+    # column t + j of the rows extended by their first n columns is symbol
+    # t + j mod N, so every window is a slice; int8 sums wrap mod 256, which
+    # keeps every residue mod 4, and & 3 takes the residue
+    N = rows.shape[1]
+    ext = np.concatenate([rows, rows[:, :n]], axis=1, dtype=np.int8)
+    ext &= 3
+    acc = ext[:, n:].copy()
+    term = np.empty_like(acc)
     codes = np.zeros(rows.shape, dtype=np.int32)  # 4^n < 2^31 up to MAX_FAMILY_DEGREE
     for j in range(n):
-        window = np.roll(rows, -j, axis=1)
-        acc += f[j] * window
-        codes = 4 * codes + window
-    broken = np.flatnonzero(np.any(acc % 4, axis=1))
+        window = ext[:, j : j + N]
+        codes <<= 2
+        codes |= window
+        if f[j] % 4:
+            np.multiply(window, f[j] % 4, out=term)
+            acc += term
+    broken = np.flatnonzero(np.any(acc & 3, axis=1))
     if broken.size:
         k = int(broken[0])
         return codes, (f"row {k} does not satisfy the recurrence", (k, tuple(rows[k].tolist())))
@@ -219,37 +248,58 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     units = 1 + np.argsort(least[1:])
     rotated = np.roll(rows[units], -start[units[0]], axis=1)
     members = np.vstack([np.roll(rows[0], -start[0]), rotated])
-    family = FamilyA(n=n, polynomial=f, members=tuple(map(tuple, members.tolist())), array=members)
-    subset_l(family, verify=True)
-    return family
+    _certify_alignment(members)  # the windows were checked above
+    return FamilyA(n=n, polynomial=f, array=members)
+
+
+def _first_unaligned(A: np.ndarray) -> int | None:
+    """The first row j >= 2 of A whose reduction mod 2 differs from row 1's,
+    or None if rows 1.. share one reduction."""
+    off = np.flatnonzero(np.any((A[2:] ^ A[1]) & 1, axis=1))
+    return 2 + int(off[0]) if off.size else None
+
+
+def _certify_alignment(A: np.ndarray) -> None:
+    """Raise ConstructionError, with witness (row 1, row j) as symbol tuples
+    and their exact zero-shift correlation in the message, unless rows 1.. of
+    the window-checked members A share one reduction mod 2."""
+    j = _first_unaligned(A)
+    if j is not None:
+        raise ConstructionError(
+            f"member {j} does not share member 1's reduction mod 2: their "
+            f"zero-shift correlation is {z4_correlation(A[1], A[j])}, not certified -1",
+            witness=(tuple(A[1].tolist()), tuple(A[j].tolist())),
+        )
 
 
 def subset_l(family: FamilyA, verify: bool = True) -> np.ndarray:
     """The 2^n aligned members excluding the binary-valued one, as the
     read-only int8 (2^n, N) view ``family.array[1:]``.
 
-    With ``verify`` (default) every unordered pair is checked to correlate to
-    exactly -1 + 0i at shift zero; a violation raises ConstructionError with
-    the first failing pair (i < j), as symbol tuples, as witness.
+    With ``verify`` (default) the O(K N) certificate proves that every pair
+    correlates to exactly -1 + 0i at shift zero.  First the members'
+    n-windows must be every nonzero state once, so the members are distinct
+    full cyclic classes of the recurrence.  Then members 1.. must share one
+    reduction mod 2.  For two of them, u = s_i - s_j is a solution of the
+    linear recurrence with even symbols, and nonzero because the classes
+    are distinct: u = 2v with v a nonzero solution of the binary recurrence.
+    The window check puts all 2^n - 1 nonzero even states on one row, so the
+    binary recurrence runs through every nonzero state in one cycle, its
+    polynomial is primitive and v is a binary m-sequence.  So u has 2^(n-1)
+    twos and 2^(n-1) - 1 zeros, and sum_t i^(u_t) = -1.
+
+    Raises ConstructionError with the window witness if the members are not
+    the cyclic classes, or with the pair (member 1, member j), as symbol
+    tuples, for the first member j that does not share member 1's reduction;
+    the message gives that pair's exact ``z4_correlation``.
     """
-    L = family.array[1:]
+    A = family.array
     if verify:
-        # the zero-shift correlation sum_t i^(v_t - v'_t) is entry (v, v') of
-        # Z Z^H for Z = i^A: one complex64 matmul, exact because every part
-        # of every product and partial sum is an integer of magnitude at most
-        # N < 2^24.  Any entry that is not exactly -1 + 0i, integral or not,
-        # fails its pair.
-        Z = np.array([1, 1j, -1, -1j], dtype=np.complex64)[L]
-        gram = Z @ Z.conj().T
-        bad = np.argwhere(np.triu(gram != -1, k=1))
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            raise ConstructionError(
-                f"zero-shift correlation of members {i + 1} and {j + 1} is "
-                f"{complex(gram[i, j])}, not -1",
-                witness=(tuple(L[i].tolist()), tuple(L[j].tolist())),
-            )
-    return L
+        failure = _window_codes(A, family.polynomial, family.n)[1]
+        if failure is not None:
+            raise ConstructionError(f"members are not the cyclic classes: {failure[0]}", witness=failure[1])
+        _certify_alignment(A)
+    return A[1:]
 
 
 def family_alpha_max(family: FamilyA) -> float:
@@ -292,7 +342,7 @@ def _family_doc(family: FamilyA, members: list) -> dict:
 
 def family_to_json(family: FamilyA) -> dict:
     """Cache/export form: symbols as plain integers 0-3."""
-    return _family_doc(family, [list(m) for m in family.members])
+    return _family_doc(family, family.array.tolist())
 
 
 def family_json_text(family: FamilyA) -> str:
@@ -302,15 +352,20 @@ def family_json_text(family: FamilyA) -> str:
     Each member is a fixed-width block of 9N + 12 bytes: its opening line,
     N - 1 symbol lines "      d,", the last symbol line without the comma and
     the closing line "    ],".  All K blocks are filled at once in one uint8
-    buffer and decoded together; only the last block's trailing ",\\n" goes.
+    buffer that also holds the text before and after them, and the buffer is
+    decoded once; the text after them overwrites the last block's ",\n".
     """
     K, N = family.array.shape
     row = b"    [\n" + b"      0,\n" * (N - 1) + b"      0\n    ],\n"
-    buf = np.empty((K, len(row)), dtype=np.uint8)
-    buf[:] = np.frombuffer(row, dtype=np.uint8)
-    buf[:, 12::9] += family.array.view(np.uint8)  # symbol t sits at byte 12 + 9t
     head, tail = json.dumps(_family_doc(family, []), indent=2).split("[]")
-    return f"{head}[\n{str(memoryview(buf.reshape(-1)[:-2]), 'ascii')}\n  ]{tail}\n"
+    head, tail = f"{head}[\n".encode(), f"\n  ]{tail}\n".encode()
+    buf = np.empty(len(head) + K * len(row) - 2 + len(tail), dtype=np.uint8)
+    blocks = buf[len(head) : len(head) + K * len(row)].reshape(K, len(row))
+    blocks[:] = np.frombuffer(row, dtype=np.uint8)
+    blocks[:, 12::9] += family.array.view(np.uint8)  # symbol t sits at byte 12 + 9t
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    buf[len(buf) - len(tail) :] = np.frombuffer(tail, dtype=np.uint8)
+    return str(memoryview(buf), "ascii")
 
 
 def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
@@ -336,16 +391,16 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
         raise ValueError("family members must be lists of integer symbols of equal length")
     A = A.astype(np.int8) % 4  # the int8 cast wraps mod 256, which keeps residues mod 4
     f = tuple(c % 4 for c in poly)
-    fam = FamilyA(n=n, polynomial=f, members=tuple(map(tuple, A.tolist())), array=A)
+    fam = FamilyA(n=n, polynomial=f, array=A)
     if verify:
         if np.any(A[:1] % 2):
             raise ValueError("member 0 must be binary-valued (symbols in {0, 2})")
         failure = _window_codes(A, f, n)[1]
         if failure is not None:
             raise ValueError(f"members are not distinct cyclic classes: {failure[0]}")
-        # one mod-2 reduction under members 1.. makes each difference of two 2x a
-        # binary m-sequence (2^(n-1) twos, 2^(n-1) - 1 zeros): correlation -1 at 0
-        off = np.flatnonzero(np.any((A[2:] - A[1]) % 2, axis=1))
-        if off.size:
-            raise ValueError(f"member {2 + int(off[0])} does not share member 1's mod-2 reduction")
+        # subset_l's certificate: one reduction mod 2 under members 1.. makes
+        # every pair of them correlate to -1 at shift zero
+        j = _first_unaligned(A)
+        if j is not None:
+            raise ValueError(f"member {j} does not share member 1's mod-2 reduction")
     return fam

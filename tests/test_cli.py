@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcss import cli, correlation, z4
 
@@ -289,6 +295,55 @@ def test_misaligned_cache_entry_is_rejected(tmp_path):
     cached.write_text(json.dumps(doc))
     assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 2
     assert run(["qcss", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 2
+
+
+WRONG_TYPES = ["4", 4.0, None, [1], {"n": 4}]
+
+# one edit of a valid n = 4 family entry (17 members of period 15): drop a
+# key the reader needs, give a value or one symbol a wrong type, flip one
+# symbol, or rotate one member of subset L
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(["n", "polynomial", "members"])),
+    st.tuples(st.just("type"), st.sampled_from(["n", "polynomial", "members", "symbol"]), st.sampled_from(WRONG_TYPES)),
+    st.tuples(st.just("flip"), st.integers(0, 16), st.integers(0, 14), st.integers(1, 3)),
+    st.tuples(st.just("rotate"), st.integers(1, 16), st.integers(1, 14)),
+)
+
+
+def corrupt(doc, edit):
+    kind, *args = edit
+    members = doc["members"]
+    if kind == "drop":
+        del doc[args[0]]
+    elif kind == "type":
+        key, value = args
+        if key == "symbol":
+            members[5][3] = value
+        else:
+            doc[key] = value
+    elif kind == "flip":
+        k, t, d = args
+        members[k][t] = (members[k][t] + d) % 4
+    else:
+        k, r = args
+        members[k] = members[k][r:] + members[k][:r]
+
+
+@settings(max_examples=40, deadline=None)
+@given(CORRUPTIONS)
+def test_corrupt_family_cache_entry_exits_without_traceback(edit):
+    doc = z4.family_to_json(z4.build_family_a(4))
+    corrupt(doc, edit)
+    with tempfile.TemporaryDirectory() as cache:
+        entry = Path(cache) / "family-a" / "n4.json"
+        entry.parent.mkdir()
+        entry.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run(["qcss", "--n", "4", "--cache-dir", cache, "--out", str(Path(cache) / "r.json")])
+    assert rc in (2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith(("error: ", "construction falsified: "))
 
 
 def test_translated_ads_cache_entry_is_rejected(tmp_path):

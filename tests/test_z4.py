@@ -190,17 +190,17 @@ def test_alpha_max_rejects_a_non_family(family4):
     members = list(family4.members)
     copied = members[:3] + [members[2]] + members[4:]
     with pytest.raises(ConstructionError, match="is the window at") as err:
-        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, members=tuple(copied)))
+        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, array=copied))
     code, where = err.value.witness
     assert [row for row, _ in where] == [2, 3] and where[0][1] == where[1][1]
     broken = members[5][:7] + ((members[5][7] + 1) % 4,) + members[5][8:]
     tampered = members[:5] + [broken] + members[6:]
     with pytest.raises(ConstructionError, match="does not satisfy the recurrence") as err:
-        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, members=tuple(tampered)))
+        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, array=tampered))
     assert err.value.witness == (5, broken)
     # a missing member leaves the other windows distinct, but not every state
     with pytest.raises(ConstructionError, match=r"is not 2\^n \+ 1 rows") as err:
-        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, members=tuple(members[:-1])))
+        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, array=members[:-1]))
     assert err.value.witness == (16, 15)
 
 
@@ -214,7 +214,7 @@ def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request
     alpha = z4.family_alpha_max(family)
     if largest_first:
         members = sorted(family.members, key=lambda m: -abs(sum(1j**v for v in m)))
-        family = z4.FamilyA(n=family.n, polynomial=family.polynomial, members=tuple(members))
+        family = z4.FamilyA(n=family.n, polynomial=family.polynomial, array=members)
         assert z4.family_alpha_max(family) == alpha
     oracle = z4.z4_correlation
     monkeypatch.setattr(z4, "z4_correlation", lambda a, b, tau: oracle(a, b, tau) + 1)
@@ -241,14 +241,66 @@ def test_subset_l_flags_misaligned_member(family3):
     # rotating one representative breaks the zero-shift pairwise property
     members = list(family3.members)
     broken = members[2][1:] + members[2][:1]
-    if z4.z4_correlation(broken, members[1], 0) == complex(-1, 0):
-        pytest.skip("rotation accidentally preserves alignment")
-    tampered = z4.FamilyA(
-        n=family3.n, polynomial=family3.polynomial, members=tuple(members[:2] + [broken] + members[3:])
-    )
-    with pytest.raises(ConstructionError) as err:
+    tampered = z4.FamilyA(n=family3.n, polynomial=family3.polynomial, array=members[:2] + [broken] + members[3:])
+    with pytest.raises(ConstructionError, match="reduction mod 2") as err:
         qcss.subset_l(tampered)
     assert err.value.witness == (members[1], broken)  # the first failing pair
+    assert f"is {z4.z4_correlation(members[1], broken)}, not" in str(err.value)
+    # a repeated member is no family at all: the window check names it
+    copied = z4.FamilyA(n=family3.n, polynomial=family3.polynomial, array=members[:3] + [members[2]] + members[4:])
+    with pytest.raises(ConstructionError, match="not the cyclic classes"):
+        qcss.subset_l(copied)
+
+
+def gram_oracle(rows):
+    """Zero-shift correlations of every pair of Z4 rows, as the matrix Z Z^H
+    with Z = i^rows (exact: every product and partial sum is an integer of
+    magnitude at most N < 2^53)."""
+    Z = np.array([1, 1j, -1, -1j])[np.asarray(rows)]
+    return Z @ Z.conj().T
+
+
+PRIMITIVE_2_TO_8 = [
+    (n, (1,) + mid + (1,))
+    for n in range(2, 9)
+    for mid in itertools.product((0, 1), repeat=n - 1)
+    if binpoly.is_primitive_binary((1,) + mid + (1,))
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PRIMITIVE_2_TO_8))
+def test_subset_l_certificate_agrees_with_gram_oracle(case):
+    n, coeffs = case
+    family = z4.build_family_a(n, coeffs=coeffs)
+    L = z4.subset_l(family, verify=True)
+    G = gram_oracle(L)
+    assert np.all(G[~np.eye(len(L), dtype=bool)] == -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIMITIVE_2_TO_8), st.data())
+def test_subset_l_certificate_catches_a_rotated_member(case, data):
+    # a rotation by r in 1..N-1 moves the member's reduction mod 2, a binary
+    # m-sequence of period N, so the certificate fires on every such member;
+    # the oracle must agree that some pair of L no longer correlates to -1
+    n, coeffs = case
+    family = z4.build_family_a(n, coeffs=coeffs)
+    K, N = family.array.shape
+    j = data.draw(st.integers(1, K - 1), label="member")
+    r = data.draw(st.integers(1, N - 1), label="rotation")
+    A = family.array.copy()
+    A[j] = np.roll(A[j], -r)
+    tampered = z4.FamilyA(n=n, polynomial=family.polynomial, array=A)
+    G = gram_oracle(A[1:])
+    assert np.any(G[~np.eye(K - 1, dtype=bool)] != -1)
+    with pytest.raises(ConstructionError, match="reduction mod 2") as err:
+        z4.subset_l(tampered, verify=True)
+    first, other = err.value.witness
+    partner = 2 if j == 1 else j
+    assert (first, other) == (tuple(A[1].tolist()), tuple(A[partner].tolist()))
+    assert G[0, partner - 1] == z4.z4_correlation(first, other)
+    assert f"is {z4.z4_correlation(first, other)}, not" in str(err.value)
 
 
 def test_build_falsifies_a_wrong_lift(monkeypatch):
@@ -331,12 +383,7 @@ def test_family_json_rejects_duplicated_classes(family4):
             z4.family_from_json(doc)
 
 
-PRIMITIVE_2_TO_7 = [
-    (n, (1,) + mid + (1,))
-    for n in range(2, 8)
-    for mid in itertools.product((0, 1), repeat=n - 1)
-    if binpoly.is_primitive_binary((1,) + mid + (1,))
-]
+PRIMITIVE_2_TO_7 = [case for case in PRIMITIVE_2_TO_8 if case[0] <= 7]
 
 
 @settings(max_examples=30, deadline=None)
@@ -346,13 +393,15 @@ def test_family_text_roundtrip(case):
     family = z4.build_family_a(n, coeffs=coeffs)
     rebuilt = z4.family_from_json(json.loads(z4.family_json_text(family)))
     assert rebuilt == family
-    # a family built from its members alone, as the tampered-family tests
-    # build them, gets the same array and gives the same results
-    plain = z4.FamilyA(n=n, polynomial=family.polynomial, members=family.members)
+    # a family built from its members as tuples, as the tampered-family
+    # tests build them, gets the same array and gives the same results
+    plain = z4.FamilyA(n=n, polynomial=family.polynomial, array=family.members)
     assert plain == family
     for fam in (family, rebuilt, plain):
         assert fam.array.dtype == np.int8 and not fam.array.flags.writeable
         np.testing.assert_array_equal(fam.array, np.array(family.members, dtype=np.int8))
+        assert fam.members == family.members and fam.l0 == family.members[0]
+        assert fam.size == len(family.members)
         with pytest.raises(ValueError):
             fam.array[0, 0] = 1
         assert np.array_equal(z4.subset_l(fam), family.members[1:])
@@ -361,9 +410,29 @@ def test_family_text_roundtrip(case):
         assert z4.family_json_text(fam) == json.dumps(z4.family_to_json(family), indent=2) + "\n"
 
 
-def test_family_array_must_hold_the_members(family3):
-    with pytest.raises(ValueError, match="does not hold 9 members"):
-        z4.FamilyA(n=3, polynomial=family3.polynomial, members=family3.members, array=family3.array[1:])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 2, 2], [1, 3]],  # ragged
+        [0, 2, 2, 0, 2, 0, 0],  # one row, 1-D
+        np.zeros((2, 3, 7), dtype=np.int8),
+        np.zeros((9, 7)),  # float symbols
+        [[0, "2"], [1, 3]],
+    ],
+    ids=["ragged", "1-D", "3-D", "float", "string"],
+)
+def test_family_array_must_be_a_2d_integer_array(rows):
+    with pytest.raises(ValueError, match="family members must be"):
+        z4.FamilyA(n=3, polynomial=(3, 1, 2, 1), array=rows)
+
+
+def test_family_owns_its_array(family3):
+    rows = family3.array.copy()
+    family = z4.FamilyA(n=3, polynomial=family3.polynomial, array=rows)
+    rows[0, 0] = 1  # the caller's array is not the family's store
+    assert family == family3
+    assert family != z4.FamilyA(n=3, polynomial=family3.polynomial, array=rows)
+    assert family != z4.FamilyA(n=3, polynomial=(1, 2, 1, 3), array=family3.array)
 
 
 @pytest.mark.parametrize(
