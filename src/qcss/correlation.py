@@ -6,9 +6,10 @@ Entries of every sequence here are roots of unity stored as integer phases
 modulo a common root order L, so building blocks stay exact; complex values
 only appear when a correlation sum is evaluated.  An assembled set stores
 its base sequences and shift set, not its K*M*N entries.  The census streams
-the correlation tensor from exact aperiodic correlations of the base
-sequences; ``periodic_correlation`` is the scalar reference it is tested
-against.
+the exact aperiodic correlations of the base sequences, each unordered pair
+once, and combines them with each shift set's exponential sums at the wrap
+point; sets over one base share one census pass.  ``periodic_correlation``
+is the scalar reference it is tested against.
 """
 
 from __future__ import annotations
@@ -202,46 +203,45 @@ def build_qcss(base_sequences, shift_set: CyclicSubset, provenance: dict | None 
     )
 
 
-def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
-    """Stream the tensor G[tau, k, l] = R(C_k, C_l; tau) in blocks of k.
+def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, float]]:
+    """Stream the exact aperiodic correlations of the base sequences, each
+    unordered pair once, in strips of rows.
 
-    Row d of matrix k is a_k = i^(v_k) ramped by exp(2 pi i d t / q) with t
-    in 0..N-1; splitting each periodic sum at the wrap point gives
+    With a_k = i^(v_k), C_kl(u) = sum_t a_k(t) conj(a_l(t+u)) over the t
+    where both indices lie in 0..N-1.  Since C_lk(u) = conj C_kl(-u), the
+    strip of rows k in [start, stop) and columns l in [start, K) covers
+    every pair (k, l) with k <= l, and the strips cover them all.  Each strip
+    is one zero-padded inverse FFT (P >= 2N, so lag -N reads as 0, not an
+    alias) rounded to Gaussian integers; its rows are as many as keep one
+    (rows, K - start, P) complex array within BLOCK_BYTES, at least one.
+    Nothing here depends on the shift set.
 
-        G[tau, k, l] = E(-tau) C_kl(tau) + E(N - tau) C_kl(tau - N)
-
-    with the aperiodic base correlation C_kl(u) = sum_t a_k(t) conj(a_l(t+u))
-    and E(x) = sum_{d in D} exp(2 pi i d x / q).  C comes from one zero-padded
-    inverse FFT per block, rounded to Gaussian integers, so the cost does not
-    depend on M; memory is O(B K N), B fixed by BLOCK_BYTES.
-
-    Yields (start, values, base, residual): values[b, l, tau] = G[tau, k, l]
-    and base[b, l, tau] = R(a_k, a_l; tau), exact, for k = start + b;
-    residual is the largest distance of C from the Gaussian integers.
-    Raises ConstructionError if it reaches 0.5.
+    Yields (start, exact, residual): exact[b, j, u] = C_kl(u mod P) for
+    k = start + b and l = start + j, and residual is the largest distance of
+    the strip's spectral values from the Gaussian integers.  Raises
+    ConstructionError if it reaches 0.5.
     """
     K, N = qcss.base.shape
-    a = roots_table(4)[qcss.base]
-    P = 1 << (2 * N - 1).bit_length()  # >= 2N: lag -N reads as 0, not an alias
-    spectra = np.fft.fft(a, n=P, axis=1)
-    dtau = np.outer(np.arange(N), qcss.shifts)
-    ramp = roots_table(qcss.q)
-    e_in = ramp[-dtau % qcss.q].sum(axis=1)  # E(-tau)
-    e_wrap = ramp[(N * np.array(qcss.shifts) - dtau) % qcss.q].sum(axis=1)  # E(N - tau)
-    rows = max(1, BLOCK_BYTES // (16 * K * P))
-    for start in range(0, K, rows):
-        # entry u of ifft(conj(F_k) F_l) is conj(C_kl(u)), u taken mod P
-        c = np.fft.ifft(np.conj(spectra[start : start + rows, None]) * spectra[None], axis=2)
-        exact = np.rint(c)
-        residual = float(np.abs(c - exact).max())
+    P = 1 << (2 * N - 1).bit_length()
+    # spectra of conj(a_k): entry u of ifft(conj(F_k) F_l) is then C_kl(u)
+    spectra = np.fft.fft(roots_table(4)[-qcss.base % 4], n=P, axis=1)
+    start = 0
+    while start < K:
+        stop = min(K, start + max(1, BLOCK_BYTES // (16 * (K - start) * P)))
+        c = np.fft.ifft(np.conj(spectra[start:stop, None]) * spectra[None, start:], axis=2)
+        parts = c.view(np.float64)  # real and imaginary parts, interleaved
+        exact = np.rint(parts)
+        parts -= exact
+        np.square(parts, out=parts)
+        parts[..., ::2] += parts[..., 1::2]  # squared distances, each >= the im^2 after it
+        residual = math.sqrt(float(parts.max()))
         if residual >= 0.5:
             raise ConstructionError(
                 f"spectral correlations miss the Gaussian integers by {residual}",
                 witness=(start, residual),
             )
-        np.conjugate(exact, out=exact)
-        in_range, wrapped = exact[:, :, :N], exact[:, :, P - N :]  # C(tau), C(tau - N)
-        yield start, e_in * in_range + e_wrap * wrapped, in_range + wrapped, residual
+        yield start, exact.view(np.complex128), residual
+        start = stop
 
 
 def welch_lower_bound(K: int, M: int, N: int) -> float:
@@ -306,53 +306,132 @@ class CorrelationReport:
         return "R2" if tau % self.q == 0 else "R1"
 
 
-def tolerances(qcss: QcssSet) -> CorrelationReport:
-    """Full sweep over sets and shifts producing the tolerance report,
-    reduced block by block as ``correlation_tensor`` streams it."""
-    K, N = qcss.base.shape
-    M = qcss.num_rows
+def _magnitudes(e_in, e_wrap, c_in, c_wrap) -> np.ndarray:
+    """|e_in c_in + e_wrap c_wrap|, elementwise over the last axis."""
+    g = e_in * c_in
+    g += e_wrap * c_wrap
+    return np.abs(g)
+
+
+def _gap(mags, base_mags, ramp_sum) -> float:
+    """Largest distance of mags from the separable form |R| |E(tau)|."""
+    d = base_mags * ramp_sum
+    d -= mags
+    return float(np.abs(d, out=d).max())
+
+
+class _Tally:
+    """The running maxima of one set's report while strips stream in."""
+
+    def __init__(self, qcss: QcssSet):
+        N, q = qcss.period, qcss.q
+        dtau = np.outer(np.arange(N), qcss.shifts)
+        ramp = roots_table(q)
+        self.e_in = ramp[-dtau % q].sum(axis=1)  # E(-tau)
+        self.e_wrap = ramp[(N * np.array(qcss.shifts) - dtau) % q].sum(axis=1)  # E(N - tau)
+        # the mirror reads conj C_lk: |E c| = |conj(E) conj(c)|, bit for bit
+        self.e_mirror = np.conj(self.e_in[1:]), np.conj(self.e_wrap[1:])
+        profile = exp_sum_profile(CyclicSubset(modulus=q, elements=qcss.shifts))
+        self.ramp_sum = profile.values[np.arange(N) % q]  # |E(tau)|
+        self.qcss = qcss
+        self.per_shift = np.zeros(N)
+        self.delta_a = self.delta_c = self.gap = 0.0
+
+    def fold(self, strip, mirror, base_mags, diag) -> None:
+        mags = _magnitudes(self.e_in, self.e_wrap, *strip)
+        self.gap = max(self.gap, _gap(mags, base_mags[0], self.ramp_sum))
+        self.delta_a = max(self.delta_a, float(mags[diag][:, 1:].max()))
+        mags[diag + (0,)] = 0.0  # in-phase autocorrelation, trivially M*N
+        np.maximum(self.per_shift, mags.max(axis=(0, 1)), out=self.per_shift)
+        mags[diag] = 0.0
+        self.delta_c = max(self.delta_c, float(mags.max()))
+        mags = _magnitudes(*self.e_mirror, *mirror)
+        self.gap = max(self.gap, _gap(mags, base_mags[1], self.ramp_sum[1:]))
+        mags[diag] = 0.0  # the mirror of (k, k) is (k, k), folded above
+        np.maximum(self.per_shift[1:], mags.max(axis=(0, 1)), out=self.per_shift[1:])
+        self.delta_c = max(self.delta_c, float(mags.max()))
+
+    def report(self, residual: float) -> CorrelationReport:
+        qcss, N, per_shift = self.qcss, self.qcss.period, self.per_shift
+        K, M = qcss.num_sets, qcss.num_rows
+        delta_max = max(self.delta_a, self.delta_c)
+        in_r2 = np.arange(1, N) % qcss.q == 0
+        bound = welch_lower_bound(K, M, N)
+        return CorrelationReport(
+            delta_a=self.delta_a,
+            delta_c=self.delta_c,
+            delta_max=delta_max,
+            lower_bound=bound,
+            rho=delta_max / bound if bound > 0 else None,
+            per_shift_max=per_shift,
+            r1_observed=float(per_shift[1:][~in_r2].max(initial=0.0)),
+            r2_observed=float(per_shift[1:][in_r2].max(initial=0.0)),
+            factorization_gap_max=self.gap,
+            rounding_residual=residual,
+            q=qcss.q,
+            num_sets=K,
+            num_rows=M,
+            period=N,
+            provenance=dict(qcss.provenance),
+        )
+
+
+def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
+    """Reduce one ``correlation_tensor`` pass over the first set's base
+    into the report of every set; the sets must share that base.
+
+    Row d of matrix k is a_k = i^(v_k) ramped by exp(2 pi i d t / q), t in
+    0..N-1, so splitting each periodic row sum at the wrap point gives
+
+        G[tau, k, l] = R(C_k, C_l; tau) = E(-tau) C_kl(tau) + E(N - tau) C_kl(tau - N)
+
+    with E(x) = sum_{d in D} exp(2 pi i d x / q); the cost does not depend
+    on M.  A strip gives G at its pairs (k, l), l >= k; its mirror gives the
+    pairs (l, k) at tau in 1..N-1 from reversed views of the same strip,
+    since C_lk(tau) = conj C_kl(-tau) and C_lk(tau - N) = conj C_kl(N - tau).
+    At tau = 0 it would be |E(0) conj C_kl(0)|, as C_kl(N) = 0: the strip's
+    own magnitude, since E(0) = M is real.  The rounded correlations are
+    exact, so every magnitude is the one a census of all K^2 ordered pairs
+    computes, bit for bit.
+    """
+    first = qsets[0]
+    K, N = first.base.shape
     if K < 2:
         raise ValueError("tolerance census needs at least two matrices")
-    profile = exp_sum_profile(CyclicSubset(modulus=qcss.q, elements=qcss.shifts))
-    ramp_sum = profile.values[np.arange(N) % qcss.q]  # |E(tau)|
-    per_shift = np.zeros(N)
-    delta_a = delta_c = gap = residual = 0.0
-    for start, values, base, block_residual in correlation_tensor(qcss):
-        mags = np.abs(values)
-        gap = max(gap, float(np.abs(mags - np.abs(base) * ramp_sum).max()))
+    if any(not np.array_equal(qcss.base, first.base) for qcss in qsets[1:]):
+        raise ValueError("the sets of one census must share one base")
+    tallies = [_Tally(qcss) for qcss in qsets]
+    residual = 0.0
+    for start, exact, block_residual in correlation_tensor(first):
         residual = max(residual, block_residual)
-        b = np.arange(len(mags))
-        diag = b, start + b
-        delta_a = max(delta_a, float(mags[diag][:, 1:].max()))
-        mags[diag + (0,)] = 0.0  # in-phase autocorrelation, trivially M*N
-        per_shift = np.maximum(per_shift, mags.max(axis=(0, 1)))
-        mags[diag] = 0.0
-        delta_c = max(delta_c, float(mags.max()))
-    delta_max = max(delta_a, delta_c)
+        P = exact.shape[2]
+        strip = exact[..., :N], exact[..., P - N :]  # C_kl(tau), C_kl(tau - N)
+        # conj C_lk(tau) = C_kl(-tau) and conj C_lk(tau - N) = C_kl(N - tau), tau in 1..N-1
+        mirror = exact[..., : P - N : -1], exact[..., N - 1 : 0 : -1]
+        base_mags = np.abs(strip[0] + strip[1])  # |R(a_k, a_l; tau)|
+        # |R(a_l, a_k; tau)| = |R(a_k, a_l; N - tau)|: the same exact sums, reversed
+        base_mags = base_mags, base_mags[..., :0:-1]
+        b = np.arange(len(exact))
+        for tally in tallies:
+            tally.fold(strip, mirror, base_mags, (b, b))  # (k, k) sits at column b
+    return [tally.report(residual) for tally in tallies]
 
-    in_r2 = np.arange(1, N) % qcss.q == 0
-    r1 = float(per_shift[1:][~in_r2].max(initial=0.0))
-    r2 = float(per_shift[1:][in_r2].max(initial=0.0))
 
-    bound = welch_lower_bound(K, M, N)
-    rho = delta_max / bound if bound > 0 else None
-    return CorrelationReport(
-        delta_a=delta_a,
-        delta_c=delta_c,
-        delta_max=delta_max,
-        lower_bound=bound,
-        rho=rho,
-        per_shift_max=per_shift,
-        r1_observed=r1,
-        r2_observed=r2,
-        factorization_gap_max=gap,
-        rounding_residual=residual,
-        q=qcss.q,
-        num_sets=K,
-        num_rows=M,
-        period=N,
-        provenance=dict(qcss.provenance),
-    )
+def tolerances(qcss: QcssSet) -> CorrelationReport:
+    """The tolerance report of one set: every ordered pair of matrices at
+    every shift, reduced strip by strip and mirror by mirror as
+    ``correlation_tensor`` streams the unordered pairs of its base."""
+    return _census([qcss])[0]
+
+
+def tolerances_many(qsets) -> list[CorrelationReport]:
+    """The reports of several sets over one base, from one census pass:
+    the aperiodic base correlations do not depend on the shift set.  Raises
+    ValueError if the sets do not share one base."""
+    qsets = list(qsets)
+    if not qsets:
+        raise ValueError("need at least one set")
+    return _census(qsets)
 
 
 def report_to_json(report: CorrelationReport) -> dict:

@@ -372,7 +372,9 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     """Rebuild a family from its export form, re-checking the cheap
     invariants: binary-valued member 0, distinct full cyclic classes of the
     recurrence (the members' n-windows partition the nonzero states, so no
-    member repeats another or a rotation of it), and alignment at shift 0.
+    member repeats another or a rotation of it), alignment at shift 0, and
+    the canonical form ``build_family_a`` writes: members 0 and 1 start at
+    their least window code, and members 1.. are ordered by it.
 
     A document that lacks a key, holds a value of the wrong type, or has a
     non-integer symbol or members of unequal length raises ValueError."""
@@ -395,7 +397,7 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     if verify:
         if np.any(A[:1] % 2):
             raise ValueError("member 0 must be binary-valued (symbols in {0, 2})")
-        failure = _window_codes(A, f, n)[1]
+        codes, failure = _window_codes(A, f, n)
         if failure is not None:
             raise ValueError(f"members are not distinct cyclic classes: {failure[0]}")
         # subset_l's certificate: one reduction mod 2 under members 1.. makes
@@ -403,4 +405,12 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
         j = _first_unaligned(A)
         if j is not None:
             raise ValueError(f"member {j} does not share member 1's mod-2 reduction")
+        # build_family_a's canonical form; with the shared reduction it fixes
+        # the rotation of members 2.. too
+        least = codes.min(axis=1)
+        for k in (0, 1):
+            if codes[k, 0] != least[k]:
+                raise ValueError(f"member {k} does not start at its least rotation")
+        if np.any(np.diff(least[1:]) <= 0):
+            raise ValueError("members 1.. are not ordered by their least window code")
     return fam

@@ -182,6 +182,18 @@ def test_sweep_command(tmp_path):
     assert all("boundRho" in r and "asymptoticRho" in r for r in records)
 
 
+# sha256 of `qcss sweep --n-range 4,5,6 --x-range 2,3,4 --empirical` output,
+# taken before the sweep measured each degree's cells in one census pass
+SWEEP_EMPIRICAL_SHA256 = "2d5505c275173b3d2c08ab2a6b86484b3f2d3013b8b45922b0b1119cf63a5159"
+
+
+def test_empirical_sweep_keeps_its_bytes(tmp_path):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--n-range", "4,5,6", "--x-range", "2,3,4", "--empirical", "--out", str(out)]
+    assert run(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_EMPIRICAL_SHA256
+
+
 def test_sweep_cap(tmp_path):
     code = run(["sweep", "--n-range", "9:9", "--x-range", "2:2", "--empirical", "--out", str(tmp_path / "x.json")])
     assert code == 4
@@ -295,6 +307,40 @@ def test_misaligned_cache_entry_is_rejected(tmp_path):
     cached.write_text(json.dumps(doc))
     assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 2
     assert run(["qcss", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 2
+
+
+def _rotate(member, r):
+    return member[r:] + member[:r]
+
+
+def _swap_2_3(members):
+    members[2], members[3] = members[3], members[2]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.__setitem__(0, _rotate(m[0], 3)), "member 0 does not start at its least rotation"),
+        (_swap_2_3, "not ordered by their least window code"),
+        # rotating all of L by one shift keeps its alignment
+        (lambda m: m.__setitem__(slice(1, None), [_rotate(x, 2) for x in m[1:]]),
+         "member 1 does not start at its least rotation"),
+    ],
+    ids=["member-0-rotated", "members-2-3-swapped", "members-1-on-rotated"],
+)
+def test_non_canonical_cache_entry_is_rejected(edit, message, tmp_path, capsys):
+    # each edit leaves valid, aligned classes that build_family_a never writes
+    cache = tmp_path / "cache"
+    out = tmp_path / "a.json"
+    assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 0
+    cached = cache / "family-a" / "n4.json"
+    doc = json.loads(cached.read_text())
+    edit(doc["members"])
+    cached.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("family", "qcss"):
+        assert run([command, "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
 
 
 WRONG_TYPES = ["4", 4.0, None, [1], {"n": 4}]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qcss
+from conftest import join_strips
 from qcss import correlation, diffsets, z4
 from qcss.correlation import (
     PhaseSequence,
@@ -34,9 +35,8 @@ def report5(qcss5):
 
 
 def full_tensor(qset):
-    """The streamed blocks joined into G[tau, k1, k2]."""
-    blocks = [values for _, values, _, _ in correlation_tensor(qset)]
-    return np.concatenate(blocks).transpose(2, 0, 1)
+    """The streamed strips and their mirrors joined into G[tau, k1, k2]."""
+    return join_strips(qset)[0]
 
 
 def random_phase_sequence(rng, root_order, length):
@@ -204,6 +204,48 @@ def test_tensor_matches_direct_sum(qcss5, report5):
     mags = np.abs(direct)
     mags[0][np.diag_indices(32)] = 0.0
     assert np.abs(mags.max(axis=(1, 2)) - report5.per_shift_max).max() <= 1e-9
+
+
+def direct_report_fields(qset):
+    """delta_a, delta_c, per-shift maxima and factorization gap from the
+    defining sums over all ordered pairs, vectorized over entries."""
+    K, M, N = qset.num_sets, qset.num_rows, qset.period
+    Z = roots_table(qset.root_order)[qset.phases]
+    flat = Z.reshape(K, -1)
+    mags = np.abs(np.stack(
+        [flat @ np.conj(np.roll(Z, -tau, axis=2).reshape(K, -1)).T for tau in range(N)]
+    ))  # [tau, k, l]
+    a = roots_table(4)[qset.base]
+    base = np.abs(np.stack([a @ np.conj(np.roll(a, -tau, axis=1)).T for tau in range(N)]))
+    ramp = np.abs(np.exp(2j * np.pi * np.outer(np.arange(N), qset.shifts) / qset.q).sum(axis=1))
+    gap = np.abs(mags - base * ramp[:, None, None]).max()
+    diag = np.arange(K), np.arange(K)
+    auto = mags[:, diag[0], diag[1]]
+    delta_a = auto[1:].max()
+    mags[0][diag] = 0.0
+    per_shift = mags.max(axis=(1, 2))
+    mags[:, diag[0], diag[1]] = 0.0
+    return delta_a, mags.max(), per_shift, gap
+
+
+@pytest.mark.parametrize("block_bytes", [0, 1500, correlation.BLOCK_BYTES])
+def test_report_matches_direct_sums_on_random_sets(block_bytes, monkeypatch):
+    # shift sets with no symmetry, so no pair's maxima stand in for its
+    # mirror's; a constant first row makes some autocorrelation the largest
+    monkeypatch.setattr(correlation, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(8)
+    for i in range(12):
+        K, N, q = (int(v) for v in rng.integers((2, 2, 2), (7, 14, 13)))
+        shifts = diffsets.CyclicSubset(q, tuple(sorted(set(rng.integers(0, q, size=3).tolist()))))
+        base = rng.integers(0, 4, size=(K, N))
+        base[0] *= i % 2
+        qset = build_qcss(base, shifts)
+        report = tolerances(qset)
+        delta_a, delta_c, per_shift, gap = direct_report_fields(qset)
+        assert report.delta_a == pytest.approx(delta_a, abs=1e-9)
+        assert report.delta_c == pytest.approx(delta_c, abs=1e-9)
+        assert np.abs(report.per_shift_max - per_shift).max() <= 1e-9
+        assert report.factorization_gap_max == pytest.approx(gap, abs=1e-9)
 
 
 def test_tensor_conjugate_symmetry(qcss5):

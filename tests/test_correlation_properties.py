@@ -5,9 +5,11 @@ import cmath
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import join_strips
 from qcss import correlation, z4
 from qcss.correlation import (
     build_qcss,
@@ -23,15 +25,20 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
+def shift_sets(draw):
+    q = draw(st.integers(1, 12))
+    shifts = draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=min(q, 5)))
+    return CyclicSubset(modulus=q, elements=tuple(shifts))
+
+
+@st.composite
 def set_inputs(draw, symbols=st.integers(0, 3)):
     """Random base sequences and any shift set build_qcss accepts: q may
     exceed N or not divide it, and D need not be a difference set."""
     K = draw(st.integers(2, 4))
     N = draw(st.integers(2, 9))
-    q = draw(st.integers(1, 12))
-    shifts = draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=min(q, 5)))
     base = draw(st.lists(st.lists(symbols, min_size=N, max_size=N), min_size=K, max_size=K))
-    return base, CyclicSubset(modulus=q, elements=tuple(shifts))
+    return base, draw(shift_sets())
 
 
 def small_sets():
@@ -53,15 +60,25 @@ def aperiodic(a, b, u):
 @SETTINGS
 @given(small_sets(), st.integers(0, 4096))
 def test_engine_matches_scalar_oracle(qset, block_bytes):
-    # budgets up to 4096 bytes give every block size from one row to all K
+    # budgets up to 4096 bytes give every strip size from one row to all K
     K, N = qset.num_sets, qset.period
     oracle = oracle_tensor(qset)
     with mock.patch.object(correlation, "BLOCK_BYTES", block_bytes):
-        blocks = list(correlation_tensor(qset))
-    values = np.concatenate([v for _, v, _, _ in blocks]).transpose(2, 0, 1)
-    assert values.shape == (N, K, K)
+        strips = list(correlation_tensor(qset))
+        values, base = join_strips(qset)
+    assert [start for start, _, _ in strips] == sorted({start for start, _, _ in strips})
+    for (start, exact, _), stop in zip(strips, [s for s, _, _ in strips[1:]] + [K]):
+        rows, cols, P = exact.shape
+        assert rows == stop - start >= 1 and cols == K - start and P >= 2 * N
+        assert rows == 1 or exact.nbytes <= block_bytes
+        for b in range(rows):
+            for j in range(cols):
+                a, c = qset.base[start + b], qset.base[start + j]
+                expected = [aperiodic(a, c, u) for u in range(N)]
+                expected += [0] * (P - 2 * N + 1) + [aperiodic(a, c, u) for u in range(1 - N, 0)]
+                assert np.array_equal(exact[b, j], expected)  # exact Gaussian integers
+    assert strips[0][0] == 0
     assert np.abs(values - oracle).max() <= 1e-9
-    base = np.concatenate([b for _, _, b, _ in blocks])
     for k in range(K):
         for l in range(K):
             for tau in range(N):
@@ -91,7 +108,7 @@ def test_reported_maxima_reproduced_at_argmax(qset, block_bytes):
     K, N = qset.num_sets, qset.period
     with mock.patch.object(correlation, "BLOCK_BYTES", block_bytes):
         report = tolerances(qset)
-    mags = np.abs(np.concatenate([v for _, v, _, _ in correlation_tensor(qset)]))  # [k, l, tau]
+    mags = np.abs(join_strips(qset)[0]).transpose(1, 2, 0)  # [k, l, tau]
 
     def oracle_at(index):
         k, l, tau = (int(v) for v in index)
@@ -126,3 +143,37 @@ def test_matrix_matches_per_row_assembly(inputs, as_array, data):
     assert (matrix.root_order, matrix.user_index) == (qset.root_order, k)
     np.testing.assert_array_equal(matrix.phases, rows)
     np.testing.assert_array_equal(qset.phases[k], rows)
+
+
+@SETTINGS
+@given(set_inputs(), st.lists(shift_sets(), min_size=1, max_size=4), st.integers(0, 4096))
+def test_one_census_serves_every_shift_set(inputs, shift_set_list, block_bytes):
+    base = inputs[0]
+    qsets = [build_qcss(base, shift_set) for shift_set in shift_set_list]
+    with mock.patch.object(correlation, "BLOCK_BYTES", block_bytes):
+        together = correlation.tolerances_many(qsets)
+        alone = [tolerances(qset) for qset in qsets]
+    assert len(together) == len(alone)
+    for a, b in zip(together, alone):
+        for name in ("delta_a", "delta_c", "delta_max", "lower_bound", "rho", "r1_observed",
+                     "r2_observed", "factorization_gap_max", "rounding_residual", "q",
+                     "num_sets", "num_rows", "period", "provenance"):
+            assert getattr(a, name) == getattr(b, name), name
+        assert np.array_equal(a.per_shift_max, b.per_shift_max)
+
+
+def test_one_census_needs_one_base():
+    shifts = CyclicSubset(modulus=7, elements=(1, 2, 4))
+    first = build_qcss([[0, 1, 2], [3, 0, 1]], shifts)
+    with_another = [
+        build_qcss([[0, 1, 2], [3, 0, 2]], shifts),  # one symbol differs
+        build_qcss([[0, 1, 2], [3, 0, 1], [1, 1, 1]], shifts),  # one more sequence
+        build_qcss([[0, 1, 2, 3], [3, 0, 1, 1]], shifts),  # longer sequences
+    ]
+    for other in with_another:
+        with pytest.raises(ValueError, match="share one base"):
+            correlation.tolerances_many([first, other])
+    with pytest.raises(ValueError, match="at least one set"):
+        correlation.tolerances_many([])
+    same = build_qcss(np.array([[4, 1, 2], [3, 0, 5]]), CyclicSubset(modulus=5, elements=(0, 1)))
+    assert len(correlation.tolerances_many([first, same])) == 2  # symbols are read mod 4
