@@ -43,7 +43,6 @@ class ConstructionParams:
     M: int
     N: int
     claimed_delta_max: float
-    claimed_rho_range: tuple[float, float] = (1.0, 2.0)
 
 
 def construction_params(n: int) -> ConstructionParams:

@@ -60,24 +60,19 @@ def _cache_dir(args) -> Path | None:
     return Path(cache) if cache else None
 
 
-def _load_or_build_family(n: int, args) -> tuple[z4.FamilyA, str | None]:
-    """The family, and its JSON text when a cache miss had to render it."""
-    poly = getattr(args, "poly", None)  # custom polynomials bypass the cache
-    cache = _cache_dir(args)
-    path = cache / "family-a" / f"n{n}.json" if cache and poly is None else None
-    if path and path.exists():
-        return z4.family_from_json(json.loads(path.read_text()), verify=True), None
+def _build_family(n: int, args) -> tuple[z4.FamilyA, str | None]:
+    """The family, and its JSON text when it was rendered for the cache entry."""
+    poly = getattr(args, "poly", None)  # custom polynomials are not cached
     family = z4.build_family_a(n, coeffs=_parse_poly(poly) if poly else None)
+    cache = _cache_dir(args)
     text = None
-    if path:
+    if cache and poly is None:
         text = z4.family_json_text(family)
-        _write_cache(path, text)
+        _write_cache(cache / "family-a" / f"n{n}.json", text)
     return family, text
 
 
 def _build_ads(f: int, ds_kind: str, args) -> diffsets.CyclicSubset:
-    cache = _cache_dir(args)
-    path = cache / "ads" / f"f{f}-{ds_kind}.json" if cache else None
     if ds_kind == "singer":
         k = (f + 1).bit_length() - 1
         if (1 << k) - 1 != f:
@@ -87,16 +82,11 @@ def _build_ads(f: int, ds_kind: str, args) -> diffsets.CyclicSubset:
         W = diffsets.legendre_ds(f)
     else:
         raise ValueError(f"unknown difference-set kind {ds_kind!r}")
-    if path and path.exists():
-        U = diffsets.ads_from_json(json.loads(path.read_text()), verify=True)
-        # an entry with the right parameters may still be another set (a
-        # translate, say): it must be the very union the lift of W builds
-        if U != diffsets.coset_union(W, diffsets.CANONICAL_PATTERN):
-            raise ValueError(f"cached {path} is not the lift of the {ds_kind} set for f = {f}")
-        return U
     U = diffsets.lift_ads_to_z4f(W)
-    if path:
-        _write_cache(path, _json_text(diffsets.ads_to_json(U, diffsets.CANONICAL_PATTERN)))
+    cache = _cache_dir(args)
+    if cache:
+        text = _json_text(diffsets.ads_to_json(U, diffsets.CANONICAL_PATTERN))
+        _write_cache(cache / "ads" / f"f{f}-{ds_kind}.json", text)
     return U
 
 
@@ -110,7 +100,7 @@ def _parse_poly(text: str) -> tuple[int, ...]:
 def cmd_family(args) -> int:
     if args.format == "csv":
         raise ValueError("family export is JSON-only")
-    family, text = _load_or_build_family(args.n, args)
+    family, text = _build_family(args.n, args)
     alpha = z4.family_alpha_max(family)
     _dump_text(text or z4.family_json_text(family), args.out)
     print(f"familyA n={family.n} size={family.size} alpha_max={alpha:.6f}")
@@ -150,7 +140,7 @@ def cmd_qcss(args) -> int:
             f"n = {n} means a {1 << n}x{1 << n} pair sweep over {(1 << n) - 1} shifts"
         )
     params = analysis.construction_params(n)
-    family, _ = _load_or_build_family(n, args)
+    family, _ = _build_family(n, args)
     base = z4.subset_l(family)
     ads = _build_ads(params.f, args.ds, args)
     qset = correlation.build_qcss(
@@ -161,13 +151,7 @@ def cmd_qcss(args) -> int:
             "f": params.f,
             "dsKind": args.ds,
             "polynomial": list(family.polynomial),
-            "pattern": {
-                "pieces": [
-                    {"set": diffsets.PIECE_LABELS[t], "offset": c * params.f}
-                    for c, t in enumerate(diffsets.CANONICAL_PATTERN.types)
-                ],
-                "delta": diffsets.CANONICAL_PATTERN.delta,
-            },
+            "pattern": diffsets.pattern_to_json(diffsets.CANONICAL_PATTERN, params.f),
         },
     )
     report = correlation.tolerances(qset)
@@ -268,7 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="output file (stdout when omitted)")
         p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--cache-dir", help="cache directory (default: $QCSS_CACHE_DIR)")
+        p.add_argument(
+            "--cache-dir",
+            help="directory the family and ADS entries are written to, never read from "
+            "(default: $QCSS_CACHE_DIR)",
+        )
 
     p_family = sub.add_parser("family", help="build the quaternary family for degree n")
     p_family.add_argument("--n", type=int, required=True)

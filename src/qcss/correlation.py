@@ -64,6 +64,12 @@ class PhaseSequence:
         return roots_table(self.root_order)[self.phases]
 
 
+def _root_order(q: int) -> int:
+    """lcm(4, q): the least root order that holds both Z4 symbols and the
+    ramps exp(2 pi i t d / q) with integer phases."""
+    return math.lcm(4, q)
+
+
 def phase_transform(symbols, d: int, q: int) -> PhaseSequence:
     """Multiply a Z4 sequence entrywise by the phase ramp exp(2 pi i t d / q).
 
@@ -73,7 +79,7 @@ def phase_transform(symbols, d: int, q: int) -> PhaseSequence:
     if q < 1:
         raise ValueError("ramp modulus must be positive")
     a = np.asarray(symbols, dtype=np.int64) % 4
-    L = 4 * q // math.gcd(4, q)
+    L = _root_order(q)
     t = np.arange(len(a), dtype=np.int64)
     return PhaseSequence(root_order=L, phases=(a * (L // 4) + t * d * (L // q)) % L)
 
@@ -138,11 +144,14 @@ class QcssSet:
     the census never reads it.
     """
 
-    root_order: int
     base: np.ndarray  # shape (K, N), symbols 0..3
     q: int
     shifts: tuple[int, ...]
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def root_order(self) -> int:
+        return _root_order(self.q)
 
     @property
     def num_sets(self) -> int:
@@ -193,11 +202,9 @@ def build_qcss(base_sequences, shift_set: CyclicSubset, provenance: dict | None 
         raise ValueError(f"base symbols must be integers, got dtype {base.dtype}")
     base = (base % 4).astype(np.int8)
     base.setflags(write=False)
-    q = shift_set.modulus
     return QcssSet(
-        root_order=4 * q // math.gcd(4, q),
         base=base,
-        q=q,
+        q=shift_set.modulus,
         shifts=shift_set.elements,
         provenance=dict(provenance or {}),
     )

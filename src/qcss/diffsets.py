@@ -299,40 +299,14 @@ def ads_to_json(U: CyclicSubset, pattern: CosetPattern | None = None) -> dict:
         },
     }
     if pattern is not None:
-        f = U.modulus // 4
-        doc["pattern"] = {
-            "pieces": [
-                {"set": PIECE_LABELS[t], "offset": c_off * f}
-                for c_off, t in enumerate(pattern.types)
-            ],
-            "delta": pattern.delta,
-        }
+        doc["pattern"] = pattern_to_json(pattern, U.modulus // 4)
     return doc
 
 
-def ads_from_json(doc: dict, verify: bool = True) -> CyclicSubset:
-    """Rebuild a subset from its export form, re-classifying on load.
-
-    A document that lacks a key or holds a value of the wrong type raises
-    ValueError."""
-    if not isinstance(doc, dict) or not {"q", "elements"} <= doc.keys():
-        raise ValueError("an ADS document is an object with the keys q and elements")
-    q, elements, stored = doc["q"], doc["elements"], doc.get("classification", {})
-    if type(q) is not int or not isinstance(elements, list) or any(type(e) is not int for e in elements):
-        raise ValueError("ADS modulus and elements must be integers")
-    if not isinstance(stored, dict):
-        raise ValueError(f"ADS classification must be an object, got {stored!r}")
-    U = CyclicSubset(modulus=q, elements=tuple(elements))
-    if verify:
-        c = classify_set(U)
-        got = (c.kind, c.p, c.m, c.lam, c.t)
-        want = (
-            stored.get("kind"),
-            stored.get("P"),
-            stored.get("M"),
-            stored.get("lambda"),
-            stored.get("t"),
-        )
-        if got != want:
-            raise ValueError(f"stored classification {want} does not match recomputed {got}")
-    return U
+def pattern_to_json(pattern: CosetPattern, f: int) -> dict:
+    """Export form of a coset pattern over Z_{4f}: each piece with its
+    offset c*f, and the shift delta."""
+    return {
+        "pieces": [{"set": PIECE_LABELS[t], "offset": c * f} for c, t in enumerate(pattern.types)],
+        "delta": pattern.delta,
+    }

@@ -383,6 +383,90 @@ def test_family_json_rejects_duplicated_classes(family4):
             z4.family_from_json(doc)
 
 
+def _rotate(member, r):
+    return member[r:] + member[:r]
+
+
+def test_family_json_rejects_a_non_binary_member_0(family4):
+    doc = z4.family_to_json(family4)
+    doc["members"][0][0] = 1
+    with pytest.raises(ValueError, match="member 0 must be binary-valued"):
+        z4.family_from_json(doc)
+
+
+def test_family_json_rejects_a_misaligned_member(family4):
+    # member 3 rotated by one symbol is still a full cyclic class, but no
+    # longer correlates to -1 with the other members at shift zero
+    doc = z4.family_to_json(family4)
+    doc["members"][3] = _rotate(doc["members"][3], 1)
+    with pytest.raises(ValueError, match="member 3 does not share member 1's mod-2 reduction"):
+        z4.family_from_json(doc)
+
+
+def _swap_2_3(members):
+    members[2], members[3] = members[3], members[2]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.__setitem__(0, _rotate(m[0], 3)), "member 0 does not start at its least rotation"),
+        (_swap_2_3, "not ordered by their least window code"),
+        # rotating all of L by one shift keeps its alignment
+        (lambda m: m.__setitem__(slice(1, None), [_rotate(x, 2) for x in m[1:]]),
+         "member 1 does not start at its least rotation"),
+    ],
+    ids=["member-0-rotated", "members-2-3-swapped", "members-1-on-rotated"],
+)
+def test_non_canonical_family_document_is_rejected(edit, message, family4):
+    # each edit leaves valid, aligned classes that build_family_a never writes
+    doc = z4.family_to_json(family4)
+    edit(doc["members"])
+    with pytest.raises(ValueError, match=message):
+        z4.family_from_json(doc)
+
+
+WRONG_TYPES = ["4", 4.0, None, [1], {"n": 4}]
+
+# one edit of a valid n = 4 family document (17 members of period 15): drop
+# a key the reader needs, give a value or one symbol a wrong type, flip one
+# symbol, or rotate one member of subset L
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(["n", "polynomial", "members"])),
+    st.tuples(st.just("type"), st.sampled_from(["n", "polynomial", "members", "symbol"]), st.sampled_from(WRONG_TYPES)),
+    st.tuples(st.just("flip"), st.integers(0, 16), st.integers(0, 14), st.integers(1, 3)),
+    st.tuples(st.just("rotate"), st.integers(1, 16), st.integers(1, 14)),
+)
+
+
+def corrupt(doc, edit):
+    kind, *args = edit
+    members = doc["members"]
+    if kind == "drop":
+        del doc[args[0]]
+    elif kind == "type":
+        key, value = args
+        if key == "symbol":
+            members[5][3] = value
+        else:
+            doc[key] = value
+    elif kind == "flip":
+        k, t, d = args
+        members[k][t] = (members[k][t] + d) % 4
+    else:
+        k, r = args
+        members[k] = _rotate(members[k], r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(CORRUPTIONS)
+def test_corrupt_family_document_is_a_value_error(edit):
+    doc = z4.family_to_json(z4.build_family_a(4))
+    corrupt(doc, edit)
+    with pytest.raises(ValueError):  # any other exception fails the test
+        z4.family_from_json(doc, verify=True)
+
+
 PRIMITIVE_2_TO_7 = [case for case in PRIMITIVE_2_TO_8 if case[0] <= 7]
 
 
