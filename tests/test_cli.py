@@ -341,6 +341,35 @@ def test_garbage_cache_entries_change_no_exit_code_or_output(garbage, tmp_path, 
 
 
 @pytest.mark.parametrize(
+    "argv,entry,edit",
+    [
+        (["family", "--n", "4"], "family-a/n4.json", lambda d: d.pop("n")),
+        (["family", "--n", "4"], "family-a/n4.json", lambda d: d["members"][2].pop()),
+        (["family", "--n", "4"], "family-a/n4.json", lambda d: d["members"][2].__setitem__(0, 0.5)),
+        (["ads", "--f", "7"], "ads/f7-singer.json", lambda d: d.update(classification=3)),
+        (["ads", "--f", "7"], "ads/f7-singer.json", lambda d: d.pop("q")),
+    ],
+    ids=["family-no-n", "family-ragged", "family-float-symbol", "ads-int-classification", "ads-no-q"],
+)
+def test_malformed_cache_entry_is_overwritten(argv, entry, edit, tmp_path, capsys):
+    # a well-formed JSON document that a reader would have to reject is not
+    # read: the run exits 0 with the same output and rewrites the entry
+    cache, out = tmp_path / "cache", tmp_path / "a.json"
+    args = argv + ["--cache-dir", str(cache), "--out", str(out)]
+    assert run(args) == 0
+    want, export = capsys.readouterr(), out.read_bytes()
+    assert (cache / entry).read_bytes() == export
+    doc = json.loads((cache / entry).read_text())
+    edit(doc)
+    (cache / entry).write_text(json.dumps(doc))
+    out.unlink()
+    assert run(args) == 0
+    assert capsys.readouterr() == want
+    assert out.read_bytes() == export
+    assert (cache / entry).read_bytes() == export
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["family", "--n", "4", "--jobs", "2"],
