@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import correlation, diffsets, z4
 from .errors import ResourceCapError
 
-EMPIRICAL_DEGREE_CAP = 8
+CENSUS_DEGREE_CAP = 8
 
 # Golden three-decimal reference values, keyed by (table_id, x).  A formula
 # regression that still looks plausible will trip these.
@@ -32,9 +32,10 @@ REFERENCE_RHO = {
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Derived sizes for the assembled set at degree n: base modulus
-    f = 2^(n-2) - 1, shift-set modulus q = 4f, K = 2^n matrices of
-    M = 2f - 1 rows and period N = 2^n - 1."""
+    """Derived sizes for the assembled set at degree n and row x: base
+    modulus f = 2^(n-x) - 1, shift-set modulus q = 4f, K = 2^n matrices of
+    M = 2f - 1 rows and period N = 2^n - 1, and the claimed tolerance
+    (1 + 2^(n/2)) sqrt(4f + 1)."""
 
     n: int
     f: int
@@ -45,17 +46,18 @@ class ConstructionParams:
     claimed_delta_max: float
 
 
-def construction_params(n: int) -> ConstructionParams:
-    """Parameter set at degree n.
+def construction_params(n: int, x: int = 2) -> ConstructionParams:
+    """Parameter set at degree n and row x, the only place these sizes are
+    derived.
 
-    Degrees below 4 are rejected: f = 2^(n-2) - 1 must be 3 mod 4 and
-    nondegenerate, which forces n >= 4 (n = 3 would give f = 1).
+    Rows start at x = 2, and n - x >= 2 keeps f = 2^(n-x) - 1 nondegenerate
+    and 3 mod 4, as the lift needs (at x = 2 that forces n >= 4).
     """
-    if n < 4:
-        raise ValueError(
-            f"degree {n} unsupported: f = 2^(n-2) - 1 must be 3 mod 4 and > 1, requiring n >= 4"
-        )
-    f = (1 << (n - 2)) - 1
+    if x < 2:
+        raise ValueError(f"rows start at x = 2, got x = {x}")
+    if n - x < 2:
+        raise ValueError(f"need n - x >= 2 for a nondegenerate f = 2^(n-x) - 1, got n={n}, x={x}")
+    f = (1 << (n - x)) - 1
     return ConstructionParams(
         n=n,
         f=f,
@@ -63,8 +65,17 @@ def construction_params(n: int) -> ConstructionParams:
         K=1 << n,
         M=2 * f - 1,
         N=(1 << n) - 1,
-        claimed_delta_max=(1 + 2 ** (n / 2)) * math.sqrt((1 << n) - 3),
+        claimed_delta_max=(1 + 2 ** (n / 2)) * math.sqrt(4 * f + 1),
     )
+
+
+def check_census_cap(n: int, cap: int = CENSUS_DEGREE_CAP) -> None:
+    """Refuse a correlation census above degree ``cap``: it costs
+    K^2 P log P operations (K = 2^n, P = 2^(n+1)), about 8x per degree."""
+    if n > cap:
+        raise ResourceCapError(
+            f"correlation census capped at n <= {cap} (raise --cap to exceed), got n = {n}"
+        )
 
 
 def asymptotic_rho(table_id: int, x: int) -> float:
@@ -147,20 +158,14 @@ def tables_to_csv(rows, digits: int = 3) -> str:
 
 
 def bound_rho(n: int, x: int) -> float:
-    """Finite-n tightness with the exponential-sum bound as numerator:
-    (1 + 2^(n/2)) * sqrt(4f + 1) over the correlation floor, for
-    f = 2^(n-x) - 1.  Defined for n - x >= 2."""
-    if x < 2:
-        raise ValueError("rows start at x = 2")
-    if n - x < 2:
-        raise ValueError(f"need n - x >= 2 for a nondegenerate f, got n={n}, x={x}")
-    f = (1 << (n - x)) - 1
-    K, M, N = 1 << n, 2 * f - 1, (1 << n) - 1
-    numerator = (1 + 2 ** (n / 2)) * math.sqrt(4 * f + 1)
-    return numerator / correlation.welch_lower_bound(K, M, N)
+    """Finite-n tightness with the exponential-sum bound as numerator: the
+    claimed tolerance of ``construction_params(n, x)`` over the correlation
+    floor.  Defined for x >= 2 and n - x >= 2."""
+    p = construction_params(n, x)
+    return p.claimed_delta_max / correlation.welch_lower_bound(p.K, p.M, p.N)
 
 
-def sweep(n_values, x_values, empirical: bool = False, degree_cap: int = EMPIRICAL_DEGREE_CAP):
+def sweep(n_values, x_values, empirical: bool = False, degree_cap: int = CENSUS_DEGREE_CAP):
     """Records comparing finite-n bound-based tightness to its asymptotic
     value over a (n, x) grid; with ``empirical`` each cell also builds the
     full set and measures delta_max.
@@ -173,29 +178,24 @@ def sweep(n_values, x_values, empirical: bool = False, degree_cap: int = EMPIRIC
     cost grows like 8^n per degree, plus a K^2 N reduction per cell.
     """
     if empirical:
-        over = [n for n in n_values if n > degree_cap]
-        if over:
-            worst = max(over)
-            raise ResourceCapError(
-                f"empirical sweep capped at n <= {degree_cap}: n = {worst} needs a "
-                f"{1 << worst}^2-pair correlation census over {(1 << worst) - 1} shifts"
-            )
+        check_census_cap(max(n_values, default=0), degree_cap)
     records = []
     for n in n_values:
         cells = []
         for x in x_values:
             if n - x < 2:
                 continue
+            p = construction_params(n, x)
             table_id = 2 if n % 2 == 0 else 3
             cells.append({
                 "n": n,
                 "x": x,
                 "tableId": table_id,
-                "f": (1 << (n - x)) - 1,
-                "q": 4 * ((1 << (n - x)) - 1),
-                "K": 1 << n,
-                "M": 2 * ((1 << (n - x)) - 1) - 1,
-                "N": (1 << n) - 1,
+                "f": p.f,
+                "q": p.q,
+                "K": p.K,
+                "M": p.M,
+                "N": p.N,
                 "boundRho": bound_rho(n, x),
                 "asymptoticRho": asymptotic_rho(table_id, x),
             })

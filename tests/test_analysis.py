@@ -43,6 +43,26 @@ def test_params_reject_degenerate_degrees(n):
         construction_params(n)
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_claimed_delta_max_is_bit_identical_at_x2(n):
+    # 4f + 1 = 2^n - 3 as integers, so the sqrt sees the same value
+    assert construction_params(n).claimed_delta_max == (1 + 2 ** (n / 2)) * math.sqrt((1 << n) - 3)
+
+
+@pytest.mark.parametrize("n,x", [(5, 1), (5, 0), (5, 4), (6, 5), (3, 2)])
+def test_params_guards(n, x):
+    with pytest.raises(ValueError):
+        construction_params(n, x)
+
+
+def test_sweep_cells_read_construction_params():
+    records = sweep(range(4, 11), range(2, 7))
+    assert len(records) == 25
+    for r in records:
+        p = construction_params(r["n"], r["x"])
+        assert (r["f"], r["q"], r["K"], r["M"], r["N"]) == (p.f, p.q, p.K, p.M, p.N)
+
+
 def test_reference_table_values_reproduced():
     for (table_id, x), printed in REFERENCE_RHO.items():
         assert round(asymptotic_rho(table_id, x), 3) == pytest.approx(printed, abs=5e-4)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from qcss import cli, correlation, z4
+from qcss import cli, correlation, diffsets, z4
 
 
 def run(argv):
@@ -48,6 +48,34 @@ def test_ads_command(tmp_path, capsys):
     }
     assert doc["pattern"]["delta"] == 0
     assert "classification=(28,13,5,6)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_ads_classifies_the_lifted_set_twice(cache, tmp_path, monkeypatch):
+    # once in lift_ads_to_z4f, once for the export text shared by --out and the entry
+    lifted = []
+    classify = diffsets.classify_set
+    monkeypatch.setattr(
+        diffsets, "classify_set", lambda s: (s.modulus == 28 and lifted.append(s)) or classify(s)
+    )
+    argv = ["ads", "--f", "7", "--out", str(tmp_path / "a.json")]
+    assert run(argv + (["--cache-dir", str(tmp_path / "cache")] if cache else [])) == 0
+    assert len(lifted) == 2
+    if cache:
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "cache" / "ads" / "f7-singer.json").read_bytes()
+
+
+def test_ads_lift_mismatch_is_falsified_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def wrong(f):
+        return diffsets.SetClassification(diffsets.ALMOST_DIFFERENCE_SET, 4 * f, 2 * f - 1, f - 1, f - 1)
+
+    monkeypatch.setattr(diffsets, "expected_ads_classification", wrong)
+    cache, out = tmp_path / "cache", tmp_path / "a.json"
+    assert run(["ads", "--f", "7", "--cache-dir", str(cache), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("construction falsified: lifted union classifies as (")
+    assert captured.out == ""
+    assert not out.exists() and not cache.exists()
 
 
 def test_ads_from_degree(tmp_path):
@@ -188,6 +216,21 @@ def test_empirical_sweep_keeps_its_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_EMPIRICAL_SHA256
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["qcss", "--n", "5", "--cap", "4"], ["sweep", "--n-range", "5", "--x-range", "2", "--empirical", "--cap", "4"]],
+)
+def test_both_commands_share_one_census_cap(argv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(argv + ["--out", str(out)]) == 4
+    assert capsys.readouterr().err == "resource cap: correlation census capped at n <= 4 (raise --cap to exceed), got n = 5\n"
+    assert not out.exists()
+
+
+def test_cap_at_the_degree_runs(tmp_path):
+    assert run(["qcss", "--n", "5", "--cap", "5", "--out", str(tmp_path / "x.json")]) == 0
+
+
 def test_sweep_cap(tmp_path):
     code = run(["sweep", "--n-range", "9:9", "--x-range", "2:2", "--empirical", "--out", str(tmp_path / "x.json")])
     assert code == 4
@@ -322,8 +365,6 @@ def test_garbage_cache_entries_change_no_exit_code_or_output(garbage, tmp_path, 
         (["ads", "--n", "4"], {ADS_F3}),
         (["qcss", "--n", "4", "--verify"], {FAMILY_N4, ADS_F3}),
         (["qcss", "--n", "4", "--format", "csv"], {FAMILY_N4, ADS_F3}),
-        (["tables", "--table", "2", "--x-max", "5"], set()),
-        (["sweep", "--n-range", "4:5", "--x-range", "2:3", "--empirical"], set()),
     ]
     for argv, written in commands:
         for name, data in entries.items():
@@ -375,6 +416,11 @@ def test_malformed_cache_entry_is_overwritten(argv, entry, edit, tmp_path, capsy
         ["family", "--n", "4", "--jobs", "2"],
         ["qcss", "--n", "5", "--digits", "3"],
         ["tables", "--table", "2", "--force"],
+        ["family", "--n", "4", "--format", "json"],
+        ["ads", "--f", "7", "--format", "json"],
+        ["tables", "--table", "2", "--cache-dir", "C"],
+        ["sweep", "--n-range", "4:5", "--x-range", "2:3", "--cache-dir", "C"],
+        ["qcss", "--n", "5", "--force"],
     ],
 )
 def test_flags_outside_their_command_are_config_errors(argv, tmp_path):
