@@ -70,8 +70,8 @@ def construction_params(n: int, x: int = 2) -> ConstructionParams:
 
 
 def check_census_cap(n: int, cap: int = CENSUS_DEGREE_CAP) -> None:
-    """Refuse a correlation census above degree ``cap``: it costs
-    K^2 P log P operations (K = 2^n, P = 2^(n+1)), about 8x per degree."""
+    """Refuse a correlation census above degree ``cap``: its length-2^n
+    Walsh-Hadamard transform per shift costs about n 4^n additions."""
     if n > cap:
         raise ResourceCapError(
             f"correlation census capped at n <= {cap} (raise --cap to exceed), got n = {n}"
@@ -170,15 +170,15 @@ def sweep(n_values, x_values, empirical: bool = False, degree_cap: int = CENSUS_
     value over a (n, x) grid; with ``empirical`` each cell also builds the
     full set and measures delta_max.
 
-    Cells with n - x < 2 are degenerate and skipped.  Empirical mode refuses
-    degrees above ``degree_cap``.  It builds the family once per n (2^n + 1
-    rows of period 2^n - 1, a fraction of the cost) and measures all of that
-    n's cells in one ``tolerances_many`` pass: the census of K^2 P log P
-    operations (K = 2^n, P = 2^(n+1)) depends on the base, not on x, so its
-    cost grows like 8^n per degree, plus a K^2 N reduction per cell.
+    Cells with n - x < 2 are degenerate and skipped.  Empirical mode checks
+    ``degree_cap`` against the largest n with a cell, before any census.  It
+    builds the family once per n and measures all of that n's cells in one
+    ``tolerances_many`` pass: the census of about n 4^n additions depends on
+    the base, not on x, plus a 4^n reduction per cell.
     """
     if empirical:
-        check_census_cap(max(n_values, default=0), degree_cap)
+        with_cells = [n for n in n_values if any(n - x >= 2 for x in x_values)]
+        check_census_cap(max(with_cells, default=0), degree_cap)
     records = []
     for n in n_values:
         cells = []

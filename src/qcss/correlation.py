@@ -5,11 +5,11 @@ report.
 Entries of every sequence here are roots of unity stored as integer phases
 modulo a common root order L, so building blocks stay exact; complex values
 only appear when a correlation sum is evaluated.  An assembled set stores
-its base sequences and shift set, not its K*M*N entries.  The census streams
-the exact aperiodic correlations of the base sequences, each unordered pair
-once, and combines them with each shift set's exponential sums at the wrap
-point; sets over one base share one census pass.  ``periodic_correlation``
-is the scalar reference it is tested against.
+its base sequences and shift set, not its K*M*N entries.  The census of a
+certified subset-L base takes one exact Walsh-Hadamard transform per shift,
+O(n 4^n) additions, and each shift set's exponential sums at the wrap point;
+sets over one base share one census pass.  ``periodic_correlation`` is the
+scalar reference it is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import ConstructionError
 
 MAGNITUDE_TOL = 1e-6  # distinct algebraic magnitudes at desk scale differ by far more
 EXACT_TOL = 1e-9
-BLOCK_BYTES = 1 << 20  # spectral products held at once by the census
+_BLOCK_ENTRIES = 1 << 18  # Walsh plane entries (shifts x 2^n) the census transforms at once
 
 
 @lru_cache(maxsize=64)
@@ -210,45 +210,78 @@ def build_qcss(base_sequences, shift_set: CyclicSubset, provenance: dict | None 
     )
 
 
-def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, float]]:
-    """Stream the exact aperiodic correlations of the base sequences, each
-    unordered pair once, in strips of rows.
+def _coset_codes(base: np.ndarray) -> np.ndarray:
+    """Certify in O(n K N) that the (K, N) base is subset L, the rows v_0 +
+    2 beta for all 2^n beta in the binary recurrence space B of m = row 0
+    mod 2, and return m's window codes (bit j of code[t] is m(t + j)).
 
-    With a_k = i^(v_k), C_kl(u) = sum_t a_k(t) conj(a_l(t+u)) over the t
-    where both indices lie in 0..N-1.  Since C_lk(u) = conj C_kl(-u), the
-    strip of rows k in [start, stop) and columns l in [start, K) covers
-    every pair (k, l) with k <= l, and the strips cover them all.  Each strip
-    is one zero-padded inverse FFT (P >= 2N, so lag -N reads as 0, not an
-    alias) rounded to Gaussian integers; its rows are as many as keep one
-    (rows, K - start, P) complex array within BLOCK_BYTES, at least one.
-    Nothing here depends on the shift set.
-
-    Yields (start, exact, residual): exact[b, j, u] = C_kl(u mod P) for
-    k = start + b and l = start + j, and residual is the largest distance of
-    the strip's spectral values from the Gaussian integers.  Raises
-    ConstructionError if it reaches 0.5.
+    The codes must be every nonzero state once; each beta_k = (v_k - v_0) / 2
+    (so rows share row 0's parity), and also m(. + n), must be a sum of the
+    windows m(. + j), j < n; and the K coefficient vectors must be distinct.
+    A shape other than 2^n x (2^n - 1), n >= 2, raises ValueError, and a
+    failed check ConstructionError with a witness.
     """
+    K, N = base.shape
+    n = K.bit_length() - 1
+    if n < 2 or K != 1 << n or N != K - 1:
+        raise ValueError(f"the census needs a base of 2^n rows of period 2^n - 1, n >= 2, got shape {base.shape}")
+    bits = 1 << np.arange(n)
+    windows = np.stack([np.roll(base[0] & 1, -j) for j in range(n + 1)]).astype(np.int64)  # m(t + j)
+    code = bits @ windows[:n]
+    seen = np.bincount(code, minlength=K)
+    if seen[0] or seen.max() > 1:  # N codes: with no zero and no repeat, each nonzero state once
+        bad = 0 if seen[0] else int(np.argmax(seen > 1))
+        where = tuple(np.flatnonzero(code == bad)[:2].tolist())
+        raise ConstructionError(f"row 0 mod 2 is not an m-sequence: window code {bad} sits at shifts {where}",
+                                witness=(bad, where))
+    diff = (base - base[0]) & 3
+    odd = np.argwhere(diff & 1)
+    if odd.size:
+        k, t = odd[0].tolist()
+        raise ConstructionError(f"row {k} and row 0 differ by an odd symbol at t = {t}", witness=(k, t))
+    rows = np.vstack([diff >> 1, windows[n]])  # beta_k, then m(. + n)
+    coef = rows[:, np.argsort(code)[bits - 1]]  # each row at the shifts of the unit windows
+    broken = np.argwhere((coef @ windows[:n]) & 1 != rows)
+    if broken.size:
+        k, t = broken[0].tolist()
+        what = "m(. + n)" if k == K else f"(row {k} - row 0) / 2"
+        raise ConstructionError(f"{what} is not a sum of the windows m(. + j), j < n: it differs at t = {t}",
+                                witness=(k, t))
+    a = coef[:K] @ bits
+    counts = np.bincount(a)
+    if counts.max() > 1:
+        k, l = np.flatnonzero(a == np.argmax(counts))[:2].tolist()
+        raise ConstructionError(f"rows {k} and {l} are one element of the coset", witness=(k, l))
+    return code
+
+
+def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Stream the coset census of a subset-L base in blocks of shifts.
+
+    For rows v_k = v_0 + 2 beta_k (certified first), a pair (k, l) at shift
+    tau has u = v_k - v_l(. + tau) = c_tau + 2 gamma with c_tau = v_0 -
+    v_0(. + tau) and gamma(t) = popcount(a & code[t]) mod 2 for one code a.
+    For all a at once, the Walsh-Hadamard transforms of i^(c_tau(t)) placed
+    at code[t] in two planes, split at the wrap point, give the in-range part
+    W = sum_{t < N - tau} i^(u_t) and the wrapped part Wr of the correlation:
+    Gaussian integers below N in norm, summed exactly in float64.
+
+    Yields (start, w, wr), w[b, a] = W and wr[b, a] = Wr at tau = start + b,
+    in blocks of about _BLOCK_ENTRIES // K shifts, at least one.
+    """
+    code = _coset_codes(qcss.base)
     K, N = qcss.base.shape
-    P = 1 << (2 * N - 1).bit_length()
-    # spectra of conj(a_k): entry u of ifft(conj(F_k) F_l) is then C_kl(u)
-    spectra = np.fft.fft(roots_table(4)[-qcss.base % 4], n=P, axis=1)
-    start = 0
-    while start < K:
-        stop = min(K, start + max(1, BLOCK_BYTES // (16 * (K - start) * P)))
-        c = np.fft.ifft(np.conj(spectra[start:stop, None]) * spectra[None, start:], axis=2)
-        parts = c.view(np.float64)  # real and imaginary parts, interleaved
-        exact = np.rint(parts)
-        parts -= exact
-        np.square(parts, out=parts)
-        parts[..., ::2] += parts[..., 1::2]  # squared distances, each >= the im^2 after it
-        residual = math.sqrt(float(parts.max()))
-        if residual >= 0.5:
-            raise ConstructionError(
-                f"spectral correlations miss the Gaussian integers by {residual}",
-                witness=(start, residual),
-            )
-        yield start, exact.view(np.complex128), residual
-        start = stop
+    v0, t = qcss.base[0], np.arange(N)
+    step = max(1, _BLOCK_ENTRIES // K)
+    for start in range(0, N, step):
+        tau = np.arange(start, min(N, start + step))[:, None]
+        planes = np.zeros((len(tau), 2, K), dtype=complex)
+        plane = 2 * np.arange(len(tau))[:, None] + (t >= N - tau)  # in range or wrapped
+        planes.reshape(-1)[plane * K + code] = roots_table(4)[(v0 - v0[(t + tau) % N]) & 3]
+        for j in range(K.bit_length() - 1):  # Walsh-Hadamard transform over the last axis, in place
+            x, y = np.moveaxis(planes.reshape(-1, 2, 1 << j), 1, 0)
+            x[:], y[:] = x + y, x - y
+        yield start, planes[:, 0], planes[:, 1]
 
 
 def welch_lower_bound(K: int, M: int, N: int) -> float:
@@ -288,7 +321,6 @@ class CorrelationReport:
     cross value need not match).  factorization_gap_max measures how far the
     exact magnitudes sit from |R(v, v'; tau)| * Delta(tau), the separable form
     that would hold if the phase ramp commuted with cyclic wrapping.
-    rounding_residual is the largest rounding residual of the census.
     """
 
     delta_a: float
@@ -300,7 +332,6 @@ class CorrelationReport:
     r1_observed: float
     r2_observed: float
     factorization_gap_max: float
-    rounding_residual: float
     q: int
     num_sets: int
     num_rows: int
@@ -313,60 +344,44 @@ class CorrelationReport:
         return "R2" if tau % self.q == 0 else "R1"
 
 
-def _magnitudes(e_in, e_wrap, c_in, c_wrap) -> np.ndarray:
-    """|e_in c_in + e_wrap c_wrap|, elementwise over the last axis."""
-    g = e_in * c_in
-    g += e_wrap * c_wrap
-    return np.abs(g)
-
-
-def _gap(mags, base_mags, ramp_sum) -> float:
-    """Largest distance of mags from the separable form |R| |E(tau)|."""
-    d = base_mags * ramp_sum
-    d -= mags
-    return float(np.abs(d, out=d).max())
-
-
 class _Tally:
-    """The running maxima of one set's report while strips stream in."""
+    """The running maxima of one set's report while blocks of shifts stream in."""
 
     def __init__(self, qcss: QcssSet):
         N, q = qcss.period, qcss.q
         dtau = np.outer(np.arange(N), qcss.shifts)
         ramp = roots_table(q)
-        self.e_in = ramp[-dtau % q].sum(axis=1)  # E(-tau)
-        self.e_wrap = ramp[(N * np.array(qcss.shifts) - dtau) % q].sum(axis=1)  # E(N - tau)
-        # the mirror reads conj C_lk: |E c| = |conj(E) conj(c)|, bit for bit
-        self.e_mirror = np.conj(self.e_in[1:]), np.conj(self.e_wrap[1:])
+        self.e_in = ramp[-dtau % q].sum(axis=1)[:, None]  # E(-tau)
+        self.e_wrap = ramp[(N * np.array(qcss.shifts) - dtau) % q].sum(axis=1)[:, None]  # E(N - tau)
         profile = exp_sum_profile(CyclicSubset(modulus=q, elements=qcss.shifts))
-        self.ramp_sum = profile.values[np.arange(N) % q]  # |E(tau)|
+        self.ramp_sum = profile.values[np.arange(N) % q][:, None]  # |E(tau)|
         self.qcss = qcss
         self.per_shift = np.zeros(N)
-        self.delta_a = self.delta_c = self.gap = 0.0
+        self.gap = 0.0
 
-    def fold(self, strip, mirror, base_mags, diag) -> None:
-        mags = _magnitudes(self.e_in, self.e_wrap, *strip)
-        self.gap = max(self.gap, _gap(mags, base_mags[0], self.ramp_sum))
-        self.delta_a = max(self.delta_a, float(mags[diag][:, 1:].max()))
-        mags[diag + (0,)] = 0.0  # in-phase autocorrelation, trivially M*N
-        np.maximum(self.per_shift, mags.max(axis=(0, 1)), out=self.per_shift)
-        mags[diag] = 0.0
-        self.delta_c = max(self.delta_c, float(mags.max()))
-        mags = _magnitudes(*self.e_mirror, *mirror)
-        self.gap = max(self.gap, _gap(mags, base_mags[1], self.ramp_sum[1:]))
-        mags[diag] = 0.0  # the mirror of (k, k) is (k, k), folded above
-        np.maximum(self.per_shift[1:], mags.max(axis=(0, 1)), out=self.per_shift[1:])
-        self.delta_c = max(self.delta_c, float(mags.max()))
+    def fold(self, taus: slice, w, wr, base_mags) -> None:
+        g = self.e_in[taus] * w
+        g += self.e_wrap[taus] * wr
+        mags = np.abs(g)
+        d = base_mags * self.ramp_sum[taus]
+        d -= mags
+        self.gap = max(self.gap, float(np.abs(d, out=d).max()))
+        if taus.start == 0:
+            mags[0, 0] = 0.0  # beta = 0 at tau = 0: the in-phase autocorrelation, trivially M*N
+        self.per_shift[taus] = mags.max(axis=1)
 
-    def report(self, residual: float) -> CorrelationReport:
+    def report(self) -> CorrelationReport:
         qcss, N, per_shift = self.qcss, self.qcss.period, self.per_shift
         K, M = qcss.num_sets, qcss.num_rows
-        delta_max = max(self.delta_a, self.delta_c)
+        # the pairs (k, k) at tau != 0, and the pairs k != l at every tau, give
+        # every code a (but a = 0 at tau = 0), so both maxima read off per_shift
+        delta_a, delta_c = float(per_shift[1:].max()), float(per_shift.max())
+        delta_max = max(delta_a, delta_c)
         in_r2 = np.arange(1, N) % qcss.q == 0
         bound = welch_lower_bound(K, M, N)
         return CorrelationReport(
-            delta_a=self.delta_a,
-            delta_c=self.delta_c,
+            delta_a=delta_a,
+            delta_c=delta_c,
             delta_max=delta_max,
             lower_bound=bound,
             rho=delta_max / bound if bound > 0 else None,
@@ -374,7 +389,6 @@ class _Tally:
             r1_observed=float(per_shift[1:][~in_r2].max(initial=0.0)),
             r2_observed=float(per_shift[1:][in_r2].max(initial=0.0)),
             factorization_gap_max=self.gap,
-            rounding_residual=residual,
             q=qcss.q,
             num_sets=K,
             num_rows=M,
@@ -390,50 +404,34 @@ def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
     Row d of matrix k is a_k = i^(v_k) ramped by exp(2 pi i d t / q), t in
     0..N-1, so splitting each periodic row sum at the wrap point gives
 
-        G[tau, k, l] = R(C_k, C_l; tau) = E(-tau) C_kl(tau) + E(N - tau) C_kl(tau - N)
+        G[tau, k, l] = R(C_k, C_l; tau) = E(-tau) W + E(N - tau) Wr
 
-    with E(x) = sum_{d in D} exp(2 pi i d x / q); the cost does not depend
-    on M.  A strip gives G at its pairs (k, l), l >= k; its mirror gives the
-    pairs (l, k) at tau in 1..N-1 from reversed views of the same strip,
-    since C_lk(tau) = conj C_kl(-tau) and C_lk(tau - N) = conj C_kl(N - tau).
-    At tau = 0 it would be |E(0) conj C_kl(0)|, as C_kl(N) = 0: the strip's
-    own magnitude, since E(0) = M is real.  The rounded correlations are
-    exact, so every magnitude is the one a census of all K^2 ordered pairs
-    computes, bit for bit.
+    with E(x) = sum_{d in D} exp(2 pi i d x / q) and W, Wr the in-range and
+    wrapped parts of R(a_k, a_l; tau), whose K^2 pairs take only the 2^n
+    values of the code a; the cost does not depend on M.
     """
     first = qsets[0]
-    K, N = first.base.shape
-    if K < 2:
-        raise ValueError("tolerance census needs at least two matrices")
     if any(not np.array_equal(qcss.base, first.base) for qcss in qsets[1:]):
         raise ValueError("the sets of one census must share one base")
     tallies = [_Tally(qcss) for qcss in qsets]
-    residual = 0.0
-    for start, exact, block_residual in correlation_tensor(first):
-        residual = max(residual, block_residual)
-        P = exact.shape[2]
-        strip = exact[..., :N], exact[..., P - N :]  # C_kl(tau), C_kl(tau - N)
-        # conj C_lk(tau) = C_kl(-tau) and conj C_lk(tau - N) = C_kl(N - tau), tau in 1..N-1
-        mirror = exact[..., : P - N : -1], exact[..., N - 1 : 0 : -1]
-        base_mags = np.abs(strip[0] + strip[1])  # |R(a_k, a_l; tau)|
-        # |R(a_l, a_k; tau)| = |R(a_k, a_l; N - tau)|: the same exact sums, reversed
-        base_mags = base_mags, base_mags[..., :0:-1]
-        b = np.arange(len(exact))
+    for start, w, wr in correlation_tensor(first):
+        taus = slice(start, start + len(w))
+        base_mags = np.abs(w + wr)  # |R(a_k, a_l; tau)|
         for tally in tallies:
-            tally.fold(strip, mirror, base_mags, (b, b))  # (k, k) sits at column b
-    return [tally.report(residual) for tally in tallies]
+            tally.fold(taus, w, wr, base_mags)
+    return [tally.report() for tally in tallies]
 
 
 def tolerances(qcss: QcssSet) -> CorrelationReport:
     """The tolerance report of one set: every ordered pair of matrices at
-    every shift, reduced strip by strip and mirror by mirror as
-    ``correlation_tensor`` streams the unordered pairs of its base."""
+    every shift, reduced block by block as ``correlation_tensor`` streams
+    its base, which must be subset L (else ValueError or ConstructionError)."""
     return _census([qcss])[0]
 
 
 def tolerances_many(qsets) -> list[CorrelationReport]:
     """The reports of several sets over one base, from one census pass:
-    the aperiodic base correlations do not depend on the shift set.  Raises
+    the base correlations do not depend on the shift set.  Raises
     ValueError if the sets do not share one base."""
     qsets = list(qsets)
     if not qsets:

@@ -1,8 +1,12 @@
+import itertools
+from functools import cache
+
 import numpy as np
 import pytest
 
 import qcss
-from qcss.correlation import correlation_tensor
+from qcss import binpoly
+from qcss.correlation import matrix_correlation, roots_table
 
 
 @pytest.fixture(scope="session")
@@ -25,37 +29,50 @@ def family6():
     return qcss.build_family_a(6)
 
 
-def join_strips(qset):
-    """G[tau, k, l] = R(C_k, C_l; tau) and the base correlations
-    R(a_k, a_l; tau), [k, l, tau], joined from the strips that
-    ``correlation_tensor`` streams and their mirrors, C_lk(u) = conj C_kl(-u).
+# every binary primitive polynomial of degree 2..6, low degree first
+ALL_PRIMITIVE_POLYS = [
+    (1, *middle, 1)
+    for n in range(2, 7)
+    for middle in itertools.product((0, 1), repeat=n - 1)
+    if binpoly.is_primitive_binary((1, *middle, 1))
+]
 
-    E(x) = sum_d exp(2 pi i d x / q) is summed here from its definition.
-    Every entry is written once by a strip or a mirror, and overlaps agree.
-    """
+
+@cache
+def subset_l_base(coeffs) -> np.ndarray:
+    """Subset L of Family A built from one binary primitive polynomial."""
+    return qcss.subset_l(qcss.build_family_a(len(coeffs) - 1, coeffs))
+
+
+def direct_tensor(qset) -> np.ndarray:
+    """G[tau, k, l] = R(C_k, C_l; tau) from the defining sums over all
+    ordered pairs, vectorized over entries."""
     K, N = qset.num_sets, qset.period
-    taus = np.arange(N)
+    Z = roots_table(qset.root_order)[qset.phases]
+    flat = Z.reshape(K, -1)
+    return np.stack([flat @ np.conj(np.roll(Z, -tau, axis=2).reshape(K, -1)).T for tau in range(N)])
 
-    def E(x):
-        return np.exp(2j * np.pi * np.outer(x, qset.shifts) / qset.q).sum(axis=1)
 
-    e_in, e_wrap = E(-taus), E(N - taus)
-    G = np.full((N, K, K), np.nan, dtype=complex)
-    R = np.full((K, K, N), np.nan, dtype=complex)
-    for start, exact, _ in correlation_tensor(qset):
-        rows, cols, _ = exact.shape
-        assert cols == K - start
-        k = start + np.arange(rows)[:, None]
-        l = start + np.arange(cols)[None, :]
-        halves = (
-            (k, l, exact[..., taus], exact[..., taus - N]),  # C_kl(tau), C_kl(tau - N)
-            (l, k, np.conj(exact[..., -taus]), np.conj(exact[..., N - taus])),  # the mirror
-        )
-        for x, y, c_in, c_wrap in halves:
-            values = np.moveaxis(e_in * c_in + e_wrap * c_wrap, 2, 0)
-            seen = ~np.isnan(G[:, x, y])
-            assert np.allclose(G[:, x, y][seen], values[seen], atol=1e-9)
-            G[:, x, y] = values
-            R[x, y] = c_in + c_wrap
-    assert not np.isnan(G).any()
-    return G, R
+def direct_report_fields(qset):
+    """delta_a, delta_c, per-shift maxima and factorization gap from the
+    defining sums over all ordered pairs, vectorized over entries."""
+    K, N = qset.num_sets, qset.period
+    mags = np.abs(direct_tensor(qset))  # [tau, k, l]
+    a = roots_table(4)[qset.base]
+    base = np.abs(np.stack([a @ np.conj(np.roll(a, -tau, axis=1)).T for tau in range(N)]))
+    ramp = np.abs(np.exp(2j * np.pi * np.outer(np.arange(N), qset.shifts) / qset.q).sum(axis=1))
+    gap = np.abs(mags - base * ramp[:, None, None]).max()
+    diag = np.arange(K), np.arange(K)
+    auto = mags[:, diag[0], diag[1]]
+    delta_a = auto[1:].max()
+    mags[0][diag] = 0.0
+    per_shift = mags.max(axis=(1, 2))
+    mags[:, diag[0], diag[1]] = 0.0
+    return delta_a, mags.max(), per_shift, gap
+
+
+def oracle_tensor(qset) -> np.ndarray:
+    """G[tau, k, l] from the scalar loop ``matrix_correlation``."""
+    K, N = qset.num_sets, qset.period
+    return np.array([[[matrix_correlation(qset.matrix(k), qset.matrix(l), tau)
+                       for l in range(K)] for k in range(K)] for tau in range(N)])

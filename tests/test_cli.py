@@ -236,6 +236,28 @@ def test_sweep_cap(tmp_path):
     assert code == 4
 
 
+def test_sweep_cap_skips_degrees_without_cells(tmp_path):
+    # n - x < 2 leaves no cell at n = 4 or 9, so no census would run there
+    out = tmp_path / "x.json"
+    assert run(["sweep", "--n-range", "4,9", "--x-range", "8", "--empirical", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == []
+
+
+def test_census_of_a_base_that_is_not_subset_l_is_falsified(tmp_path, monkeypatch, capsys):
+    real = z4.subset_l
+
+    def tampered(family, verify=True):
+        base = real(family, verify).copy()
+        base[3, 7] ^= 1
+        return base
+
+    monkeypatch.setattr(z4, "subset_l", tampered)
+    out = tmp_path / "r.json"
+    assert run(["qcss", "--n", "4", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("construction falsified: row 3 and row 0 differ by an odd symbol")
+    assert not out.exists()
+
+
 def test_unknown_command_is_config_error():
     assert run(["frobnicate"]) == 2
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import qcss
-from conftest import join_strips
+from conftest import ALL_PRIMITIVE_POLYS, direct_report_fields, direct_tensor, subset_l_base
 from qcss import correlation, diffsets, z4
 from qcss.correlation import (
     PhaseSequence,
     build_qcss,
     classify_tightness,
-    correlation_tensor,
     matrix_correlation,
     periodic_correlation,
     phase_transform,
@@ -32,11 +31,6 @@ def qcss5(family5):
 @pytest.fixture(scope="module")
 def report5(qcss5):
     return tolerances(qcss5)
-
-
-def full_tensor(qset):
-    """The streamed strips and their mirrors joined into G[tau, k1, k2]."""
-    return join_strips(qset)[0]
 
 
 def random_phase_sequence(rng, root_order, length):
@@ -184,7 +178,8 @@ def test_matrix_correlation_cross_at_zero_shift(qcss5):
 
 
 def test_tensor_matches_scalar_path(qcss5):
-    tensor = full_tensor(qcss5)
+    # the direct-sum tensor the census is tested against, against the scalar loop
+    tensor = direct_tensor(qcss5)
     rng = np.random.default_rng(5)
     for _ in range(12):
         k1, k2 = rng.integers(0, 32, size=2)
@@ -193,53 +188,26 @@ def test_tensor_matches_scalar_path(qcss5):
         assert tensor[tau, k1, k2] == pytest.approx(scalar, abs=1e-9)
 
 
-def test_tensor_matches_direct_sum(qcss5, report5):
-    # the defining sum, vectorized over entries: R(C_k1, C_k2; tau) for all pairs
-    Z = roots_table(qcss5.root_order)[qcss5.phases]
-    flat = Z.reshape(32, -1)
-    direct = np.stack(
-        [flat @ np.conj(np.roll(Z, -tau, axis=2).reshape(32, -1)).T for tau in range(31)]
-    )
-    assert np.abs(full_tensor(qcss5) - direct).max() <= 1e-9
-    mags = np.abs(direct)
-    mags[0][np.diag_indices(32)] = 0.0
-    assert np.abs(mags.max(axis=(1, 2)) - report5.per_shift_max).max() <= 1e-9
+def test_report_matches_direct_sums_n5(qcss5, report5):
+    delta_a, delta_c, per_shift, gap = direct_report_fields(qcss5)
+    assert report5.delta_a == pytest.approx(delta_a, abs=1e-9)
+    assert report5.delta_c == pytest.approx(delta_c, abs=1e-9)
+    assert np.abs(per_shift - report5.per_shift_max).max() <= 1e-9
+    assert report5.factorization_gap_max == pytest.approx(gap, abs=1e-9)
 
 
-def direct_report_fields(qset):
-    """delta_a, delta_c, per-shift maxima and factorization gap from the
-    defining sums over all ordered pairs, vectorized over entries."""
-    K, M, N = qset.num_sets, qset.num_rows, qset.period
-    Z = roots_table(qset.root_order)[qset.phases]
-    flat = Z.reshape(K, -1)
-    mags = np.abs(np.stack(
-        [flat @ np.conj(np.roll(Z, -tau, axis=2).reshape(K, -1)).T for tau in range(N)]
-    ))  # [tau, k, l]
-    a = roots_table(4)[qset.base]
-    base = np.abs(np.stack([a @ np.conj(np.roll(a, -tau, axis=1)).T for tau in range(N)]))
-    ramp = np.abs(np.exp(2j * np.pi * np.outer(np.arange(N), qset.shifts) / qset.q).sum(axis=1))
-    gap = np.abs(mags - base * ramp[:, None, None]).max()
-    diag = np.arange(K), np.arange(K)
-    auto = mags[:, diag[0], diag[1]]
-    delta_a = auto[1:].max()
-    mags[0][diag] = 0.0
-    per_shift = mags.max(axis=(1, 2))
-    mags[:, diag[0], diag[1]] = 0.0
-    return delta_a, mags.max(), per_shift, gap
-
-
-@pytest.mark.parametrize("block_bytes", [0, 1500, correlation.BLOCK_BYTES])
-def test_report_matches_direct_sums_on_random_sets(block_bytes, monkeypatch):
-    # shift sets with no symmetry, so no pair's maxima stand in for its
-    # mirror's; a constant first row makes some autocorrelation the largest
-    monkeypatch.setattr(correlation, "BLOCK_BYTES", block_bytes)
+# 0 puts one shift in each block; 1500 entries hold 23 shifts at n = 6 (K = 64),
+# so its 63 shifts take blocks of 23, 23 and 17; 2^20 holds every shift at once
+@pytest.mark.parametrize("block_entries", [0, 1500, 1 << 20])
+def test_report_matches_direct_sums_on_random_sets(block_entries, monkeypatch):
+    # subset L of every primitive polynomial of degree 2..6, under random
+    # shift sets with no symmetry (q need not divide N or exceed it)
+    monkeypatch.setattr(correlation, "_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(8)
-    for i in range(12):
-        K, N, q = (int(v) for v in rng.integers((2, 2, 2), (7, 14, 13)))
+    for coeffs in ALL_PRIMITIVE_POLYS:
+        q = int(rng.integers(1, 13))
         shifts = diffsets.CyclicSubset(q, tuple(sorted(set(rng.integers(0, q, size=3).tolist()))))
-        base = rng.integers(0, 4, size=(K, N))
-        base[0] *= i % 2
-        qset = build_qcss(base, shifts)
+        qset = build_qcss(subset_l_base(coeffs), shifts)
         report = tolerances(qset)
         delta_a, delta_c, per_shift, gap = direct_report_fields(qset)
         assert report.delta_a == pytest.approx(delta_a, abs=1e-9)
@@ -248,23 +216,20 @@ def test_report_matches_direct_sums_on_random_sets(block_bytes, monkeypatch):
         assert report.factorization_gap_max == pytest.approx(gap, abs=1e-9)
 
 
-def test_tensor_conjugate_symmetry(qcss5):
-    tensor = full_tensor(qcss5)
+def test_per_shift_maxima_are_mirror_symmetric(qcss5, report5):
+    # R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau), so the maxima at tau and
+    # N - tau agree, though the census sums them from other Walsh planes
+    tensor = direct_tensor(qcss5)
     n = qcss5.period
     for tau in (1, 5, 28):
         assert np.allclose(tensor[tau], np.conj(tensor[(n - tau) % n]).T, atol=1e-9)
+    per_shift = report5.per_shift_max
+    assert np.allclose(per_shift[1:], per_shift[:0:-1], rtol=0, atol=1e-9)
 
 
 def test_per_shift_maxima_excludes_inphase_energy(report5):
     assert report5.per_shift_max[0] == pytest.approx(13.0, abs=1e-9)  # cross only at tau = 0
     assert report5.per_shift_max[0] < 13 * 31
-
-
-def test_rounding_residual_guard(qcss5, monkeypatch):
-    ifft = np.fft.ifft
-    monkeypatch.setattr(np.fft, "ifft", lambda x, axis: ifft(x, axis=axis) + (0.5 + 0.5j))
-    with pytest.raises(ConstructionError):
-        tolerances(qcss5)
 
 
 # ------------------------------------------------------- tolerance report
@@ -297,7 +262,7 @@ def test_report_bound_validity(report5):
 def test_report_recomputed_maxima_scalar_loop(qcss5, report5):
     # exact-phase integrity: the reported maximum is reproduced by the
     # definitional scalar sum at its argmax location
-    mags = np.abs(full_tensor(qcss5))
+    mags = np.abs(direct_tensor(qcss5))
     for tau in range(qcss5.period):
         if tau == 0:
             m = mags[0].copy()
@@ -321,15 +286,11 @@ def test_tolerances_needs_two_matrices(family4):
 
 def test_single_row_toy_excludes_inphase_autocorrelation(family4):
     # M = 1 toy: delta_a ranges over nonzero shifts only
-    base = [family4.members[1], family4.members[2]]
+    base = qcss.subset_l(family4)
     qset = build_qcss(base, diffsets.CyclicSubset(15, (0,)))
     report = tolerances(qset)
     expected_auto = max(
-        abs(z4.z4_correlation(base[0], base[0], tau)) for tau in range(1, 15)
-    )
-    expected_auto = max(
-        expected_auto,
-        max(abs(z4.z4_correlation(base[1], base[1], tau)) for tau in range(1, 15)),
+        abs(z4.z4_correlation(row, row, tau)) for row in base for tau in range(1, 15)
     )
     assert report.delta_a == pytest.approx(expected_auto, abs=1e-9)
     assert report.delta_a < 15
@@ -401,3 +362,103 @@ def test_report_csv_layout(report5):
     assert lines[1].startswith("0,zero,")
     assert lines[2].startswith("1,R1,")
     assert lines[29].startswith("28,R2,")
+
+
+# ------------------------------------------------------- subset-L certificate
+
+
+@pytest.mark.parametrize("shape", [(1, 15), (3, 3), (2, 1), (8, 3), (16, 16), (16, 14)])
+def test_census_refuses_a_base_of_another_shape(shape):
+    qset = build_qcss(np.zeros(shape, dtype=np.int8), diffsets.CyclicSubset(3, (0, 1)))
+    with pytest.raises(ValueError, match="2\\^n rows of period 2\\^n - 1"):
+        tolerances(qset)
+
+
+def census_failure(base) -> ConstructionError:
+    with pytest.raises(ConstructionError) as info:
+        tolerances(build_qcss(base, diffsets.CyclicSubset(3, (0, 1))))
+    return info.value
+
+
+@pytest.mark.parametrize("row0, witness", [
+    (np.ones(15, dtype=np.int8), (15, (0, 1))),  # every window is 1111
+    (np.zeros(15, dtype=np.int8), (0, tuple(range(15)))),  # the zero window
+])
+def test_certificate_needs_row0_mod_2_to_be_an_m_sequence(family4, row0, witness):
+    base = qcss.subset_l(family4).copy()
+    base[0] = row0
+    error = census_failure(base)
+    assert "not an m-sequence" in str(error)
+    assert error.witness[0] == witness[0] and error.witness[1] == witness[1][:2]
+
+
+def test_certificate_needs_one_parity(family4):
+    base = qcss.subset_l(family4).copy()
+    base[5, 9] ^= 1
+    error = census_failure(base)
+    assert error.witness == (5, 9)
+    assert "odd symbol" in str(error)
+
+
+def test_certificate_needs_each_row_in_the_coset(family4):
+    # one symbol moved by 2: beta_7 gains one bit, and no sum of windows has weight 1 more
+    base = qcss.subset_l(family4).copy()
+    base[7, 4] ^= 2
+    error = census_failure(base)
+    assert error.witness[0] == 7
+    assert "(row 7 - row 0) / 2 is not a sum of the windows" in str(error)
+
+
+def test_certificate_needs_a_linear_m_sequence():
+    # window-complete but nonlinear: every nonzero 4-bit state once, yet
+    # m(. + 4) is no sum of m(. + j), j < 4; each row is m + 2 (a sum of its windows)
+    m = np.array([int(c) for c in "000100111101011"], dtype=np.int8)
+    windows = np.stack([np.roll(m, -j) for j in range(4)])
+    coeffs = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    base = m + 2 * ((coeffs @ windows) % 2)
+    error = census_failure(base)
+    assert error.witness[0] == 16  # the row after the K rows: m(. + n)
+    assert "m(. + n) is not a sum of the windows" in str(error)
+
+
+def test_certificate_needs_distinct_rows(family4):
+    base = qcss.subset_l(family4).copy()
+    base[11] = base[3]
+    error = census_failure(base)
+    assert error.witness == (3, 11)
+    assert "one element of the coset" in str(error)
+
+
+# ------------------------------------------------------- reduction shortcuts
+
+
+@pytest.mark.parametrize("coeffs", ALL_PRIMITIVE_POLYS)
+def test_pairs_cover_the_coset(coeffs):
+    # the census reduces over beta alone: at tau != 0 the pairs (k, k) and
+    # the pairs k != l each give every beta_k - beta_l(. + tau), and at
+    # tau = 0 the pairs k != l give every nonzero one
+    base = subset_l_base(coeffs)
+    K, N = base.shape
+    beta = ((base - base[0]) % 4) // 2
+    space = {row.tobytes() for row in beta}
+    assert len(space) == K
+    off = ~np.eye(K, dtype=bool)
+    for tau in range(N):
+        gamma = beta[:, None, :] ^ np.roll(beta, -tau, axis=1)[None, :, :]  # [k, l, t]
+        cross = {row.tobytes() for row in gamma[off]}
+        if tau:
+            assert {row.tobytes() for row in gamma[np.arange(K), np.arange(K)]} == space
+            assert cross == space
+        else:
+            assert cross == space - {bytes(N)}
+
+
+def test_delta_a_equals_delta_c_and_zero_shift_is_m():
+    # observed for every construction cell with n = 4..8 and x = 2..4
+    for n in range(4, 9):
+        base = qcss.subset_l(qcss.build_family_a(n))
+        xs = [x for x in (2, 3, 4) if n - x >= 2]
+        qsets = [build_qcss(base, diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - x))) for x in xs]
+        for x, report in zip(xs, correlation.tolerances_many(qsets)):
+            assert report.per_shift_max[0] == report.num_rows, (n, x)
+            assert report.delta_a == report.delta_c, (n, x)

@@ -1,7 +1,10 @@
-"""Property tests: the streamed census against the scalar reference
-(``periodic_correlation`` / ``matrix_correlation``) on random small sets."""
+"""Property tests: the coset census against the scalar reference
+(``periodic_correlation`` / ``matrix_correlation``) and the direct sums on
+subset L of the primitive polynomials of degree 2..6 under arbitrary shift
+sets, and the assembly and the wrap split on random small sets."""
 
 import cmath
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -9,11 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import join_strips
-from qcss import correlation, z4
+from conftest import ALL_PRIMITIVE_POLYS, direct_tensor, oracle_tensor, subset_l_base
+from qcss import correlation
 from qcss.correlation import (
     build_qcss,
-    correlation_tensor,
     matrix_correlation,
     periodic_correlation,
     phase_transform,
@@ -45,10 +47,16 @@ def small_sets():
     return set_inputs().map(lambda inputs: build_qcss(*inputs))
 
 
-def oracle_tensor(qset):
-    K, N = qset.num_sets, qset.period
-    return np.array([[[matrix_correlation(qset.matrix(k), qset.matrix(l), tau)
-                       for l in range(K)] for k in range(K)] for tau in range(N)])
+def subset_l_sets(max_degree=6):
+    """Subset L of a primitive polynomial of degree 2..max_degree under an
+    arbitrary shift set."""
+    polys = [h for h in ALL_PRIMITIVE_POLYS if len(h) - 1 <= max_degree]
+    return st.builds(build_qcss, st.sampled_from(polys).map(subset_l_base), shift_sets())
+
+
+# block sizes from one shift per block up to every shift of degree 3 at
+# once, so that blocks straddle at every degree
+BLOCK_ENTRIES = st.integers(0, 64)
 
 
 def aperiodic(a, b, u):
@@ -58,31 +66,27 @@ def aperiodic(a, b, u):
 
 
 @SETTINGS
-@given(small_sets(), st.integers(0, 4096))
-def test_engine_matches_scalar_oracle(qset, block_bytes):
-    # budgets up to 4096 bytes give every strip size from one row to all K
+@given(subset_l_sets(max_degree=3), BLOCK_ENTRIES)
+def test_engine_matches_scalar_oracle(qset, block_entries):
     K, N = qset.num_sets, qset.period
-    oracle = oracle_tensor(qset)
-    with mock.patch.object(correlation, "BLOCK_BYTES", block_bytes):
-        strips = list(correlation_tensor(qset))
-        values, base = join_strips(qset)
-    assert [start for start, _, _ in strips] == sorted({start for start, _, _ in strips})
-    for (start, exact, _), stop in zip(strips, [s for s, _, _ in strips[1:]] + [K]):
-        rows, cols, P = exact.shape
-        assert rows == stop - start >= 1 and cols == K - start and P >= 2 * N
-        assert rows == 1 or exact.nbytes <= block_bytes
-        for b in range(rows):
-            for j in range(cols):
-                a, c = qset.base[start + b], qset.base[start + j]
-                expected = [aperiodic(a, c, u) for u in range(N)]
-                expected += [0] * (P - 2 * N + 1) + [aperiodic(a, c, u) for u in range(1 - N, 0)]
-                assert np.array_equal(exact[b, j], expected)  # exact Gaussian integers
-    assert strips[0][0] == 0
-    assert np.abs(values - oracle).max() <= 1e-9
-    for k in range(K):
-        for l in range(K):
-            for tau in range(N):
-                assert base[k, l, tau] == z4.z4_correlation(qset.base[k], qset.base[l], tau)
+    mags = np.abs(oracle_tensor(qset))  # [tau, k, l]
+    with mock.patch.object(correlation, "_BLOCK_ENTRIES", block_entries):
+        blocks = list(correlation.correlation_tensor(qset))
+        report = tolerances(qset)
+    assert [start for start, _, _ in blocks] == list(range(0, N, max(1, block_entries // K)))
+    w, wr = (np.concatenate([block[i] for block in blocks]) for i in (1, 2))
+    for tau in range(N):
+        # the K^2 pairs' in-range and wrapped sums are the 2^n codes' values, each
+        # K times, as exact Gaussian integers
+        pairs = Counter((aperiodic(a, b, tau), aperiodic(a, b, tau - N)) for a in qset.base for b in qset.base)
+        codes = Counter(zip(w[tau].tolist(), wr[tau].tolist()))
+        assert pairs == {value: K * count for value, count in codes.items()}
+    diag = np.arange(K), np.arange(K)
+    assert abs(report.delta_a - mags[1:, diag[0], diag[1]].max()) <= 1e-9
+    mags[0][diag] = 0.0  # in-phase autocorrelation
+    assert np.abs(report.per_shift_max - mags.max(axis=(1, 2))).max() <= 1e-9
+    mags[:, diag[0], diag[1]] = 0.0
+    assert abs(report.delta_c - mags.max()) <= 1e-9
 
 
 @SETTINGS
@@ -103,12 +107,12 @@ def test_wrap_split_identity(qset, data):
 
 
 @SETTINGS
-@given(small_sets(), st.integers(0, 4096))
-def test_reported_maxima_reproduced_at_argmax(qset, block_bytes):
+@given(subset_l_sets(), BLOCK_ENTRIES)
+def test_reported_maxima_reproduced_at_argmax(qset, block_entries):
     K, N = qset.num_sets, qset.period
-    with mock.patch.object(correlation, "BLOCK_BYTES", block_bytes):
+    with mock.patch.object(correlation, "_BLOCK_ENTRIES", block_entries):
         report = tolerances(qset)
-    mags = np.abs(join_strips(qset)[0]).transpose(1, 2, 0)  # [k, l, tau]
+    mags = np.abs(direct_tensor(qset)).transpose(1, 2, 0)  # [k, l, tau]
 
     def oracle_at(index):
         k, l, tau = (int(v) for v in index)
@@ -125,7 +129,6 @@ def test_reported_maxima_reproduced_at_argmax(qset, block_bytes):
     for tau in range(N):
         k, l = np.unravel_index(np.argmax(mags[:, :, tau]), (K, K))
         assert abs(oracle_at((k, l, tau)) - report.per_shift_max[tau]) <= 1e-9
-    assert 0.0 <= report.rounding_residual < 1e-9
 
 
 @SETTINGS
@@ -146,17 +149,17 @@ def test_matrix_matches_per_row_assembly(inputs, as_array, data):
 
 
 @SETTINGS
-@given(set_inputs(), st.lists(shift_sets(), min_size=1, max_size=4), st.integers(0, 4096))
-def test_one_census_serves_every_shift_set(inputs, shift_set_list, block_bytes):
-    base = inputs[0]
+@given(st.sampled_from(ALL_PRIMITIVE_POLYS), st.lists(shift_sets(), min_size=1, max_size=4), BLOCK_ENTRIES)
+def test_one_census_serves_every_shift_set(coeffs, shift_set_list, block_entries):
+    base = subset_l_base(coeffs)
     qsets = [build_qcss(base, shift_set) for shift_set in shift_set_list]
-    with mock.patch.object(correlation, "BLOCK_BYTES", block_bytes):
+    with mock.patch.object(correlation, "_BLOCK_ENTRIES", block_entries):
         together = correlation.tolerances_many(qsets)
         alone = [tolerances(qset) for qset in qsets]
     assert len(together) == len(alone)
     for a, b in zip(together, alone):
         for name in ("delta_a", "delta_c", "delta_max", "lower_bound", "rho", "r1_observed",
-                     "r2_observed", "factorization_gap_max", "rounding_residual", "q",
+                     "r2_observed", "factorization_gap_max", "q",
                      "num_sets", "num_rows", "period", "provenance"):
             assert getattr(a, name) == getattr(b, name), name
         assert np.array_equal(a.per_shift_max, b.per_shift_max)
@@ -164,16 +167,19 @@ def test_one_census_serves_every_shift_set(inputs, shift_set_list, block_bytes):
 
 def test_one_census_needs_one_base():
     shifts = CyclicSubset(modulus=7, elements=(1, 2, 4))
-    first = build_qcss([[0, 1, 2], [3, 0, 1]], shifts)
+    base = subset_l_base((1, 1, 1))  # n = 2: four rows of period 3
+    first = build_qcss(base, shifts)
+    flipped = base.copy()
+    flipped[3, 2] ^= 2
     with_another = [
-        build_qcss([[0, 1, 2], [3, 0, 2]], shifts),  # one symbol differs
-        build_qcss([[0, 1, 2], [3, 0, 1], [1, 1, 1]], shifts),  # one more sequence
-        build_qcss([[0, 1, 2, 3], [3, 0, 1, 1]], shifts),  # longer sequences
+        build_qcss(flipped, shifts),  # one symbol differs
+        build_qcss(np.vstack([base, base[:1]]), shifts),  # one more sequence
+        build_qcss(np.hstack([base, base[:, :1]]), shifts),  # longer sequences
     ]
     for other in with_another:
         with pytest.raises(ValueError, match="share one base"):
             correlation.tolerances_many([first, other])
     with pytest.raises(ValueError, match="at least one set"):
         correlation.tolerances_many([])
-    same = build_qcss(np.array([[4, 1, 2], [3, 0, 5]]), CyclicSubset(modulus=5, elements=(0, 1)))
+    same = build_qcss(base + 4, CyclicSubset(modulus=5, elements=(0, 1)))
     assert len(correlation.tolerances_many([first, same])) == 2  # symbols are read mod 4
