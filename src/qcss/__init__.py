@@ -54,7 +54,7 @@ from .diffsets import (
     lift_ads_to_z4f,
     singer_ds,
 )
-from .errors import ConstructionError, ResourceCapError
+from .errors import ConstructionError
 from .z4 import (
     FamilyA,
     build_family_a,

@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 from . import correlation, diffsets, z4
-from .errors import ResourceCapError
-
-CENSUS_DEGREE_CAP = 8
 
 # Golden three-decimal reference values, keyed by (table_id, x).  A formula
 # regression that still looks plausible will trip these.
@@ -67,15 +64,6 @@ def construction_params(n: int, x: int = 2) -> ConstructionParams:
         N=(1 << n) - 1,
         claimed_delta_max=(1 + 2 ** (n / 2)) * math.sqrt(4 * f + 1),
     )
-
-
-def check_census_cap(n: int, cap: int = CENSUS_DEGREE_CAP) -> None:
-    """Refuse a correlation census above degree ``cap``: its length-2^n
-    Walsh-Hadamard transform per shift costs about n 4^n additions."""
-    if n > cap:
-        raise ResourceCapError(
-            f"correlation census capped at n <= {cap} (raise --cap to exceed), got n = {n}"
-        )
 
 
 def asymptotic_rho(table_id: int, x: int) -> float:
@@ -165,20 +153,21 @@ def bound_rho(n: int, x: int) -> float:
     return p.claimed_delta_max / correlation.welch_lower_bound(p.K, p.M, p.N)
 
 
-def sweep(n_values, x_values, empirical: bool = False, degree_cap: int = CENSUS_DEGREE_CAP):
+def sweep(n_values, x_values, empirical: bool = False):
     """Records comparing finite-n bound-based tightness to its asymptotic
     value over a (n, x) grid; with ``empirical`` each cell also builds the
     full set and measures delta_max.
 
-    Cells with n - x < 2 are degenerate and skipped.  Empirical mode checks
-    ``degree_cap`` against the largest n with a cell, before any census.  It
-    builds the family once per n and measures all of that n's cells in one
-    ``tolerances_many`` pass: the census of about n 4^n additions depends on
-    the base, not on x, plus a 4^n reduction per cell.
+    Cells with n - x < 2 are degenerate and skipped.  Empirical mode passes
+    the largest n with a cell to ``z4.check_family_degree`` before any
+    census; the analytic sweep has no degree bound.  It builds the family
+    once per n and measures all of that n's cells in one ``tolerances_many``
+    pass: the census of about n 4^n additions depends on the base, not on x,
+    plus a 4^n reduction per cell.
     """
-    if empirical:
-        with_cells = [n for n in n_values if any(n - x >= 2 for x in x_values)]
-        check_census_cap(max(with_cells, default=0), degree_cap)
+    with_cells = [n for n in n_values if any(n - x >= 2 for x in x_values)]
+    if empirical and with_cells:
+        z4.check_family_degree(max(with_cells))
     records = []
     for n in n_values:
         cells = []

@@ -6,7 +6,7 @@ files) and reports through exit codes:
     0  success
     2  configuration error (bad arguments, unsupported sizes)
     3  an expected construction property was falsified on concrete data
-    4  resource cap exceeded, or out of memory
+    4  out of memory
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, correlation, diffsets, z4
-from .errors import ConstructionError, ResourceCapError
+from .errors import ConstructionError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FALSIFIED = 3
-EXIT_CAP = 4
+EXIT_MEMORY = 4
 
 
 def _json_text(doc) -> str:
@@ -56,8 +56,7 @@ def _write_cache(path: Path, text: str) -> None:
 
 
 def _cache_dir(args) -> Path | None:
-    cache = args.cache_dir or os.environ.get("QCSS_CACHE_DIR")
-    return Path(cache) if cache else None
+    return Path(args.cache_dir) if args.cache_dir else None
 
 
 def _build_family(n: int, args) -> tuple[z4.FamilyA, str | None]:
@@ -128,7 +127,6 @@ def cmd_ads(args) -> int:
 def cmd_qcss(args) -> int:
     n = args.n
     params = analysis.construction_params(n)
-    analysis.check_census_cap(n, args.cap)
     family, _ = _build_family(n, args)
     base = z4.subset_l(family, verify=False)  # build_family_a checked it
     ads, _ = _build_ads(params.f, args.ds, args)
@@ -216,7 +214,6 @@ def cmd_sweep(args) -> int:
         _parse_range(args.n_range),
         _parse_range(args.x_range),
         empirical=args.empirical,
-        degree_cap=args.cap,
     )
     if args.format == "csv":
         columns = [c for c in SWEEP_COLUMNS if any(c in r for r in records)]
@@ -245,12 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         if cache:
             p.add_argument(
                 "--cache-dir",
-                help="directory the family and ADS entries are written to, never read from "
-                "(default: $QCSS_CACHE_DIR)",
+                help="directory the family and ADS entries are written to, never read from",
             )
-
-    def census_cap(p):
-        p.add_argument("--cap", type=int, default=analysis.CENSUS_DEGREE_CAP, help="largest n whose census runs")
 
     p_family = sub.add_parser("family", help="build the quaternary family for degree n")
     p_family.add_argument("--n", type=int, required=True)
@@ -269,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_qcss.add_argument("--n", type=int, required=True)
     p_qcss.add_argument("--ds", choices=["singer", "legendre"], default="singer")
     p_qcss.add_argument("--verify", action="store_true", help="fail (exit 3) on hard invariant violations")
-    census_cap(p_qcss)
     outputs(p_qcss, fmt="json", cache=True)
     p_qcss.set_defaults(func=cmd_qcss)
 
@@ -284,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-range", required=True, help="e.g. 4:8 or 5,6")
     p_sweep.add_argument("--x-range", required=True, help="e.g. 2:4")
     p_sweep.add_argument("--empirical", action="store_true", help="also build and measure each cell")
-    census_cap(p_sweep)
     outputs(p_sweep, fmt="json")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -303,12 +294,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ResourceCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except MemoryError as exc:
         print(f"resource cap: out of memory ({exc})", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_MEMORY
     except ConstructionError as exc:
         print(f"construction falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED

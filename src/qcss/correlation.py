@@ -217,16 +217,16 @@ def _coset_codes(base: np.ndarray) -> np.ndarray:
 
     The codes must be every nonzero state once; each beta_k = (v_k - v_0) / 2
     (so rows share row 0's parity), and also m(. + n), must be a sum of the
-    windows m(. + j), j < n; and the K coefficient vectors must be distinct.
-    A shape other than 2^n x (2^n - 1), n >= 2, raises ValueError, and a
-    failed check ConstructionError with a witness.
+    windows m(. + j), j < n; and the first windows of the K beta_k must be
+    distinct.  A shape other than 2^n x (2^n - 1), n >= 2, raises
+    ValueError, and a failed check ConstructionError with a witness.
     """
     K, N = base.shape
     n = K.bit_length() - 1
     if n < 2 or K != 1 << n or N != K - 1:
         raise ValueError(f"the census needs a base of 2^n rows of period 2^n - 1, n >= 2, got shape {base.shape}")
     bits = 1 << np.arange(n)
-    windows = np.stack([np.roll(base[0] & 1, -j) for j in range(n + 1)]).astype(np.int64)  # m(t + j)
+    windows = np.stack([np.roll(base[0] & 1, -j) for j in range(n + 1)])  # m(t + j)
     code = bits @ windows[:n]
     seen = np.bincount(code, minlength=K)
     if seen[0] or seen.max() > 1:  # N codes: with no zero and no repeat, each nonzero state once
@@ -239,15 +239,21 @@ def _coset_codes(base: np.ndarray) -> np.ndarray:
     if odd.size:
         k, t = odd[0].tolist()
         raise ConstructionError(f"row {k} and row 0 differ by an odd symbol at t = {t}", witness=(k, t))
-    rows = np.vstack([diff >> 1, windows[n]])  # beta_k, then m(. + n)
-    coef = rows[:, np.argsort(code)[bits - 1]]  # each row at the shifts of the unit windows
-    broken = np.argwhere((coef @ windows[:n]) & 1 != rows)
-    if broken.size:
-        k, t = broken[0].tolist()
-        what = "m(. + n)" if k == K else f"(row {k} - row 0) / 2"
-        raise ConstructionError(f"{what} is not a sum of the windows m(. + j), j < n: it differs at t = {t}",
-                                witness=(k, t))
-    a = coef[:K] @ bits
+    # m(. + n) at the shifts of the unit windows gives the taps of m's recurrence
+    # x(t + n) = XOR_j taps_j x(t + j); a cyclic solution is fixed by its first
+    # n symbols, so once m passes, the solutions are exactly the sums of windows
+    taps = np.flatnonzero(windows[n, np.argsort(code)[bits - 1]])
+    for rows, first in ((windows[:1], K), (diff >> 1, 0)):  # m before beta_k
+        wrapped = np.hstack([rows, rows[:, :n]])  # wrapped[:, t + j] = x(t + j mod N)
+        broken = wrapped[:, n:].copy()
+        for j in taps:
+            broken ^= wrapped[:, j : j + N]
+        if broken.any():
+            k, t = np.argwhere(broken)[0].tolist()
+            what = "m(. + n)" if first == K else f"(row {k} - row 0) / 2"
+            raise ConstructionError(f"{what} is not a sum of the windows m(. + j), j < n: it differs at t = {t}",
+                                    witness=(first + k, t))
+    a = (diff[:, :n] >> 1) @ bits  # each beta_k's first window
     counts = np.bincount(a)
     if counts.max() > 1:
         k, l = np.flatnonzero(a == np.argmax(counts))[:2].tolist()

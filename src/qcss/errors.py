@@ -12,7 +12,3 @@ class ConstructionError(RuntimeError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class ResourceCapError(RuntimeError):
-    """The requested computation exceeds the configured desk-scale cap."""

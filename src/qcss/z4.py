@@ -199,6 +199,13 @@ def _window_codes(rows: np.ndarray, f, n: int):
     return codes, (f"state code {code} is the window at (row, shift) {where}", (code, where))
 
 
+def check_family_degree(n: int) -> None:
+    """Refuse a degree outside [2, MAX_FAMILY_DEGREE]: the one degree bound
+    of the family and of every census run on it."""
+    if not 2 <= n <= MAX_FAMILY_DEGREE:
+        raise ValueError(f"degree must be in [2, {MAX_FAMILY_DEGREE}], got {n}")
+
+
 def build_family_a(n: int, coeffs=None) -> FamilyA:
     """Run the Z4 recurrence from one seed per cyclic class and return one
     canonical, aligned representative per class.
@@ -224,8 +231,7 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
         if the rows are not the cyclic classes or are misaligned at shift
         zero (the falsification path, never silently patched).
     """
-    if not 2 <= n <= MAX_FAMILY_DEGREE:
-        raise ValueError(f"degree must be in [2, {MAX_FAMILY_DEGREE}], got {n}")
+    check_family_degree(n)
     h = tuple(coeffs) if coeffs is not None else binpoly.primitive_polynomial(n)
     if binpoly.poly_degree(h) != n:
         raise ValueError("polynomial degree does not match n")

@@ -12,7 +12,6 @@ from qcss.analysis import (
     table_rows,
     tables_to_csv,
 )
-from qcss.errors import ResourceCapError
 
 
 def test_params_n5():
@@ -146,7 +145,7 @@ def test_sweep_empirical_n5():
 
 
 def test_sweep_empirical_cap():
-    with pytest.raises(ResourceCapError):
-        sweep([9], [2], empirical=True)
-    # analytic-only mode has no cap at that size
-    assert sweep([9], [2])[0]["boundRho"] > 0
+    with pytest.raises(ValueError, match=r"degree must be in \[2, 12\], got 13"):
+        sweep([13], [2], empirical=True)
+    # analytic-only mode has no degree bound
+    assert sweep([13], [2])[0]["boundRho"] > 0

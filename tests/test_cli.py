@@ -1,6 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -117,12 +120,18 @@ def test_qcss_csv_profile(tmp_path):
     assert len(lines) == 32
 
 
-def test_qcss_rejects_small_degree(tmp_path):
-    assert run(["qcss", "--n", "3", "--out", str(tmp_path / "x.json")]) == 2
+@pytest.mark.parametrize("n", [3, 13])
+def test_qcss_rejects_small_degree(n, tmp_path):
+    # n = 3 leaves no nondegenerate f; n = 13 is above z4.MAX_FAMILY_DEGREE
+    out = tmp_path / "x.json"
+    assert run(["qcss", "--n", str(n), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
-def test_qcss_resource_cap(tmp_path):
-    assert run(["qcss", "--n", "9", "--out", str(tmp_path / "x.json")]) == 4
+def test_qcss_runs_above_the_old_census_cap(tmp_path):
+    out = tmp_path / "x.json"
+    assert run(["qcss", "--n", "9", "--verify", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["deltaMax"] == 809.6083174513273
 
 
 # sha256 of `qcss qcss --n 5` output in both formats, taken before the set
@@ -216,30 +225,21 @@ def test_empirical_sweep_keeps_its_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_EMPIRICAL_SHA256
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["qcss", "--n", "5", "--cap", "4"], ["sweep", "--n-range", "5", "--x-range", "2", "--empirical", "--cap", "4"]],
-)
-def test_both_commands_share_one_census_cap(argv, tmp_path, capsys):
+def test_sweep_fails_before_any_census_above_the_family_degree(tmp_path, monkeypatch, capsys):
+    def refuse(qsets):
+        raise AssertionError("a census ran")
+
+    monkeypatch.setattr(correlation, "tolerances_many", refuse)
     out = tmp_path / "x.json"
-    assert run(argv + ["--out", str(out)]) == 4
-    assert capsys.readouterr().err == "resource cap: correlation census capped at n <= 4 (raise --cap to exceed), got n = 5\n"
+    assert run(["sweep", "--n-range", "4,13", "--x-range", "2", "--empirical", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: degree must be in [2, {z4.MAX_FAMILY_DEGREE}], got 13\n"
     assert not out.exists()
 
 
-def test_cap_at_the_degree_runs(tmp_path):
-    assert run(["qcss", "--n", "5", "--cap", "5", "--out", str(tmp_path / "x.json")]) == 0
-
-
-def test_sweep_cap(tmp_path):
-    code = run(["sweep", "--n-range", "9:9", "--x-range", "2:2", "--empirical", "--out", str(tmp_path / "x.json")])
-    assert code == 4
-
-
 def test_sweep_cap_skips_degrees_without_cells(tmp_path):
-    # n - x < 2 leaves no cell at n = 4 or 9, so no census would run there
+    # n - x < 2 leaves no cell at n = 4 or 13, so no census would run there
     out = tmp_path / "x.json"
-    assert run(["sweep", "--n-range", "4,9", "--x-range", "8", "--empirical", "--out", str(out)]) == 0
+    assert run(["sweep", "--n-range", "4,13", "--x-range", "12", "--empirical", "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == []
 
 
@@ -333,13 +333,6 @@ def test_failed_cache_write_leaves_no_entry(argv, entry, tmp_path, monkeypatch):
     assert run(argv + ["--cache-dir", str(cache), "--out", str(tmp_path / "a.json")]) == 2
     assert not (cache / entry).exists()
     assert not any((cache / entry).parent.iterdir())  # no temporary file left either
-
-
-def test_cache_dir_from_environment(tmp_path, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("QCSS_CACHE_DIR", str(cache))
-    assert run(["ads", "--f", "7", "--out", str(tmp_path / "a.json")]) == 0
-    assert (cache / "ads" / "f7-singer.json").exists()
 
 
 def test_qcss_with_cache_dir(tmp_path):
@@ -443,6 +436,8 @@ def test_malformed_cache_entry_is_overwritten(argv, entry, edit, tmp_path, capsy
         ["tables", "--table", "2", "--cache-dir", "C"],
         ["sweep", "--n-range", "4:5", "--x-range", "2:3", "--cache-dir", "C"],
         ["qcss", "--n", "5", "--force"],
+        ["qcss", "--n", "5", "--cap", "9"],
+        ["sweep", "--n-range", "4:5", "--x-range", "2:3", "--cap", "9"],
     ],
 )
 def test_flags_outside_their_command_are_config_errors(argv, tmp_path):
@@ -452,3 +447,20 @@ def test_flags_outside_their_command_are_config_errors(argv, tmp_path):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "family" in capsys.readouterr().out
+
+
+def test_readme_flags_table_matches_the_parser():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | flags |") + 2  # past the header and its rule
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, flags = line.strip("|").split("|")
+        documented[command.strip().strip("`")] = set(re.findall(r"`(--[\w-]+)`", flags))
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {
+        name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, p in commands.items()
+    }
+    assert documented == parsed
