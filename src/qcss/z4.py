@@ -1,8 +1,8 @@
 """Quaternary sequence machinery: the even/odd-split lift of a binary
 primitive polynomial into Z4, linear recurrences over Z4, and the optimal
 family of 2^n + 1 cyclically inequivalent sequences it generates (Family A
-of Boztas, Hammons and Kumar), run from one seed per cyclic class and
-stored as one int8 (K, N) array.
+of Boztas, Hammons and Kumar), built from one recurrence run and stored as
+one int8 (K, N) array.
 
 Sequences are tuples or int8 arrays of residues mod 4.  Correlations of raw
 Z4 sequences are Gaussian integers, counted exactly (no FFT, no rounding),
@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import binpoly
 from .errors import ConstructionError
 
-# The seeded build with its checks takes ~0.05 s at n = 10 and ~1.1 s at
-# n = 12 (2-core VM); family_alpha_max adds ~0.03 s and ~0.6 s, and
-# family_json_text ~0.02 s and ~0.3 s (151 MB of text, which with its
-# encoding on write sets the ~0.4 GB peak of `qcss family --n 12`).
+# The build with its checks takes ~0.02 s at n = 10 and ~0.6 s at n = 12 (2-core
+# VM, in process); family_alpha_max adds ~3 ms and ~0.06 s, family_json_text
+# ~6 ms and ~0.16 s: 151 MB of text, which with its encoding on write and the
+# kept 67 MB of window codes sets the ~0.43 GB peak of `qcss family --n 12`.
 MAX_FAMILY_DEGREE = 12
 
 
@@ -116,7 +117,7 @@ class FamilyA:
     zero.  The constructor takes any 2-D integer array-like and copies it;
     ragged rows, another number of dimensions or non-integer symbols raise
     ValueError.  Two families are equal when n, the polynomial and every
-    symbol agree.
+    symbol agree; neither changes, so the window certificate is computed once.
     """
 
     n: int
@@ -133,11 +134,16 @@ class FamilyA:
         A = A.astype(np.int8)  # always a copy, so no caller keeps a writable alias
         A.setflags(write=False)
         object.__setattr__(self, "array", A)
+        object.__setattr__(self, "polynomial", tuple(self.polynomial))
 
     def __eq__(self, other):
         if not isinstance(other, FamilyA):
             return NotImplemented
         return (self.n, self.polynomial) == (other.n, other.polynomial) and np.array_equal(self.array, other.array)
+
+    @cached_property
+    def _certificate(self):  # (codes, failure) of _window_codes on the stored array
+        return _window_codes(self.array, self.polynomial, self.n)
 
     @property
     def period(self) -> int:
@@ -207,17 +213,15 @@ def check_family_degree(n: int) -> None:
 
 
 def build_family_a(n: int, coeffs=None) -> FamilyA:
-    """Run the Z4 recurrence from one seed per cyclic class and return one
-    canonical, aligned representative per class.
+    """Build one canonical, aligned representative per cyclic class from
+    s_1, the recurrence run from the state (0, ..., 0, 1).
 
-    The binary-valued class starts from 2*e0 and the 2^n unit classes from
-    e0 + 2y, y in GF(2)^n, e0 = (1, 0, ..., 0).  All unit rows reduce mod 2
-    to the one m-sequence started from e0, so they are already aligned with
-    each other.  Once all windows are distinct, a row's least rotation is
-    the one starting at its least window code.  So member 0 is the binary
-    row at its least rotation, and the unit rows follow, ordered by least
-    window code and all rotated by the one shift that puts the first of them
-    at its least rotation.
+    Code 1 is the least unit state, so s_1 is member 1 at its least
+    rotation.  Two Z4 solutions with one reduction mod 2 differ by twice a
+    binary solution, so the 2^n unit classes aligned with s_1 are s_1 + 2b,
+    b = 0 or m(. + j), j < N, with m = s_1 mod 2.  Member 0 is 2m, which
+    starts at the least binary-valued state (0, ..., 0, 2).  The window check
+    proves these are the cyclic classes; members 2.. go by least window code.
 
     Parameters
     ----------
@@ -236,26 +240,19 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     if binpoly.poly_degree(h) != n:
         raise ValueError("polynomial degree does not match n")
     f = graeffe_lift(h)
-    K = (1 << n) + 1
-    # s[t] is symbol t of every row: one numpy step per time index; int8
-    # arithmetic wraps mod 256, which keeps every residue mod 4
-    s = np.zeros(((1 << n) - 1, K), dtype=np.int8)
-    s[0] = [2] + [1] * (K - 1)
-    s[:n, 1:] += 2 * ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1)
-    taps = -np.array(f[:n], dtype=np.int8)
-    for t in range(len(s) - n):
-        s[t + n] = (taps @ s[t : t + n]) % 4
-    rows = np.ascontiguousarray(s.T)
+    N = (1 << n) - 1
+    s1 = np.array(run_z4_recurrence(f, (0,) * (n - 1) + (1,)), dtype=np.int8)
+    shifts = np.lib.stride_tricks.sliding_window_view(np.tile(2 * (s1 & 1), 2)[:-1], N)  # row j: 2m(. + j)
+    rows = np.vstack([shifts[0], s1, (s1 + shifts) & 3])
     codes, failure = _window_codes(rows, f, n)
     if failure is not None:
         message, witness = failure
-        raise ConstructionError(f"seeded rows are not the cyclic classes: {message}", witness=witness)
-    least, start = codes.min(axis=1), codes.argmin(axis=1)
-    units = 1 + np.argsort(least[1:])
-    rotated = np.roll(rows[units], -start[units[0]], axis=1)
-    members = np.vstack([np.roll(rows[0], -start[0]), rotated])
-    _certify_alignment(members)  # the windows were checked above
-    return FamilyA(n=n, polynomial=f, array=members)
+        raise ConstructionError(f"constructed rows are not the cyclic classes: {message}", witness=witness)
+    order = np.concatenate([[0, 1], 2 + np.argsort(codes[2:].min(axis=1))])
+    family = FamilyA(n=n, polynomial=f, array=rows[order])
+    _certify_alignment(family.array)  # the windows were checked above
+    vars(family)["_certificate"] = (codes[order], None)  # the same check, in member order
+    return family
 
 
 def _first_unaligned(A: np.ndarray) -> int | None:
@@ -301,7 +298,7 @@ def subset_l(family: FamilyA, verify: bool = True) -> np.ndarray:
     """
     A = family.array
     if verify:
-        failure = _window_codes(A, family.polynomial, family.n)[1]
+        failure = family._certificate[1]
         if failure is not None:
             raise ConstructionError(f"members are not the cyclic classes: {failure[0]}", witness=failure[1])
         _certify_alignment(A)
@@ -325,7 +322,7 @@ def family_alpha_max(family: FamilyA) -> float:
     the cyclic classes, or with (i, j, tau, S_k) if the certificate fails.
     """
     A, n = family.array, family.n
-    codes, failure = _window_codes(A, family.polynomial, n)
+    codes, failure = family._certificate
     if failure is not None:
         raise ConstructionError(f"members are not the cyclic classes: {failure[0]}", witness=failure[1])
     c = np.stack([np.count_nonzero(A == v, axis=1) for v in range(4)])
@@ -383,27 +380,30 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     their least window code, and members 1.. are ordered by it.
 
     A document that lacks a key, holds a value of the wrong type, or has a
-    non-integer symbol or members of unequal length raises ValueError."""
+    symbol other than the integers 0-3 or members of unequal length raises
+    ValueError."""
     if not isinstance(doc, dict) or not {"n", "polynomial", "members"} <= doc.keys():
         raise ValueError("a family document is an object with the keys n, polynomial and members")
     n, poly, members = doc["n"], doc["polynomial"], doc["members"]
-    if type(n) is not int or not 2 <= n <= MAX_FAMILY_DEGREE:
-        raise ValueError(f"family degree must be an integer in [2, {MAX_FAMILY_DEGREE}], got {n!r}")
+    if type(n) is not int:
+        raise ValueError(f"family degree must be an integer, got {n!r}")
+    check_family_degree(n)
     if not isinstance(poly, list) or len(poly) != n + 1 or any(type(c) is not int for c in poly):
         raise ValueError(f"family polynomial must be {n + 1} integers, got {poly!r}")
-    try:
-        A = np.array(members)
-    except ValueError as exc:
-        raise ValueError("family members must be lists of equal length") from exc
-    if A.ndim != 2 or A.dtype.kind != "i":
-        raise ValueError("family members must be lists of integer symbols of equal length")
-    A = A.astype(np.int8) % 4  # the int8 cast wraps mod 256, which keeps residues mod 4
-    f = tuple(c % 4 for c in poly)
-    fam = FamilyA(n=n, polynomial=f, array=A)
+    lists = isinstance(members, list) and all(type(m) is list for m in members)
+    if not lists or len({len(m) for m in members}) != 1 or not members[0]:
+        raise ValueError("family members must be a non-empty list of non-empty lists of equal length")
+    try:  # bytes() takes only integers in [0, 256)
+        A = np.frombuffer(b"".join(map(bytes, members)), np.uint8).reshape(len(members), -1)
+    except (TypeError, ValueError):
+        A = None
+    if A is None or np.any(A > 3):
+        raise ValueError("family symbols must be the integers 0-3")
+    fam = FamilyA(n=n, polynomial=tuple(c % 4 for c in poly), array=A)
     if verify:
         if np.any(A[:1] % 2):
             raise ValueError("member 0 must be binary-valued (symbols in {0, 2})")
-        codes, failure = _window_codes(A, f, n)
+        codes, failure = fam._certificate
         if failure is not None:
             raise ValueError(f"members are not distinct cyclic classes: {failure[0]}")
         # subset_l's certificate: one reduction mod 2 under members 1.. makes

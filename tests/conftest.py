@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qcss
-from qcss import binpoly
+from qcss import binpoly, z4
 from qcss.correlation import matrix_correlation, roots_table
 
 
@@ -36,6 +36,29 @@ ALL_PRIMITIVE_POLYS = [
     for middle in itertools.product((0, 1), repeat=n - 1)
     if binpoly.is_primitive_binary((1, *middle, 1))
 ]
+
+
+def seeded_family_members(coeffs) -> list[tuple[int, ...]]:
+    """Family A's members in canonical form, from one recurrence run per
+    cyclic class: the binary class from 2*e0 and the 2^n unit classes from
+    e0 + 2y, y in GF(2)^n.  Member 0 is the binary row at its least
+    rotation; the unit rows, which all reduce mod 2 to the m-sequence from
+    e0 and so are aligned, are ordered by their least rotation and all
+    rotated by the shift that puts the first of them at its least one."""
+    n = len(coeffs) - 1
+    f = z4.graeffe_lift(coeffs)
+
+    def rotate(row, r):
+        return row[r:] + row[:r]
+
+    def least_shift(row):
+        return min(range(len(row)), key=lambda r: rotate(row, r))
+
+    binary = z4.run_z4_recurrence(f, (2,) + (0,) * (n - 1))
+    units = [z4.run_z4_recurrence(f, [int(i == 0) + 2 * (y >> i & 1) for i in range(n)]) for y in range(1 << n)]
+    units.sort(key=lambda row: rotate(row, least_shift(row)))
+    r = least_shift(units[0])
+    return [rotate(binary, least_shift(binary))] + [rotate(row, r) for row in units]
 
 
 @cache

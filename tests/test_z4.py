@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcss
+from conftest import ALL_PRIMITIVE_POLYS, seeded_family_members
 from qcss import binpoly, z4
 from qcss.errors import ConstructionError
 
@@ -318,8 +319,8 @@ def test_build_falsifies_a_wrong_lift(monkeypatch):
 
 
 # sha256 of json.dumps(family_to_json(build_family_a(n, coeffs))), computed
-# with the earlier 4^n state-walk construction: the seeded build must give
-# the same members in the same order, byte for byte
+# with the earlier 4^n state-walk construction: the build must give the same
+# members in the same order, byte for byte
 FAMILY_DIGESTS = {
     (2, None): "d49b1990119a0515679be776eb68de3f8fca5db13b495ad375252bedc60a7738",
     (3, None): "789a58802ff1bb2887b2d2fbbb64e217a19520f48ffed0783ff8fca5c12df4b0",
@@ -343,6 +344,65 @@ def test_family_export_is_pinned(n, coeffs):
     assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[n, coeffs]
     # the array writer gives the indented dump's bytes
     assert z4.family_json_text(family) == json.dumps(doc, indent=2) + "\n"
+
+
+# sha256 of family_json_text(build_family_a(n)) for the table polynomials,
+# computed with the earlier build that ran one seed per cyclic class
+FAMILY_TEXT_DIGESTS = {
+    2: "0a15aac17ff3218311ba8a8d38153cb0fc934bfe62a1219c7682ab06a574d1fb",
+    3: "be5d69d446fe2ffdd1b07199af8b4ee6fd3d9b27f5362780da3438a98ad89156",
+    4: "df5151e3111868cfe13a3588c0be7623c20daa3d97708f7462a634ec6d892c30",
+    5: "e8f1a7a07a64024dc4ca8b94d23cfbc295c9e52d337801a1ec86ea550bd9f36e",
+    6: "1c5fc6eb64ed7aa18848119c509b5b576438a032095bdec9c63f6192ba928a92",
+    7: "82706cba18258fb85e20e0b15702edd337b5285f2e58ce7e5691d92092860e64",
+    8: "ea7c0a65415cce5aae5bb7a2c886aff5e95a5dede8a970dbe8595eaee09383ce",
+    9: "f25d26b49e1d52c8a6eec07be413f61843695334213fe70eda2685b29772c277",
+    10: "043a83fa17c5c120540191cb9ab09c18eddb0d1140a5ef98fa8f4beec5e8d8db",
+    11: "e60c4aae18d7909ae093802a39d15d90d10c9f59ebbf916636b9ddd3b1ed40e7",
+    12: "c5cc2e9e8e6f66c694c693fab36b116d52e8e3795a8f33974291b26733cd48e6",
+}
+
+
+@pytest.mark.parametrize("n", list(FAMILY_TEXT_DIGESTS))
+def test_table_family_text_is_pinned(n):
+    text = z4.family_json_text(z4.build_family_a(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_TEXT_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_members_0_and_1_come_from_one_recurrence_run(n):
+    # s_1 from the state (0, ..., 0, 1), code 1, the least unit state
+    s1 = np.array(z4.run_z4_recurrence(z4.graeffe_lift(binpoly.primitive_polynomial(n)), (0,) * (n - 1) + (1,)))
+    family = z4.build_family_a(n)
+    np.testing.assert_array_equal(family.array[1], s1)
+    np.testing.assert_array_equal(family.array[0], 2 * (s1 % 2))
+
+
+@pytest.mark.parametrize("coeffs", ALL_PRIMITIVE_POLYS)
+def test_build_matches_the_seeded_oracle(coeffs):
+    family = z4.build_family_a(len(coeffs) - 1, coeffs=coeffs)
+    assert list(family.members) == seeded_family_members(coeffs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_window_certificate_runs_once_per_family(n, monkeypatch):
+    inner = z4._window_codes
+    calls = []
+    monkeypatch.setattr(z4, "_window_codes", lambda *args: calls.append(args) or inner(*args))
+    family = z4.build_family_a(n)
+    z4.family_alpha_max(family)
+    z4.subset_l(family, verify=True)
+    assert len(calls) == 1
+    assert not family.array.flags.writeable
+    # the build hands over its codes in member order: a fresh run agrees
+    codes, failure = inner(family.array, family.polynomial, n)
+    assert failure is None and np.array_equal(family._certificate[0], codes)
+    calls.clear()
+    rebuilt = z4.family_from_json(z4.family_to_json(family), verify=True)
+    z4.subset_l(rebuilt, verify=True)
+    z4.family_alpha_max(rebuilt)
+    assert len(calls) == 1
+    assert not rebuilt.array.flags.writeable
 
 
 def test_build_family_guards():
@@ -427,15 +487,18 @@ def test_non_canonical_family_document_is_rejected(edit, message, family4):
 
 
 WRONG_TYPES = ["4", 4.0, None, [1], {"n": 4}]
+# added to a symbol, each keeps its residue mod 4 but leaves the range 0-3
+OUT_OF_RANGE = [4, -4, 256, 2**40]
 
 # one edit of a valid n = 4 family document (17 members of period 15): drop
 # a key the reader needs, give a value or one symbol a wrong type, flip one
-# symbol, or rotate one member of subset L
+# symbol, rotate one member of subset L, or move one symbol out of 0-3
 CORRUPTIONS = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(["n", "polynomial", "members"])),
     st.tuples(st.just("type"), st.sampled_from(["n", "polynomial", "members", "symbol"]), st.sampled_from(WRONG_TYPES)),
     st.tuples(st.just("flip"), st.integers(0, 16), st.integers(0, 14), st.integers(1, 3)),
     st.tuples(st.just("rotate"), st.integers(1, 16), st.integers(1, 14)),
+    st.tuples(st.just("range"), st.integers(0, 16), st.integers(0, 14), st.sampled_from(OUT_OF_RANGE)),
 )
 
 
@@ -453,6 +516,9 @@ def corrupt(doc, edit):
     elif kind == "flip":
         k, t, d = args
         members[k][t] = (members[k][t] + d) % 4
+    elif kind == "range":
+        k, t, d = args
+        members[k][t] += d
     else:
         k, r = args
         members[k] = _rotate(members[k], r)
@@ -535,11 +601,14 @@ def test_family_owns_its_array(family3):
         lambda d: d["members"][3].__setitem__(0, [1]),
         lambda d: d.update(members=5),
         lambda d: d.update(members=[]),
+        lambda d: d.update(members=[[] for _ in d["members"]]),
+        # the residue mod 4 is the build's, so only the range check refuses it
+        *[lambda d, v=v: d["members"][3].__setitem__(0, d["members"][3][0] + v) for v in OUT_OF_RANGE],
     ],
     ids=[
         "no-n", "no-members", "string-n", "n-too-large", "int-polynomial", "short-polynomial",
         "float-symbol", "string-symbol", "null-symbol", "ragged", "nested-symbol", "int-members",
-        "no-rows",
+        "no-rows", "empty-rows", *[f"symbol-plus-{v}" for v in OUT_OF_RANGE],
     ],
 )
 def test_malformed_family_document_is_a_value_error(edit, family4):
@@ -548,6 +617,14 @@ def test_malformed_family_document_is_a_value_error(edit, family4):
     for verify in (True, False):
         with pytest.raises(ValueError):
             z4.family_from_json(doc, verify=verify)
+
+
+@pytest.mark.parametrize("n", [1, 13])
+def test_family_document_degree_uses_the_one_degree_bound(n, family4):
+    doc = z4.family_to_json(family4)
+    doc["n"] = n
+    with pytest.raises(ValueError, match=rf"^degree must be in \[2, {z4.MAX_FAMILY_DEGREE}\], got {n}$"):
+        z4.family_from_json(doc)
 
 
 @pytest.mark.parametrize("doc", [None, [], "family"])
