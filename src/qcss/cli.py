@@ -36,20 +36,25 @@ def _dump_json(doc, out: str | None) -> None:
     _dump_text(_json_text(doc), out)
 
 
-def _dump_text(text: str, out: str | None) -> None:
+def _write(path: Path, text: str | memoryview) -> None:
+    """Write a str, or ASCII bytes as they are (no decode and re-encode)."""
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
+
+
+def _dump_text(text: str | memoryview, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(Path(out), text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text if isinstance(text, str) else str(text, "ascii"))
 
 
-def _write_cache(path: Path, text: str) -> None:
+def _write_cache(path: Path, text: str | memoryview) -> None:
     """Write a cache entry atomically: a temporary file in the same directory,
     then os.replace, so readers never see a partial entry."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        _write(tmp, text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -59,14 +64,14 @@ def _cache_dir(args) -> Path | None:
     return Path(args.cache_dir) if args.cache_dir else None
 
 
-def _build_family(n: int, args) -> tuple[z4.FamilyA, str | None]:
-    """The family, and its JSON text when it was rendered for the cache entry."""
+def _build_family(n: int, args) -> tuple[z4.FamilyA, memoryview | None]:
+    """The family, and its JSON bytes when they were rendered for the cache entry."""
     poly = getattr(args, "poly", None)  # custom polynomials are not cached
     family = z4.build_family_a(n, coeffs=_parse_poly(poly) if poly else None)
     cache = _cache_dir(args)
     text = None
     if cache and poly is None:
-        text = z4.family_json_text(family)
+        text = z4.family_json_bytes(family)
         _write_cache(cache / "family-a" / f"n{n}.json", text)
     return family, text
 
@@ -105,7 +110,7 @@ def _parse_poly(text: str) -> tuple[int, ...]:
 def cmd_family(args) -> int:
     family, text = _build_family(args.n, args)
     alpha = z4.family_alpha_max(family)
-    _dump_text(text or z4.family_json_text(family), args.out)
+    _dump_text(text or z4.family_json_bytes(family), args.out)
     print(f"familyA n={family.n} size={family.size} alpha_max={alpha:.6f}")
     return EXIT_OK
 

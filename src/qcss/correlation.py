@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diffsets import CyclicSubset, exp_sum_profile
-from .errors import ConstructionError
+from .z4 import coset_codes
 
 MAGNITUDE_TOL = 1e-6  # distinct algebraic magnitudes at desk scale differ by far more
 EXACT_TOL = 1e-9
@@ -210,57 +210,6 @@ def build_qcss(base_sequences, shift_set: CyclicSubset, provenance: dict | None 
     )
 
 
-def _coset_codes(base: np.ndarray) -> np.ndarray:
-    """Certify in O(n K N) that the (K, N) base is subset L, the rows v_0 +
-    2 beta for all 2^n beta in the binary recurrence space B of m = row 0
-    mod 2, and return m's window codes (bit j of code[t] is m(t + j)).
-
-    The codes must be every nonzero state once; each beta_k = (v_k - v_0) / 2
-    (so rows share row 0's parity), and also m(. + n), must be a sum of the
-    windows m(. + j), j < n; and the first windows of the K beta_k must be
-    distinct.  A shape other than 2^n x (2^n - 1), n >= 2, raises
-    ValueError, and a failed check ConstructionError with a witness.
-    """
-    K, N = base.shape
-    n = K.bit_length() - 1
-    if n < 2 or K != 1 << n or N != K - 1:
-        raise ValueError(f"the census needs a base of 2^n rows of period 2^n - 1, n >= 2, got shape {base.shape}")
-    bits = 1 << np.arange(n)
-    windows = np.stack([np.roll(base[0] & 1, -j) for j in range(n + 1)])  # m(t + j)
-    code = bits @ windows[:n]
-    seen = np.bincount(code, minlength=K)
-    if seen[0] or seen.max() > 1:  # N codes: with no zero and no repeat, each nonzero state once
-        bad = 0 if seen[0] else int(np.argmax(seen > 1))
-        where = tuple(np.flatnonzero(code == bad)[:2].tolist())
-        raise ConstructionError(f"row 0 mod 2 is not an m-sequence: window code {bad} sits at shifts {where}",
-                                witness=(bad, where))
-    diff = (base - base[0]) & 3
-    odd = np.argwhere(diff & 1)
-    if odd.size:
-        k, t = odd[0].tolist()
-        raise ConstructionError(f"row {k} and row 0 differ by an odd symbol at t = {t}", witness=(k, t))
-    # m(. + n) at the shifts of the unit windows gives the taps of m's recurrence
-    # x(t + n) = XOR_j taps_j x(t + j); a cyclic solution is fixed by its first
-    # n symbols, so once m passes, the solutions are exactly the sums of windows
-    taps = np.flatnonzero(windows[n, np.argsort(code)[bits - 1]])
-    for rows, first in ((windows[:1], K), (diff >> 1, 0)):  # m before beta_k
-        wrapped = np.hstack([rows, rows[:, :n]])  # wrapped[:, t + j] = x(t + j mod N)
-        broken = wrapped[:, n:].copy()
-        for j in taps:
-            broken ^= wrapped[:, j : j + N]
-        if broken.any():
-            k, t = np.argwhere(broken)[0].tolist()
-            what = "m(. + n)" if first == K else f"(row {k} - row 0) / 2"
-            raise ConstructionError(f"{what} is not a sum of the windows m(. + j), j < n: it differs at t = {t}",
-                                    witness=(first + k, t))
-    a = (diff[:, :n] >> 1) @ bits  # each beta_k's first window
-    counts = np.bincount(a)
-    if counts.max() > 1:
-        k, l = np.flatnonzero(a == np.argmax(counts))[:2].tolist()
-        raise ConstructionError(f"rows {k} and {l} are one element of the coset", witness=(k, l))
-    return code
-
-
 def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Stream the coset census of a subset-L base in blocks of shifts.
 
@@ -275,7 +224,7 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     Yields (start, w, wr), w[b, a] = W and wr[b, a] = Wr at tau = start + b,
     in blocks of about _BLOCK_ENTRIES // K shifts, at least one.
     """
-    code = _coset_codes(qcss.base)
+    code, _ = coset_codes(qcss.base)
     K, N = qcss.base.shape
     v0, t = qcss.base[0], np.arange(N)
     step = max(1, _BLOCK_ENTRIES // K)

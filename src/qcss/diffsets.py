@@ -90,7 +90,7 @@ def classify_set(subset: CyclicSubset) -> SetClassification:
         raise ValueError("subset must be nonempty")
     q, m = subset.modulus, subset.size
     counts = _difference_counts(subset)[1:]
-    levels = np.unique(counts)
+    levels = np.flatnonzero(np.bincount(counts))  # np.unique would import numpy.ma
     if len(levels) == 1:
         return SetClassification(DIFFERENCE_SET, q, m, int(levels[0]), q - 1)
     if len(levels) == 2 and levels[1] == levels[0] + 1:

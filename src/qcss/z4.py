@@ -7,10 +7,11 @@ one int8 (K, N) array.
 Sequences are tuples or int8 arrays of residues mod 4.  Correlations of raw
 Z4 sequences are Gaussian integers, counted exactly (no FFT, no rounding),
 so equality checks like "this value is -1" carry no floating-point slack.
-No check of the family sums a correlation census: once the members'
-n-windows show they are the cyclic classes, alpha_max follows from their
-symbol sums and subset L's -1 at shift zero from one shared reduction
-mod 2, both in O(K N).
+No check of the family sums a correlation census: once the members are
+shown to be the cyclic classes, alpha_max follows from their symbol sums
+and subset L's -1 at shift zero from one shared reduction mod 2, both in
+O(K N).  The members ``build_family_a`` writes are shown so by the same
+subset-L coset check the correlation census runs.
 """
 
 from __future__ import annotations
@@ -18,17 +19,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import binpoly
 from .errors import ConstructionError
 
-# The build with its checks takes ~0.02 s at n = 10 and ~0.6 s at n = 12 (2-core
-# VM, in process); family_alpha_max adds ~3 ms and ~0.06 s, family_json_text
-# ~6 ms and ~0.16 s: 151 MB of text, which with its encoding on write and the
-# kept 67 MB of window codes sets the ~0.43 GB peak of `qcss family --n 12`.
+# The build with its checks takes ~2.5 ms at n = 10 and ~34 ms at n = 12 (2-core
+# VM, in process, best of 5), 1.3 ms and 22 ms of it the aligned certificate;
+# family_alpha_max adds ~1.5 ms and ~25 ms, family_json_bytes ~1 ms and ~26 ms.
+# Its 151 MB buffer sets most of the ~0.21 GB peak of `qcss family --n 12`.
 MAX_FAMILY_DEGREE = 12
+_BLOCK_CODES = 1 << 18  # window codes the aligned certificate forms at once (1 MB)
 
 
 def graeffe_lift(coeffs) -> tuple[int, ...]:
@@ -117,7 +120,9 @@ class FamilyA:
     zero.  The constructor takes any 2-D integer array-like and copies it;
     ragged rows, another number of dimensions or non-integer symbols raise
     ValueError.  Two families are equal when n, the polynomial and every
-    symbol agree; neither changes, so the window certificate is computed once.
+    symbol agree.  Neither changes, so the certificate is computed once: the
+    aligned check for the layout ``build_family_a`` writes, else the window
+    check.  It keeps each row's first and least window code, not all K N.
     """
 
     n: int
@@ -142,8 +147,8 @@ class FamilyA:
         return (self.n, self.polynomial) == (other.n, other.polynomial) and np.array_equal(self.array, other.array)
 
     @cached_property
-    def _certificate(self):  # (codes, failure) of _window_codes on the stored array
-        return _window_codes(self.array, self.polynomial, self.n)
+    def _certificate(self) -> _Certificate:
+        return _family_certificate(self.array, self.polynomial, self.n)
 
     @property
     def period(self) -> int:
@@ -163,18 +168,11 @@ class FamilyA:
         return tuple(self.array[0].tolist())
 
 
-def _window_codes(rows: np.ndarray, f, n: int):
-    """Big-endian base-4 codes of the cyclic n-windows of 2^n + 1 rows of
-    period N ([k, t] encodes rows[k, t .. t + n - 1], indices mod N), and
-    None if the rows are one full cyclic class each of the recurrence with
-    polynomial f, else (message, witness).
-
-    Each row must satisfy the recurrence cyclically and the 4^n - 1 codes
-    must hit every nonzero state once: they do iff none is zero and all are
-    distinct (pigeonhole), so one boolean mask decides it.
-    """
-    if rows.shape != ((1 << n) + 1, (1 << n) - 1):
-        return None, (f"shape {rows.shape} is not 2^n + 1 rows of period 2^n - 1", rows.shape)
+def _windows(rows: np.ndarray, f, n: int):
+    """Big-endian base-4 codes of the cyclic n-windows of rows of period N
+    ([k, t] encodes rows[k, t .. t + n - 1], indices mod N), and each row's
+    recurrence residue, nonzero mod 4 wherever the row breaks the recurrence
+    with polynomial f."""
     # column t + j of the rows extended by their first n columns is symbol
     # t + j mod N, so every window is a slice; int8 sums wrap mod 256, which
     # keeps every residue mod 4, and & 3 takes the residue
@@ -191,6 +189,22 @@ def _window_codes(rows: np.ndarray, f, n: int):
         if f[j] % 4:
             np.multiply(window, f[j] % 4, out=term)
             acc += term
+    return codes, acc
+
+
+def _window_codes(rows: np.ndarray, f, n: int):
+    """The codes of ``_windows`` for 2^n + 1 rows of period 2^n - 1, and None
+    if the rows are one full cyclic class each of the recurrence with
+    polynomial f, else (message, witness).
+
+    Each row must satisfy the recurrence cyclically and the 4^n - 1 codes
+    must hit every nonzero state once: they do iff none is zero and all are
+    distinct (pigeonhole), so one boolean mask decides it.  This is the
+    general certificate, for rows in any order and rotation.
+    """
+    if rows.shape != ((1 << n) + 1, (1 << n) - 1):
+        return None, (f"shape {rows.shape} is not 2^n + 1 rows of period 2^n - 1", rows.shape)
+    codes, acc = _windows(rows, f, n)
     broken = np.flatnonzero(np.any(acc & 3, axis=1))
     if broken.size:
         k = int(broken[0])
@@ -203,6 +217,133 @@ def _window_codes(rows: np.ndarray, f, n: int):
     code = int(np.flatnonzero(np.bincount(codes.ravel()) > 1)[0])
     where = [divmod(int(i), codes.shape[1]) for i in np.flatnonzero(codes.ravel() == code)[:2]]
     return codes, (f"state code {code} is the window at (row, shift) {where}", (code, where))
+
+
+def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certify in O(n N + K N) that the (K, N) base is subset L, the rows v_0
+    + 2 beta for all 2^n beta in the binary recurrence space B of m = row 0
+    mod 2.  Return m's window codes (bit j of code[t] is m(t + j)) and each
+    row's shift: beta_k = m(. + shift[k]), or shift[k] = -1 where beta_k = 0.
+
+    The codes must be every nonzero state once, and m(. + n) a sum of the
+    windows m(. + j), j < n, so that B is 0 and the rotations of m.  Each
+    beta_k = (v_k - v_0) / 2 (so rows share row 0's parity) is read off its
+    first window a_k: it must be m(. + pos[a_k]), with code[pos[a]] = a, or
+    0 when a_k = 0, and the K first windows must be distinct.  A shape other
+    than 2^n x (2^n - 1), n >= 2, raises ValueError, and a failed check
+    ConstructionError with a witness.
+    """
+    K, N = base.shape
+    n = K.bit_length() - 1
+    if n < 2 or K != 1 << n or N != K - 1:
+        raise ValueError(f"the census needs a base of 2^n rows of period 2^n - 1, n >= 2, got shape {base.shape}")
+    bits = 1 << np.arange(n)
+    m = base[0] & 1
+    rotations = np.lib.stride_tricks.sliding_window_view(np.concatenate([m, m[:-1]]), N)  # row s: m(. + s)
+    code = bits @ rotations[:n]
+    seen = np.bincount(code, minlength=K)
+    if seen[0] or seen.max() > 1:  # N codes: with no zero and no repeat, each nonzero state once
+        bad = 0 if seen[0] else int(np.argmax(seen > 1))
+        where = tuple(np.flatnonzero(code == bad)[:2].tolist())
+        raise ConstructionError(f"row 0 mod 2 is not an m-sequence: window code {bad} sits at shifts {where}",
+                                witness=(bad, where))
+    diff = base - base[0]
+    diff &= 3
+    odd = diff & 1
+    if odd.any():
+        k, t = np.argwhere(odd)[0].tolist()
+        raise ConstructionError(f"row {k} and row 0 differ by an odd symbol at t = {t}", witness=(k, t))
+    pos = np.zeros(K, dtype=np.intp)
+    pos[code] = np.arange(N)
+    # m(. + n) at the shifts of the unit windows gives the taps of m's recurrence
+    # x(t + n) = XOR_j taps_j x(t + j); a cyclic solution is fixed by its first
+    # n symbols, so once m passes, B is 0 and the rotations of m
+    taps = np.flatnonzero(rotations[n, pos[bits]])
+    broken = np.flatnonzero(np.bitwise_xor.reduce(rotations[[*taps, n]], axis=0))
+    if broken.size:
+        t = int(broken[0])
+        raise ConstructionError(f"m(. + n) is not a sum of the windows m(. + j), j < n: it differs at t = {t}",
+                                witness=(K, t))
+    a = (diff[:, :n] >> 1) @ bits  # each beta_k's first window
+    expected = rotations[pos[a]]
+    expected[a == 0] = 0
+    expected <<= 1  # 2 beta_k, if beta_k is in B
+    wrong = expected != diff
+    if wrong.any():
+        # beta_k agrees with expected on its first window, so the recurrence
+        # first breaks at t = p - n, p the first symbol where they differ
+        k, p = np.argwhere(wrong)[0].tolist()
+        raise ConstructionError(f"(row {k} - row 0) / 2 is not a sum of the windows m(. + j), j < n: "
+                                f"it differs at t = {p - n}", witness=(k, p - n))
+    counts = np.bincount(a)
+    if counts.max() > 1:
+        k, l = np.flatnonzero(a == np.argmax(counts))[:2].tolist()
+        raise ConstructionError(f"rows {k} and {l} are one element of the coset", witness=(k, l))
+    return code, np.where(a > 0, pos[a], -1)
+
+
+class _Certificate(NamedTuple):
+    """What the family check found: the ``_window_codes`` failure, or each
+    row's first and least n-window code, and whether the rows are in the
+    aligned layout, which also proves subset L's alignment."""
+
+    failure: tuple | None
+    first: np.ndarray | None = None
+    least: np.ndarray | None = None
+    aligned: bool = False
+
+
+def _aligned_certificate(A: np.ndarray, f, n: int) -> _Certificate | None:
+    """The certificate of rows in ``build_family_a``'s aligned layout, or
+    None if they are not in it; O(n N + K N).
+
+    Row 1 must satisfy the recurrence, rows 1.. must pass ``coset_codes``,
+    and row 0 must be 2m(. + shift[0]).  Row 1 mod 2 is then an m-sequence,
+    so row 1's states span Z4^n and every solution has period N; rows 1..
+    are 2^n distinct unit classes (rotating one changes its reduction mod 2)
+    and row 0 is the even class, so the windows are every nonzero state
+    once.  (s + 2b) mod 4 is s XOR 2b, so row k's codes are row 1's XOR those
+    of 2 beta_k.
+    """
+    K, N = (1 << n) + 1, (1 << n) - 1
+    if A.shape != (K, N):
+        return None
+    m = A[1] & 1
+    (c1, high), acc = _windows(np.stack([A[1], 2 * m]), f, n)
+    if np.any(acc & 3):  # 2m satisfies the recurrence whenever row 1 does
+        return None
+    try:
+        code, shift = coset_codes(A[1:])
+    except ConstructionError:
+        return None
+    # the one rotation of m whose first window is half row 0's
+    where = np.flatnonzero(code == ((A[0, :n] & 3) >> 1) @ (1 << np.arange(n)))
+    if not where.size or np.any((A[0] & 3) != 2 * np.roll(m, -where[0])):
+        return None
+    shift = np.concatenate([where[:1], shift])
+    first, least = np.empty(K, dtype=np.int32), np.empty(K, dtype=np.int32)
+    first[0], least[0] = high[shift[0]], high.min()  # row 0's codes are high(. + shift[0])
+    rotations = np.lib.stride_tricks.sliding_window_view(np.concatenate([high, high[:-1]]), N)
+    step = max(1, _BLOCK_CODES // N)
+    for start in range(1, K, step):  # the codes c1 ^ high(. + shift[k]) of a cache-sized block of rows
+        rows = shift[start : start + step]
+        codes = rotations[rows]
+        codes[rows < 0] = 0
+        codes ^= c1
+        first[start : start + step], least[start : start + step] = codes[:, 0], codes.min(axis=1)
+    return _Certificate(None, first, least, aligned=True)
+
+
+def _family_certificate(A: np.ndarray, f, n: int) -> _Certificate:
+    """The aligned certificate, or ``_window_codes``'s for rows outside that
+    layout and to name the witness of rows that are no family."""
+    cert = _aligned_certificate(A, f, n)
+    if cert is not None:
+        return cert
+    codes, failure = _window_codes(A, f, n)
+    if failure is not None:
+        return _Certificate(failure)
+    return _Certificate(None, codes[:, 0], codes.min(axis=1))
 
 
 def check_family_degree(n: int) -> None:
@@ -220,8 +361,9 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     rotation.  Two Z4 solutions with one reduction mod 2 differ by twice a
     binary solution, so the 2^n unit classes aligned with s_1 are s_1 + 2b,
     b = 0 or m(. + j), j < N, with m = s_1 mod 2.  Member 0 is 2m, which
-    starts at the least binary-valued state (0, ..., 0, 2).  The window check
-    proves these are the cyclic classes; members 2.. go by least window code.
+    starts at the least binary-valued state (0, ..., 0, 2).  The aligned
+    certificate proves these are the cyclic classes; members 2.. go by least
+    window code.
 
     Parameters
     ----------
@@ -244,14 +386,16 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     s1 = np.array(run_z4_recurrence(f, (0,) * (n - 1) + (1,)), dtype=np.int8)
     shifts = np.lib.stride_tricks.sliding_window_view(np.tile(2 * (s1 & 1), 2)[:-1], N)  # row j: 2m(. + j)
     rows = np.vstack([shifts[0], s1, (s1 + shifts) & 3])
-    codes, failure = _window_codes(rows, f, n)
-    if failure is not None:
-        message, witness = failure
+    cert = _family_certificate(rows, f, n)
+    if cert.failure is not None:
+        message, witness = cert.failure
         raise ConstructionError(f"constructed rows are not the cyclic classes: {message}", witness=witness)
-    order = np.concatenate([[0, 1], 2 + np.argsort(codes[2:].min(axis=1))])
+    order = np.concatenate([[0, 1], 2 + np.argsort(cert.least[2:])])
     family = FamilyA(n=n, polynomial=f, array=rows[order])
-    _certify_alignment(family.array)  # the windows were checked above
-    vars(family)["_certificate"] = (codes[order], None)  # the same check, in member order
+    # rows built this way pass the window check only in the aligned layout,
+    # whose certificate also proves their alignment; the family keeps it in
+    # member order
+    vars(family)["_certificate"] = cert._replace(first=cert.first[order], least=cert.least[order])
     return family
 
 
@@ -280,16 +424,18 @@ def subset_l(family: FamilyA, verify: bool = True) -> np.ndarray:
     read-only int8 (2^n, N) view ``family.array[1:]``.
 
     With ``verify`` (default) the O(K N) certificate proves that every pair
-    correlates to exactly -1 + 0i at shift zero.  First the members'
-    n-windows must be every nonzero state once, so the members are distinct
-    full cyclic classes of the recurrence.  Then members 1.. must share one
-    reduction mod 2.  For two of them, u = s_i - s_j is a solution of the
-    linear recurrence with even symbols, and nonzero because the classes
-    are distinct: u = 2v with v a nonzero solution of the binary recurrence.
-    The window check puts all 2^n - 1 nonzero even states on one row, so the
-    binary recurrence runs through every nonzero state in one cycle, its
-    polynomial is primitive and v is a binary m-sequence.  So u has 2^(n-1)
-    twos and 2^(n-1) - 1 zeros, and sum_t i^(u_t) = -1.
+    correlates to exactly -1 + 0i at shift zero.  The members must be
+    distinct full cyclic classes of the recurrence, and members 1.. must
+    share one reduction mod 2.  For the layout ``build_family_a`` writes,
+    the aligned certificate (members 1.. pass the census's coset check)
+    proves both; otherwise the n-windows must be every nonzero state once,
+    and the reductions are compared.  For two of members 1.., u = s_i - s_j
+    is a solution of the linear recurrence with even symbols, and nonzero
+    because the classes are distinct: u = 2v with v a nonzero solution of
+    the binary recurrence.  All 2^n - 1 nonzero even states lie on one
+    class, so the binary recurrence runs through every nonzero state in one
+    cycle, its polynomial is primitive and v is a binary m-sequence.  So u
+    has 2^(n-1) twos and 2^(n-1) - 1 zeros, and sum_t i^(u_t) = -1.
 
     Raises ConstructionError with the window witness if the members are not
     the cyclic classes, or with the pair (member 1, member j), as symbol
@@ -298,10 +444,11 @@ def subset_l(family: FamilyA, verify: bool = True) -> np.ndarray:
     """
     A = family.array
     if verify:
-        failure = family._certificate[1]
-        if failure is not None:
-            raise ConstructionError(f"members are not the cyclic classes: {failure[0]}", witness=failure[1])
-        _certify_alignment(A)
+        cert = family._certificate
+        if cert.failure is not None:
+            raise ConstructionError(f"members are not the cyclic classes: {cert.failure[0]}", witness=cert.failure[1])
+        if not cert.aligned:
+            _certify_alignment(A)
     return A[1:]
 
 
@@ -316,21 +463,29 @@ def family_alpha_max(family: FamilyA) -> float:
     rotation s_j(. + tau) of a member, so every S_k occurs: the result is
     max_k |S_k|, with S_k = (c0 - c2) + (c1 - c3)i from row k's symbol
     counts c_v.  The witness takes i = 0 (1 if k = 0) and (j, tau) from the
-    window code of s_i - m_k, and is certified by ``z4_correlation``.
+    window code of s_i - m_k, found among the rows' first codes (always, in
+    the aligned layout), and is certified by ``z4_correlation``.
 
     Raises ConstructionError with the window witness if the members are not
     the cyclic classes, or with (i, j, tau, S_k) if the certificate fails.
     """
     A, n = family.array, family.n
-    codes, failure = family._certificate
-    if failure is not None:
-        raise ConstructionError(f"members are not the cyclic classes: {failure[0]}", witness=failure[1])
+    cert = family._certificate
+    if cert.failure is not None:
+        raise ConstructionError(f"members are not the cyclic classes: {cert.failure[0]}", witness=cert.failure[1])
     c = np.stack([np.count_nonzero(A == v, axis=1) for v in range(4)])
     re, im = c[0] - c[2], c[1] - c[3]
     k = int(np.argmax(re * re + im * im))
     value, i = complex(int(re[k]), int(im[k])), int(k == 0)
     code = int("".join(map(str, (A[i, :n] - A[k, :n]) % 4)), 4)  # big-endian base 4
-    j, tau = divmod(int(np.flatnonzero(codes.ravel() == code)[0]), family.period)
+    # in the aligned layout s_i - m_k is a unit member in phase: -s_1 = s_1 + 2m
+    # makes it s_1 + 2 gamma with gamma in B, so its window is one row's first
+    hit = np.flatnonzero(cert.first == code)
+    if hit.size:
+        j, tau = int(hit[0]), 0
+    else:  # members outside that layout: scan their windows
+        codes, _ = _window_codes(A, family.polynomial, n)
+        j, tau = divmod(int(np.flatnonzero(codes.ravel() == code)[0]), family.period)
     if z4_correlation(A[i], A[j], tau) != value:
         raise ConstructionError(
             f"correlation of members {i}, {j} at shift {tau} is not member {k}'s symbol sum {value}",
@@ -348,15 +503,16 @@ def family_to_json(family: FamilyA) -> dict:
     return _family_doc(family, family.array.tolist())
 
 
-def family_json_text(family: FamilyA) -> str:
-    """``json.dumps(family_to_json(family), indent=2) + "\\n"``, byte for byte,
-    built from the member array instead of one Python object per symbol.
+def family_json_bytes(family: FamilyA) -> memoryview:
+    """The ASCII bytes of ``json.dumps(family_to_json(family), indent=2) +
+    "\\n"``, byte for byte, built from the member array instead of one Python
+    object per symbol, as a read-only view of one uint8 buffer.
 
     Each member is a fixed-width block of 9N + 12 bytes: its opening line,
     N - 1 symbol lines "      d,", the last symbol line without the comma and
-    the closing line "    ],".  All K blocks are filled at once in one uint8
-    buffer that also holds the text before and after them, and the buffer is
-    decoded once; the text after them overwrites the last block's ",\n".
+    the closing line "    ],".  All K blocks are filled at once in the buffer
+    that also holds the text before and after them; the text after them
+    overwrites the last block's ",\n".
     """
     K, N = family.array.shape
     row = b"    [\n" + b"      0,\n" * (N - 1) + b"      0\n    ],\n"
@@ -368,7 +524,13 @@ def family_json_text(family: FamilyA) -> str:
     blocks[:, 12::9] += family.array.view(np.uint8)  # symbol t sits at byte 12 + 9t
     buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     buf[len(buf) - len(tail) :] = np.frombuffer(tail, dtype=np.uint8)
-    return str(memoryview(buf), "ascii")
+    buf.setflags(write=False)
+    return memoryview(buf)
+
+
+def family_json_text(family: FamilyA) -> str:
+    """``family_json_bytes`` decoded: the indented JSON dump as a str."""
+    return str(family_json_bytes(family), "ascii")
 
 
 def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
@@ -403,20 +565,19 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     if verify:
         if np.any(A[:1] % 2):
             raise ValueError("member 0 must be binary-valued (symbols in {0, 2})")
-        codes, failure = fam._certificate
-        if failure is not None:
-            raise ValueError(f"members are not distinct cyclic classes: {failure[0]}")
+        cert = fam._certificate
+        if cert.failure is not None:
+            raise ValueError(f"members are not distinct cyclic classes: {cert.failure[0]}")
         # subset_l's certificate: one reduction mod 2 under members 1.. makes
         # every pair of them correlate to -1 at shift zero
-        j = _first_unaligned(A)
+        j = None if cert.aligned else _first_unaligned(A)
         if j is not None:
             raise ValueError(f"member {j} does not share member 1's mod-2 reduction")
         # build_family_a's canonical form; with the shared reduction it fixes
         # the rotation of members 2.. too
-        least = codes.min(axis=1)
         for k in (0, 1):
-            if codes[k, 0] != least[k]:
+            if cert.first[k] != cert.least[k]:
                 raise ValueError(f"member {k} does not start at its least rotation")
-        if np.any(np.diff(least[1:]) <= 0):
+        if np.any(np.diff(cert.least[1:]) <= 0):
             raise ValueError("members 1.. are not ordered by their least window code")
     return fam

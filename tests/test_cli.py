@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -293,17 +295,37 @@ def test_family_cache_roundtrip(tmp_path):
 FAMILY_N5_SHA256 = "e8f1a7a07a64024dc4ca8b94d23cfbc295c9e52d337801a1ec86ea550bd9f36e"
 
 
-def test_family_cache_entry_and_export_keep_their_bytes(tmp_path):
+def test_family_cache_entry_and_export_keep_their_bytes(tmp_path, capsys):
     cache, out = tmp_path / "cache", tmp_path / "a.json"
     assert run(["family", "--n", "5", "--cache-dir", str(cache), "--out", str(out)]) == 0
     for path in (out, cache / "family-a" / "n5.json"):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILY_N5_SHA256
+    capsys.readouterr()
+    assert run(["family", "--n", "5"]) == 0  # to stdout, followed by the summary line
+    text, summary = capsys.readouterr().out.rsplit("\n", 2)[:2]
+    assert hashlib.sha256(f"{text}\n".encode()).hexdigest() == FAMILY_N5_SHA256
+    assert summary.startswith("familyA n=5 ")
+
+
+def test_qcss_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs 18-30 ms to import, and np.unique imports it lazily
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from qcss import cli\n"
+        f"assert cli.main(['qcss', '--n', '4', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_family_cache_miss_renders_the_text_once(tmp_path, monkeypatch):
     calls = []
-    render = z4.family_json_text
-    monkeypatch.setattr(z4, "family_json_text", lambda fam: calls.append(fam) or render(fam))
+    render = z4.family_json_bytes
+    monkeypatch.setattr(z4, "family_json_bytes", lambda fam: calls.append(fam) or render(fam))
     cache, out = tmp_path / "cache", tmp_path / "a.json"
     assert run(["family", "--n", "4", "--cache-dir", str(cache), "--out", str(out)]) == 0
     assert len(calls) == 1

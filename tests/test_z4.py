@@ -385,24 +385,67 @@ def test_build_matches_the_seeded_oracle(coeffs):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_window_certificate_runs_once_per_family(n, monkeypatch):
-    inner = z4._window_codes
+def test_family_certificate_runs_once_per_family(n, monkeypatch):
+    # a family in the aligned layout is certified once, never by the general
+    # window check, and its alpha witness is one row's first window
+    inner = z4._family_certificate
     calls = []
-    monkeypatch.setattr(z4, "_window_codes", lambda *args: calls.append(args) or inner(*args))
+    monkeypatch.setattr(z4, "_family_certificate", lambda *args: calls.append(args) or inner(*args))
+    monkeypatch.setattr(z4, "_window_codes", None)
     family = z4.build_family_a(n)
     z4.family_alpha_max(family)
     z4.subset_l(family, verify=True)
     assert len(calls) == 1
     assert not family.array.flags.writeable
-    # the build hands over its codes in member order: a fresh run agrees
-    codes, failure = inner(family.array, family.polynomial, n)
-    assert failure is None and np.array_equal(family._certificate[0], codes)
+    # the build hands over its certificate in member order: a fresh one agrees
+    fresh = inner(family.array, family.polynomial, n)
+    for got, want in zip(family._certificate, fresh):
+        np.testing.assert_array_equal(got, want)
     calls.clear()
     rebuilt = z4.family_from_json(z4.family_to_json(family), verify=True)
     z4.subset_l(rebuilt, verify=True)
     z4.family_alpha_max(rebuilt)
     assert len(calls) == 1
     assert not rebuilt.array.flags.writeable
+
+
+@pytest.mark.parametrize("n,coeffs", PRIMITIVE_2_TO_8 + [(n, None) for n in range(9, 13)])
+def test_aligned_certificate_gives_the_window_codes(n, coeffs):
+    family = z4.build_family_a(n, coeffs=coeffs)
+    codes, failure = z4._window_codes(family.array, family.polynomial, n)
+    cert = family._certificate
+    assert failure is None and cert.failure is None and cert.aligned
+    np.testing.assert_array_equal(cert.first, codes[:, 0])
+    np.testing.assert_array_equal(cert.least, codes.min(axis=1))
+
+
+def first_break(beta, h):
+    """Scalar oracle: the first t at which beta breaks the binary recurrence
+    x(t + n) = sum_j h_j x(t + j) mod 2 of polynomial h, indices mod N."""
+    n, N = len(h) - 1, len(beta)
+    for t in range(N):
+        if beta[(t + n) % N] != sum(h[j] * beta[(t + j) % N] for j in range(n)) % 2:
+            return t
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIMITIVE_2_TO_8), st.data())
+def test_coset_witness_is_the_first_break_of_the_recurrence(case, data):
+    # moving one symbol of row k by 2 moves beta_k out of B, and the witness
+    # names row k and the first t where beta_k breaks m's recurrence
+    n, coeffs = case
+    base = z4.subset_l(z4.build_family_a(n, coeffs=coeffs)).copy()
+    K, N = base.shape
+    k = data.draw(st.integers(1, K - 1), label="row")
+    p = data.draw(st.integers(0, N - 1), label="symbol")
+    base[k, p] ^= 2
+    t = first_break(((base[k] - base[0]) % 4 // 2).tolist(), coeffs)
+    with pytest.raises(ConstructionError) as err:
+        z4.coset_codes(base)
+    assert err.value.witness == (k, t)
+    assert str(err.value) == (f"(row {k} - row 0) / 2 is not a sum of the windows m(. + j), j < n: "
+                              f"it differs at t = {t}")
 
 
 def test_build_family_guards():
@@ -531,6 +574,60 @@ def test_corrupt_family_document_is_a_value_error(edit):
     corrupt(doc, edit)
     with pytest.raises(ValueError):  # any other exception fails the test
         z4.family_from_json(doc, verify=True)
+
+
+def swap(members, j, k):
+    members[j], members[k] = members[k], members[j]
+
+
+def duplicate(members, j, k):
+    members[k] = list(members[j])
+
+
+# member edits of an n = 4 family document that leave a 17 x 15 integer array
+MEMBER_EDITS = st.one_of(
+    CORRUPTIONS.filter(lambda edit: edit[0] in ("flip", "rotate", "range")),
+    st.tuples(st.sampled_from([swap, duplicate]), st.integers(0, 16), st.integers(0, 16)),
+)
+
+
+def window_decision(A, f, n):
+    """The general certificate: the window check, then the alignment of rows
+    1..; the refusal's message and witness, or the first and least codes."""
+    codes, failure = z4._window_codes(A, f, n)
+    try:
+        if failure is not None:
+            raise ConstructionError(f"members are not the cyclic classes: {failure[0]}", witness=failure[1])
+        z4._certify_alignment(A)
+    except ConstructionError as exc:
+        return "refused", str(exc), exc.witness
+    return "certified", codes[:, 0], codes.min(axis=1)
+
+
+# the lifts of both primitive polynomials of degree 4: the family is built
+# with the first, and no member satisfies the second
+POLYS_4 = [coeffs for n, coeffs in PRIMITIVE_2_TO_8 if n == 4]
+LIFTS_4 = [z4.graeffe_lift(coeffs) for coeffs in POLYS_4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(MEMBER_EDITS, st.sampled_from(LIFTS_4))
+def test_family_certificate_decides_as_the_window_check(edit, polynomial):
+    doc = z4.family_to_json(z4.build_family_a(4, coeffs=POLYS_4[0]))
+    if callable(edit[0]):
+        edit[0](doc["members"], *edit[1:])
+    else:
+        corrupt(doc, edit)
+    edited = z4.FamilyA(n=4, polynomial=polynomial, array=doc["members"])
+    decision, *want = window_decision(edited.array, edited.polynomial, 4)
+    try:
+        z4.subset_l(edited, verify=True)
+    except ConstructionError as exc:
+        assert decision == "refused" and [str(exc), exc.witness] == want
+    else:
+        assert decision == "certified"
+        np.testing.assert_array_equal(edited._certificate.first, want[0])
+        np.testing.assert_array_equal(edited._certificate.least, want[1])
 
 
 PRIMITIVE_2_TO_7 = [case for case in PRIMITIVE_2_TO_8 if case[0] <= 7]
