@@ -6,9 +6,10 @@ Entries of every sequence here are roots of unity stored as integer phases
 modulo a common root order L, so building blocks stay exact; complex values
 only appear when a correlation sum is evaluated.  An assembled set stores
 its base sequences and shift set, not its K*M*N entries.  The census of a
-certified subset-L base takes one exact Walsh-Hadamard transform per shift,
-O(n 4^n) additions, and each shift set's exponential sums at the wrap point;
-sets over one base share one census pass.  ``periodic_correlation`` is the
+certified subset-L base takes one Walsh-Hadamard transform per shift,
+O(n 4^n) additions in the least integer dtype that holds +-N, so nothing
+is rounded, and each shift set's exponential sums at the wrap point; sets
+over one base share one census pass.  ``periodic_correlation`` is the
 scalar reference it is tested against.
 """
 
@@ -210,6 +211,29 @@ def build_qcss(base_sequences, shift_set: CyclicSubset, provenance: dict | None 
     )
 
 
+def _plane_dtype(N: int) -> np.dtype:
+    """The least signed integer dtype that holds -N..N, the range of every
+    census plane entry at period N: int8 up to N = 127, int16 up to 32767."""
+    return np.min_scalar_type(-N)
+
+
+def _walsh_hadamard(planes: np.ndarray) -> None:
+    """Walsh-Hadamard transform of integer planes over their first axis,
+    whose length is a power of two, in place.
+
+    A butterfly is x += y, y *= -2, y += x, with no temporary.  Integer
+    arrays add and multiply modulo 2^bits, so every result is right modulo
+    2^bits, even where -2y leaves the dtype's range (y = -64 in int8), and
+    exact wherever the true output fits the dtype.
+    """
+    inner = planes[0].size
+    for j in range(len(planes).bit_length() - 1):
+        x, y = np.moveaxis(planes.reshape(-1, 2, inner << j), 1, 0)
+        x += y
+        y *= -2
+        y += x
+
+
 def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Stream the coset census of a subset-L base in blocks of shifts.
 
@@ -217,26 +241,49 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     tau has u = v_k - v_l(. + tau) = c_tau + 2 gamma with c_tau = v_0 -
     v_0(. + tau) and gamma(t) = popcount(a & code[t]) mod 2 for one code a.
     For all a at once, the Walsh-Hadamard transforms of i^(c_tau(t)) placed
-    at code[t] in two planes, split at the wrap point, give the in-range part
-    W = sum_{t < N - tau} i^(u_t) and the wrapped part Wr of the correlation:
-    Gaussian integers below N in norm, summed exactly in float64.
+    at code[t] in four integer planes (in-range real and imaginary, wrapped
+    real and imaginary) give the in-range part W = sum_{t < N - tau} i^(u_t)
+    and the wrapped part Wr of the correlation as exact Gaussian integers.
 
-    Yields (start, w, wr), w[b, a] = W and wr[b, a] = Wr at tau = start + b,
-    in blocks of about _BLOCK_ENTRIES // K shifts, at least one.
+    The planes are a (K, 4, T) block, shifts innermost, so every butterfly
+    runs over contiguous runs of 4 T entries.  Symbol t puts 1 - (c & 2) =
+    +-1 into plane 2 wrapped + (c & 1) at code[t]; for one tau the N codes
+    are distinct, so each entry is written once.  Each butterfly output is a
+    sum of +-1 over disjoint sets of those entries, so its magnitude is at
+    most N and ``_plane_dtype(N)`` holds it (``_walsh_hadamard``).
+
+    Yields (start, w, wr), complex (T, K) arrays with w[b, a] = W and
+    wr[b, a] = Wr at tau = start + b, in blocks of about _BLOCK_ENTRIES // K
+    shifts, at least one.
     """
     code, _ = coset_codes(qcss.base)
     K, N = qcss.base.shape
     v0, t = qcss.base[0], np.arange(N)
+    rotations = np.lib.stride_tricks.sliding_window_view(np.concatenate([v0, v0]), N)  # row s: v0(. + s)
+    dtype = _plane_dtype(N)
     step = max(1, _BLOCK_ENTRIES // K)
     for start in range(0, N, step):
-        tau = np.arange(start, min(N, start + step))[:, None]
-        planes = np.zeros((len(tau), 2, K), dtype=complex)
-        plane = 2 * np.arange(len(tau))[:, None] + (t >= N - tau)  # in range or wrapped
-        planes.reshape(-1)[plane * K + code] = roots_table(4)[(v0 - v0[(t + tau) % N]) & 3]
-        for j in range(K.bit_length() - 1):  # Walsh-Hadamard transform over the last axis, in place
-            x, y = np.moveaxis(planes.reshape(-1, 2, 1 << j), 1, 0)
-            x[:], y[:] = x + y, x - y
-        yield start, planes[:, 0], planes[:, 1]
+        T = min(N - start, step)
+        b = np.arange(T)[:, None]
+        c = v0 - rotations[start:start + T]  # c_tau as a (T, N) int8 block, read mod 4 by its low bits
+        wrapped = t >= N - start - b
+        plane = c & 1
+        plane += wrapped  # twice, for 2 wrapped without an int64 temporary
+        plane += wrapped
+        index = np.multiply(plane, T, dtype=np.intp)
+        index += code * (4 * T)
+        index += b
+        c &= 2
+        np.subtract(1, c, out=c)
+        planes = np.zeros((K, 4, T), dtype=dtype)
+        planes.reshape(-1)[index] = c
+        del c, wrapped, plane, index
+        _walsh_hadamard(planes)
+        out = np.empty((T, 2, K), dtype=complex)
+        out.real = planes[:, 0::2].transpose(2, 1, 0)
+        out.imag = planes[:, 1::2].transpose(2, 1, 0)
+        del planes
+        yield start, out[:, 0], out[:, 1]
 
 
 def welch_lower_bound(K: int, M: int, N: int) -> float:
@@ -304,10 +351,10 @@ class _Tally:
 
     def __init__(self, qcss: QcssSet):
         N, q = qcss.period, qcss.q
-        dtau = np.outer(np.arange(N), qcss.shifts)
-        ramp = roots_table(q)
-        self.e_in = ramp[-dtau % q].sum(axis=1)[:, None]  # E(-tau)
-        self.e_wrap = ramp[(N * np.array(qcss.shifts) - dtau) % q].sum(axis=1)[:, None]  # E(N - tau)
+        E = roots_table(q)[np.outer(np.arange(q), qcss.shifts) % q].sum(axis=1)  # E(x) depends on x mod q
+        tau = np.arange(N)
+        self.e_in = E[-tau % q][:, None]  # E(-tau)
+        self.e_wrap = E[(N - tau) % q][:, None]  # E(N - tau)
         profile = exp_sum_profile(CyclicSubset(modulus=q, elements=qcss.shifts))
         self.ramp_sum = profile.values[np.arange(N) % q][:, None]  # |E(tau)|
         self.qcss = qcss

@@ -216,6 +216,52 @@ def test_report_matches_direct_sums_on_random_sets(block_entries, monkeypatch):
         assert report.factorization_gap_max == pytest.approx(gap, abs=1e-9)
 
 
+def test_report_matches_direct_sums_n7(monkeypatch):
+    # degree 7 is the last in int8 planes: the in-phase code's in-range sum at
+    # tau = 0 is N = 127, the int8 maximum; blocks of 40 shifts do not divide 127
+    monkeypatch.setattr(correlation, "_BLOCK_ENTRIES", 128 * 40)
+    rng = np.random.default_rng(15)
+    q = int(rng.integers(5, 13))
+    shifts = diffsets.CyclicSubset(q, tuple(sorted(set(rng.integers(0, q, size=3).tolist()))))
+    qset = build_qcss(qcss.subset_l(qcss.build_family_a(7)), shifts)
+    blocks = list(correlation.correlation_tensor(qset))
+    assert [start for start, _, _ in blocks] == [0, 40, 80, 120]
+    assert blocks[0][1][0, 0] == 127
+    report = tolerances(qset)
+    delta_a, delta_c, per_shift, gap = direct_report_fields(qset)
+    assert report.delta_a == pytest.approx(delta_a, abs=1e-9)
+    assert report.delta_c == pytest.approx(delta_c, abs=1e-9)
+    assert np.abs(report.per_shift_max - per_shift).max() <= 1e-9
+    assert report.factorization_gap_max == pytest.approx(gap, abs=1e-9)
+
+
+def test_plane_dtype_holds_every_census_value():
+    # every Walsh plane entry is a sum of at most N terms +-1
+    for n in range(2, 17):
+        N = (1 << n) - 1
+        dtype = correlation._plane_dtype(N)
+        assert dtype == (np.int8 if N <= 127 else np.int16 if n <= 15 else np.int32), n
+        assert np.iinfo(dtype).min <= -N and N <= np.iinfo(dtype).max
+
+
+@pytest.mark.parametrize("n", [7, 15])
+def test_walsh_hadamard_is_exact_at_the_dtype_edge(n):
+    # code 0 empty, the lower half +1 and the upper half -1: the last pass
+    # doubles y = -2^(n-1), out of range, and the outputs reach +-N
+    K, N = 1 << n, (1 << n) - 1
+    rng = np.random.default_rng(n)
+    edge = np.r_[0, np.ones(K // 2 - 1), -np.ones(K // 2)]
+    cols = np.stack([edge, -edge, np.r_[0, rng.choice([-1, 0, 1], size=N)]], axis=1)
+    planes = cols.astype(correlation._plane_dtype(N))
+    correlation._walsh_hadamard(planes)
+    want = cols.astype(np.int64)
+    for j in range(n):  # reference butterflies out of place, in int64
+        x, y = np.moveaxis(want.reshape(-1, 2, 3 << j), 1, 0)
+        x[:], y[:] = x + y, x - y
+    np.testing.assert_array_equal(planes, want)
+    assert want[K // 2, 0] == N and want[K // 2, 1] == -N
+
+
 def test_per_shift_maxima_are_mirror_symmetric(qcss5, report5):
     # R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau), so the maxima at tau and
     # N - tau agree, though the census sums them from other Walsh planes
