@@ -19,30 +19,15 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .diffsets import CyclicSubset, exp_sum_profile
+from .diffsets import CyclicSubset, exp_sum_profile, roots_table
 from .z4 import coset_codes
 
 MAGNITUDE_TOL = 1e-6  # distinct algebraic magnitudes at desk scale differ by far more
 EXACT_TOL = 1e-9
 _BLOCK_ENTRIES = 1 << 18  # Walsh plane entries (shifts x 2^n) the census transforms at once
-
-
-@lru_cache(maxsize=64)
-def roots_table(root_order: int) -> np.ndarray:
-    """All root_order-th roots of unity; quadrant values are patched to be
-    exact so embedded Z4 symbols stay Gaussian integers."""
-    table = np.exp(2j * np.pi * np.arange(root_order) / root_order)
-    if root_order % 4 == 0:
-        table[0] = 1
-        table[root_order // 4] = 1j
-        table[root_order // 2] = -1
-        table[3 * root_order // 4] = -1j
-    table.setflags(write=False)
-    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,12 +336,11 @@ class _Tally:
 
     def __init__(self, qcss: QcssSet):
         N, q = qcss.period, qcss.q
-        E = roots_table(q)[np.outer(np.arange(q), qcss.shifts) % q].sum(axis=1)  # E(x) depends on x mod q
-        tau = np.arange(N)
+        profile = exp_sum_profile(CyclicSubset(modulus=q, elements=qcss.shifts))
+        E, tau = profile.sums, np.arange(N)  # E(x) depends on x mod q
         self.e_in = E[-tau % q][:, None]  # E(-tau)
         self.e_wrap = E[(N - tau) % q][:, None]  # E(N - tau)
-        profile = exp_sum_profile(CyclicSubset(modulus=q, elements=qcss.shifts))
-        self.ramp_sum = profile.values[np.arange(N) % q][:, None]  # |E(tau)|
+        self.ramp_sum = profile.values[tau % q][:, None]  # |E(tau)|
         self.qcss = qcss
         self.per_shift = np.zeros(N)
         self.gap = 0.0

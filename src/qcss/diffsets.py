@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -248,14 +249,35 @@ def find_canonical_pattern(W: CyclicSubset) -> CosetPattern:
     )
 
 
-@dataclass(frozen=True)
-class ExpSumProfile:
-    """Magnitudes Delta(tau) = |sum_{d in D} exp(2 pi i tau d / q)| for all
-    tau, plus the classification-based upper bound when D is an ADS."""
+@lru_cache(maxsize=64)
+def roots_table(root_order: int) -> np.ndarray:
+    """All root_order-th roots of unity; quadrant values are patched to be
+    exact so embedded Z4 symbols stay Gaussian integers."""
+    table = np.exp(2j * np.pi * np.arange(root_order) / root_order)
+    if root_order % 4 == 0:
+        table[0] = 1
+        table[root_order // 4] = 1j
+        table[root_order // 2] = -1
+        table[3 * root_order // 4] = -1j
+    table.setflags(write=False)
+    return table
 
-    modulus: int
+
+@dataclass(frozen=True, eq=False)
+class ExpSumProfile:
+    """The sums E(tau) = sum_{d in D} exp(2 pi i tau d / q) of a subset D of
+    Z_q for all tau, their magnitudes Delta(tau) = |E(tau)|, and the
+    classification-based upper bound when D is an ADS, classified on first
+    read."""
+
+    subset: CyclicSubset
+    sums: np.ndarray
     values: np.ndarray
-    bound: float | None
+
+    @cached_property
+    def bound(self) -> float | None:
+        c = classify_set(self.subset)
+        return exp_sum_bound(c) if c.kind == ALMOST_DIFFERENCE_SET else None
 
     def max_nontrivial(self) -> float:
         return float(self.values[1:].max())
@@ -270,17 +292,14 @@ def exp_sum_bound(c: SetClassification) -> float:
 
 
 def exp_sum_profile(subset: CyclicSubset) -> ExpSumProfile:
-    """Exponential-sum magnitude at every shift; double-precision complex
-    accumulation (error far below the 1e-9 comparisons used downstream)."""
+    """Exponential sums at every shift, gathered from ``roots_table(q)``
+    with tau d reduced mod q; double-precision complex accumulation (error
+    far below the 1e-9 comparisons used downstream)."""
     if subset.size < 1:
         raise ValueError("subset must be nonempty")
     q = subset.modulus
-    tau = np.arange(q)
-    phases = np.exp(2j * np.pi / q * np.outer(tau, np.array(subset.elements)))
-    values = np.abs(phases.sum(axis=1))
-    c = classify_set(subset)
-    bound = exp_sum_bound(c) if c.kind == ALMOST_DIFFERENCE_SET else None
-    return ExpSumProfile(modulus=q, values=values, bound=bound)
+    sums = roots_table(q)[np.outer(np.arange(q), subset.elements) % q].sum(axis=1)
+    return ExpSumProfile(subset, sums, np.abs(sums))
 
 
 def ads_to_json(U: CyclicSubset, pattern: CosetPattern | None = None) -> dict:

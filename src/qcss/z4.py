@@ -8,10 +8,10 @@ Sequences are tuples or int8 arrays of residues mod 4.  Correlations of raw
 Z4 sequences are Gaussian integers, counted exactly (no FFT, no rounding),
 so equality checks like "this value is -1" carry no floating-point slack.
 No check of the family sums a correlation census: once the members are
-shown to be the cyclic classes, alpha_max follows from their symbol sums
-and subset L's -1 at shift zero from one shared reduction mod 2, both in
-O(K N).  The members ``build_family_a`` writes are shown so by the same
-subset-L coset check the correlation census runs.
+shown to be the cyclic classes in the aligned layout, by the subset-L coset
+check the correlation census runs, alpha_max follows from their symbol sums
+and subset L's -1 at shift zero from their shared reduction mod 2, both in
+O(K N).
 """
 
 from __future__ import annotations
@@ -115,14 +115,16 @@ class FamilyA:
     nonzero solutions of the Z4 recurrence, stored once as the read-only int8
     (K, N) array ``array`` of residues mod 4, one member per row.
 
-    Row 0 is the binary-valued class (symbols in {0, 2}); rows 1.. are
-    rotation-aligned so every pair of them correlates to exactly -1 at shift
-    zero.  The constructor takes any 2-D integer array-like and copies it;
-    ragged rows, another number of dimensions or non-integer symbols raise
-    ValueError.  Two families are equal when n, the polynomial and every
-    symbol agree.  Neither changes, so the certificate is computed once: the
-    aligned check for the layout ``build_family_a`` writes, else the window
-    check.  It keeps each row's first and least window code, not all K N.
+    The aligned layout of subset L: row 0 is the binary-valued class 2m(. +
+    s) (symbols in {0, 2}), and rows 1.. are s_1 + 2 beta for the 2^n
+    distinct beta in the binary recurrence space of m = s_1 mod 2, so every
+    pair of them correlates to exactly -1 at shift zero.  The constructor
+    takes any 2-D integer array-like and copies it; ragged rows, another
+    number of dimensions or non-integer symbols raise ValueError.  Two
+    families are equal when n, the polynomial and every symbol agree.
+    Neither changes, so the certificate is computed once; rows in another
+    order or rotation are refused by it.  It keeps each row's first and
+    least window code, not all K N.
     """
 
     n: int
@@ -192,31 +194,31 @@ def _windows(rows: np.ndarray, f, n: int):
     return codes, acc
 
 
-def _window_codes(rows: np.ndarray, f, n: int):
-    """The codes of ``_windows`` for 2^n + 1 rows of period 2^n - 1, and None
-    if the rows are one full cyclic class each of the recurrence with
-    polynomial f, else (message, witness).
+def _window_failure(rows: np.ndarray, f, n: int):
+    """None if the rows are 2^n + 1 full cyclic classes of period 2^n - 1 of
+    the recurrence with polynomial f, in any order and rotation, else
+    (message, witness).
 
-    Each row must satisfy the recurrence cyclically and the 4^n - 1 codes
-    must hit every nonzero state once: they do iff none is zero and all are
-    distinct (pigeonhole), so one boolean mask decides it.  This is the
-    general certificate, for rows in any order and rotation.
+    Each row must satisfy the recurrence cyclically and the 4^n - 1 window
+    codes of ``_windows`` must hit every nonzero state once: they do iff
+    none is zero and all are distinct (pigeonhole), so one boolean mask
+    decides it.
     """
     if rows.shape != ((1 << n) + 1, (1 << n) - 1):
-        return None, (f"shape {rows.shape} is not 2^n + 1 rows of period 2^n - 1", rows.shape)
+        return f"shape {rows.shape} is not 2^n + 1 rows of period 2^n - 1", rows.shape
     codes, acc = _windows(rows, f, n)
     broken = np.flatnonzero(np.any(acc & 3, axis=1))
     if broken.size:
         k = int(broken[0])
-        return codes, (f"row {k} does not satisfy the recurrence", (k, tuple(rows[k].tolist())))
+        return f"row {k} does not satisfy the recurrence", (k, tuple(rows[k].tolist()))
     seen = np.zeros(1 << (2 * n), dtype=bool)
     seen[codes] = True
     if not seen[0] and np.count_nonzero(seen) == codes.size:
-        return codes, None
+        return None
     # a zero window makes its whole row zero, so some code always repeats
     code = int(np.flatnonzero(np.bincount(codes.ravel()) > 1)[0])
     where = [divmod(int(i), codes.shape[1]) for i in np.flatnonzero(codes.ravel() == code)[:2]]
-    return codes, (f"state code {code} is the window at (row, shift) {where}", (code, where))
+    return f"state code {code} is the window at (row, shift) {where}", (code, where)
 
 
 def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,14 +285,14 @@ def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Certificate(NamedTuple):
-    """What the family check found: the ``_window_codes`` failure, or each
-    row's first and least n-window code, and whether the rows are in the
-    aligned layout, which also proves subset L's alignment."""
+    """What the family check found: each row's first and least n-window
+    code, or the refusal (j, message, witness), with j the first member
+    whose reduction mod 2 differs from member 1's, or None when the rows
+    are not the cyclic classes."""
 
     failure: tuple | None
     first: np.ndarray | None = None
     least: np.ndarray | None = None
-    aligned: bool = False
 
 
 def _aligned_certificate(A: np.ndarray, f, n: int) -> _Certificate | None:
@@ -331,19 +333,43 @@ def _aligned_certificate(A: np.ndarray, f, n: int) -> _Certificate | None:
         codes[rows < 0] = 0
         codes ^= c1
         first[start : start + step], least[start : start + step] = codes[:, 0], codes.min(axis=1)
-    return _Certificate(None, first, least, aligned=True)
+    return _Certificate(None, first, least)
 
 
 def _family_certificate(A: np.ndarray, f, n: int) -> _Certificate:
-    """The aligned certificate, or ``_window_codes``'s for rows outside that
-    layout and to name the witness of rows that are no family."""
+    """The aligned certificate, the only one a family gets, or the refusal
+    of rows outside that layout, named by the general check: the
+    ``_window_failure`` of rows that are not the cyclic classes, else the
+    first member j >= 2 whose reduction mod 2 differs from member 1's.
+
+    Both checks decide alike.  If the windows are every nonzero state once
+    and members 1.. share one reduction, no binary member is among them (its
+    reduction is 0, a unit member's an m-sequence), so member 0 is the even
+    class 2m(. + s) and members 1.. are s_1 + 2 beta for distinct beta,
+    which are all of B: the aligned layout.
+    """
     cert = _aligned_certificate(A, f, n)
     if cert is not None:
         return cert
-    codes, failure = _window_codes(A, f, n)
+    failure = _window_failure(A, f, n)
     if failure is not None:
-        return _Certificate(failure)
-    return _Certificate(None, codes[:, 0], codes.min(axis=1))
+        return _Certificate((None, *failure))
+    j = 2 + int(np.flatnonzero(np.any((A[2:] ^ A[1]) & 1, axis=1))[0])
+    return _Certificate((
+        j,
+        f"member {j} does not share member 1's reduction mod 2: their zero-shift "
+        f"correlation is {z4_correlation(A[1], A[j])}, not certified -1",
+        (tuple(A[1].tolist()), tuple(A[j].tolist())),
+    ))
+
+
+def _certified(family: FamilyA) -> _Certificate:
+    """The family's certificate; its refusal raises ConstructionError."""
+    cert = family._certificate
+    if cert.failure is not None:
+        j, message, witness = cert.failure
+        raise ConstructionError(message if j else f"members are not the cyclic classes: {message}", witness=witness)
+    return cert
 
 
 def check_family_degree(n: int) -> None:
@@ -374,8 +400,8 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     Raises
     ------
     ConstructionError
-        if the rows are not the cyclic classes or are misaligned at shift
-        zero (the falsification path, never silently patched).
+        if the rows are not the cyclic classes (the falsification path,
+        never silently patched).
     """
     check_family_degree(n)
     h = tuple(coeffs) if coeffs is not None else binpoly.primitive_polynomial(n)
@@ -387,105 +413,63 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     shifts = np.lib.stride_tricks.sliding_window_view(np.tile(2 * (s1 & 1), 2)[:-1], N)  # row j: 2m(. + j)
     rows = np.vstack([shifts[0], s1, (s1 + shifts) & 3])
     cert = _family_certificate(rows, f, n)
-    if cert.failure is not None:
-        message, witness = cert.failure
+    if cert.failure is not None:  # rows 1.. share s_1's reduction, so only the window check refuses
+        _, message, witness = cert.failure
         raise ConstructionError(f"constructed rows are not the cyclic classes: {message}", witness=witness)
     order = np.concatenate([[0, 1], 2 + np.argsort(cert.least[2:])])
     family = FamilyA(n=n, polynomial=f, array=rows[order])
-    # rows built this way pass the window check only in the aligned layout,
-    # whose certificate also proves their alignment; the family keeps it in
-    # member order
     vars(family)["_certificate"] = cert._replace(first=cert.first[order], least=cert.least[order])
     return family
-
-
-def _first_unaligned(A: np.ndarray) -> int | None:
-    """The first row j >= 2 of A whose reduction mod 2 differs from row 1's,
-    or None if rows 1.. share one reduction."""
-    off = np.flatnonzero(np.any((A[2:] ^ A[1]) & 1, axis=1))
-    return 2 + int(off[0]) if off.size else None
-
-
-def _certify_alignment(A: np.ndarray) -> None:
-    """Raise ConstructionError, with witness (row 1, row j) as symbol tuples
-    and their exact zero-shift correlation in the message, unless rows 1.. of
-    the window-checked members A share one reduction mod 2."""
-    j = _first_unaligned(A)
-    if j is not None:
-        raise ConstructionError(
-            f"member {j} does not share member 1's reduction mod 2: their "
-            f"zero-shift correlation is {z4_correlation(A[1], A[j])}, not certified -1",
-            witness=(tuple(A[1].tolist()), tuple(A[j].tolist())),
-        )
 
 
 def subset_l(family: FamilyA, verify: bool = True) -> np.ndarray:
     """The 2^n aligned members excluding the binary-valued one, as the
     read-only int8 (2^n, N) view ``family.array[1:]``.
 
-    With ``verify`` (default) the O(K N) certificate proves that every pair
-    correlates to exactly -1 + 0i at shift zero.  The members must be
-    distinct full cyclic classes of the recurrence, and members 1.. must
-    share one reduction mod 2.  For the layout ``build_family_a`` writes,
-    the aligned certificate (members 1.. pass the census's coset check)
-    proves both; otherwise the n-windows must be every nonzero state once,
-    and the reductions are compared.  For two of members 1.., u = s_i - s_j
-    is a solution of the linear recurrence with even symbols, and nonzero
-    because the classes are distinct: u = 2v with v a nonzero solution of
-    the binary recurrence.  All 2^n - 1 nonzero even states lie on one
-    class, so the binary recurrence runs through every nonzero state in one
-    cycle, its polynomial is primitive and v is a binary m-sequence.  So u
-    has 2^(n-1) twos and 2^(n-1) - 1 zeros, and sum_t i^(u_t) = -1.
+    With ``verify`` (default) the O(n N + K N) aligned certificate proves
+    that every pair correlates to exactly -1 + 0i at shift zero: members 1..
+    are s_1 + 2 beta for distinct beta in B, the binary recurrence space of
+    m = s_1 mod 2, an m-sequence.  For two of them u = s_i - s_j is twice
+    the nonzero beta_i - beta_j in B, a rotation of m, so u has 2^(n-1) twos
+    and 2^(n-1) - 1 zeros, and sum_t i^(u_t) = -1.
 
     Raises ConstructionError with the window witness if the members are not
     the cyclic classes, or with the pair (member 1, member j), as symbol
     tuples, for the first member j that does not share member 1's reduction;
     the message gives that pair's exact ``z4_correlation``.
     """
-    A = family.array
     if verify:
-        cert = family._certificate
-        if cert.failure is not None:
-            raise ConstructionError(f"members are not the cyclic classes: {cert.failure[0]}", witness=cert.failure[1])
-        if not cert.aligned:
-            _certify_alignment(A)
-    return A[1:]
+        _certified(family)
+    return family.array[1:]
 
 
 def family_alpha_max(family: FamilyA) -> float:
     """Maximum correlation magnitude over all member pairs and shifts,
     excluding only the in-phase autocorrelation, without summing one.
 
-    The members' n-windows must be every nonzero state once (checked).  The
-    recurrence is linear, so u = s_i - s_j(. + tau) is a solution: zero only
-    in phase, else a rotation of the member m_k whose window it shares, so
-    C_ij(tau) = S_k = sum_t i^(m_k(t)).  And for i != k, s_i - m_k is a
+    The members must be the cyclic classes in the aligned layout (checked).
+    The recurrence is linear, so u = s_i - s_j(. + tau) is a solution: zero
+    only in phase, else a rotation of the member m_k whose window it shares,
+    so C_ij(tau) = S_k = sum_t i^(m_k(t)).  And for i != k, s_i - m_k is a
     rotation s_j(. + tau) of a member, so every S_k occurs: the result is
     max_k |S_k|, with S_k = (c0 - c2) + (c1 - c3)i from row k's symbol
-    counts c_v.  The witness takes i = 0 (1 if k = 0) and (j, tau) from the
-    window code of s_i - m_k, found among the rows' first codes (always, in
-    the aligned layout), and is certified by ``z4_correlation``.
+    counts c_v.  The witness takes i = 0 (1 if k = 0), tau = 0 and the
+    member j whose first window is that of s_i - m_k, and is certified by
+    ``z4_correlation``.
 
-    Raises ConstructionError with the window witness if the members are not
-    the cyclic classes, or with (i, j, tau, S_k) if the certificate fails.
+    Raises ConstructionError as ``subset_l`` does if the members are not in
+    the aligned layout, or with (i, j, tau, S_k) if the certificate fails.
     """
     A, n = family.array, family.n
-    cert = family._certificate
-    if cert.failure is not None:
-        raise ConstructionError(f"members are not the cyclic classes: {cert.failure[0]}", witness=cert.failure[1])
+    cert = _certified(family)
     c = np.stack([np.count_nonzero(A == v, axis=1) for v in range(4)])
     re, im = c[0] - c[2], c[1] - c[3]
     k = int(np.argmax(re * re + im * im))
-    value, i = complex(int(re[k]), int(im[k])), int(k == 0)
+    value, i, tau = complex(int(re[k]), int(im[k])), int(k == 0), 0
     code = int("".join(map(str, (A[i, :n] - A[k, :n]) % 4)), 4)  # big-endian base 4
-    # in the aligned layout s_i - m_k is a unit member in phase: -s_1 = s_1 + 2m
-    # makes it s_1 + 2 gamma with gamma in B, so its window is one row's first
-    hit = np.flatnonzero(cert.first == code)
-    if hit.size:
-        j, tau = int(hit[0]), 0
-    else:  # members outside that layout: scan their windows
-        codes, _ = _window_codes(A, family.polynomial, n)
-        j, tau = divmod(int(np.flatnonzero(codes.ravel() == code)[0]), family.period)
+    # s_i - m_k is a unit member in phase: -s_1 = s_1 + 2m makes it s_1 + 2 gamma
+    # with gamma in B, so its window is one row's first
+    j = int(np.flatnonzero(cert.first == code)[0])
     if z4_correlation(A[i], A[j], tau) != value:
         raise ConstructionError(
             f"correlation of members {i}, {j} at shift {tau} is not member {k}'s symbol sum {value}",
@@ -535,11 +519,11 @@ def family_json_text(family: FamilyA) -> str:
 
 def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     """Rebuild a family from its export form, re-checking the cheap
-    invariants: binary-valued member 0, distinct full cyclic classes of the
-    recurrence (the members' n-windows partition the nonzero states, so no
-    member repeats another or a rotation of it), alignment at shift 0, and
-    the canonical form ``build_family_a`` writes: members 0 and 1 start at
-    their least window code, and members 1.. are ordered by it.
+    invariants: binary-valued member 0, the aligned certificate (distinct
+    full cyclic classes of the recurrence in the aligned layout, so every
+    pair of members 1.. correlates to -1 at shift 0), and the canonical form
+    ``build_family_a`` writes: members 0 and 1 start at their least window
+    code, and members 1.. are ordered by it.
 
     A document that lacks a key, holds a value of the wrong type, or has a
     symbol other than the integers 0-3 or members of unequal length raises
@@ -567,14 +551,11 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
             raise ValueError("member 0 must be binary-valued (symbols in {0, 2})")
         cert = fam._certificate
         if cert.failure is not None:
-            raise ValueError(f"members are not distinct cyclic classes: {cert.failure[0]}")
-        # subset_l's certificate: one reduction mod 2 under members 1.. makes
-        # every pair of them correlate to -1 at shift zero
-        j = None if cert.aligned else _first_unaligned(A)
-        if j is not None:
-            raise ValueError(f"member {j} does not share member 1's mod-2 reduction")
-        # build_family_a's canonical form; with the shared reduction it fixes
-        # the rotation of members 2.. too
+            j, message, _ = cert.failure
+            raise ValueError(f"member {j} does not share member 1's mod-2 reduction" if j
+                             else f"members are not distinct cyclic classes: {message}")
+        # build_family_a's canonical form; the aligned layout fixes the
+        # rotation of members 2.. by member 1's
         for k in (0, 1):
             if cert.first[k] != cert.least[k]:
                 raise ValueError(f"member {k} does not start at its least rotation")

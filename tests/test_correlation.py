@@ -273,6 +273,19 @@ def test_per_shift_maxima_are_mirror_symmetric(qcss5, report5):
     assert np.allclose(per_shift[1:], per_shift[:0:-1], rtol=0, atol=1e-9)
 
 
+def test_census_reads_its_ramp_sums_from_one_table(qcss5, report5, monkeypatch):
+    # the ramp factors E(x) and their magnitudes |E(x)| come from one sum over
+    # the root table; the shift set's classification, which bounds |E| for an
+    # ADS, is never made
+    def refuse(subset):
+        raise AssertionError("the census classified its shift set")
+
+    monkeypatch.setattr(diffsets, "classify_set", refuse)
+    again = tolerances(qcss5)
+    np.testing.assert_array_equal(again.per_shift_max, report5.per_shift_max)
+    assert again.factorization_gap_max == report5.factorization_gap_max
+
+
 def test_per_shift_maxima_excludes_inphase_energy(report5):
     assert report5.per_shift_max[0] == pytest.approx(13.0, abs=1e-9)  # cross only at tau = 0
     assert report5.per_shift_max[0] < 13 * 31

@@ -9,11 +9,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_PRIMITIVE_POLYS, direct_tensor, oracle_tensor, subset_l_base
-from qcss import correlation
+from qcss import binpoly, correlation
 from qcss.correlation import (
     build_qcss,
     matrix_correlation,
@@ -21,7 +21,7 @@ from qcss.correlation import (
     phase_transform,
     tolerances,
 )
-from qcss.diffsets import CyclicSubset
+from qcss.diffsets import CyclicSubset, lift_ads_to_z4f, singer_ds
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -183,3 +183,48 @@ def test_one_census_needs_one_base():
         correlation.tolerances_many([])
     same = build_qcss(base + 4, CyclicSubset(modulus=5, elements=(0, 1)))
     assert len(correlation.tolerances_many([first, same])) == 2  # symbols are read mod 4
+
+
+def pairs_with_row_0(qset):
+    """For every tau, the products i^(v_k(t) - v_0(t')), t' = (t + tau) mod
+    N, of the K pairs (k, 0), which meet every code once, and the lag t - t'
+    (-tau, or N - tau where t' wrapped)."""
+    N, t = qset.period, np.arange(qset.period)
+    Z = np.array([1, 1j, -1, -1j])[qset.base]
+    for tau in range(N):
+        yield tau, Z * np.conj(np.roll(Z[0], -tau)), t - (t + tau) % N
+
+
+BASE_8 = binpoly.primitive_polynomial(8)
+
+
+def test_census_planes_match_direct_sums_at_degree_8():
+    # n = 8 is the least degree whose Walsh planes are int16; in int8 the in-phase
+    # autocorrelation N = 255 would wrap
+    qset = build_qcss(subset_l_base(BASE_8), CyclicSubset(modulus=1, elements=(0,)))
+    N = qset.period
+    w, wr = (np.concatenate([block[i] for block in correlation.correlation_tensor(qset)]) for i in (1, 2))
+    for tau, products, _ in pairs_with_row_0(qset):
+        direct = Counter(zip(products[:, : N - tau].sum(axis=1).tolist(), products[:, N - tau :].sum(axis=1).tolist()))
+        assert direct == Counter(zip(w[tau].tolist(), wr[tau].tolist())), tau
+
+
+@settings(max_examples=6, deadline=None)
+@given(shift_sets())
+@example(lift_ads_to_z4f(singer_ds(6)))  # the n = 8 set of the construction
+def test_census_matches_direct_sums_at_degree_8(shift_set):
+    # row d of matrix k is i^(v_k(t)) exp(2 pi i d t / q), so the M rows' terms
+    # at t sum to i^(v_k(t) - v_0(t')) E(t - t'), E(x) = sum_d exp(2 pi i d x / q):
+    # K N^2 terms over the pairs (k, 0)
+    qset = build_qcss(subset_l_base(BASE_8), shift_set)
+    N = qset.period
+    E = np.exp(2j * np.pi * np.outer(np.arange(-N, N), qset.shifts) / qset.q).sum(axis=1)  # E[x + N]
+    want = np.empty(N)
+    for tau, products, lag in pairs_with_row_0(qset):
+        G = np.abs(products @ E[lag + N])
+        if tau == 0:
+            G[0] = 0.0  # the in-phase autocorrelation
+        want[tau] = G.max()
+    report = tolerances(qset)
+    np.testing.assert_allclose(report.per_shift_max, want, rtol=1e-9, atol=1e-9)
+    assert report.delta_max == pytest.approx(want.max(), rel=1e-9)

@@ -210,13 +210,19 @@ def test_alpha_max_rejects_a_non_family(family4):
 def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request, monkeypatch):
     # an oracle that disagrees makes the certificate fail and expose its
     # witness, which the real oracle must reproduce; with the largest symbol
-    # sum moved to member 0 the witness must start from member 1
+    # sum moved to member 0 the members leave the aligned layout, and the
+    # family is refused with the first member that breaks the alignment
     family = request.getfixturevalue(fixture_name)
     alpha = z4.family_alpha_max(family)
     if largest_first:
         members = sorted(family.members, key=lambda m: -abs(sum(1j**v for v in m)))
-        family = z4.FamilyA(n=family.n, polynomial=family.polynomial, array=members)
-        assert z4.family_alpha_max(family) == alpha
+        A = np.array(members)
+        j = 2 + next(r for r, row in enumerate(A[2:]) if np.any((row - A[1]) % 2))
+        with pytest.raises(ConstructionError, match=f"member {j} does not share member 1's reduction mod 2") as err:
+            z4.family_alpha_max(z4.FamilyA(n=family.n, polynomial=family.polynomial, array=members))
+        assert err.value.witness == (members[1], members[j])
+        assert f"is {z4.z4_correlation(members[1], members[j])}, not" in str(err.value)
+        return
     oracle = z4.z4_correlation
     monkeypatch.setattr(z4, "z4_correlation", lambda a, b, tau: oracle(a, b, tau) + 1)
     with pytest.raises(ConstructionError) as err:
@@ -224,7 +230,7 @@ def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request
     i, j, tau, value = err.value.witness
     assert (i != j or tau) and 0 <= tau < family.period  # not in phase
     assert oracle(family.members[i], family.members[j], tau) == value
-    assert abs(value) == alpha and i == int(largest_first)
+    assert abs(value) == alpha and tau == 0
 
 
 @pytest.mark.parametrize(
@@ -391,7 +397,7 @@ def test_family_certificate_runs_once_per_family(n, monkeypatch):
     inner = z4._family_certificate
     calls = []
     monkeypatch.setattr(z4, "_family_certificate", lambda *args: calls.append(args) or inner(*args))
-    monkeypatch.setattr(z4, "_window_codes", None)
+    monkeypatch.setattr(z4, "_window_failure", None)
     family = z4.build_family_a(n)
     z4.family_alpha_max(family)
     z4.subset_l(family, verify=True)
@@ -409,12 +415,22 @@ def test_family_certificate_runs_once_per_family(n, monkeypatch):
     assert not rebuilt.array.flags.writeable
 
 
+def window_codes(A, n: int) -> np.ndarray:
+    """codes[k, t]: the big-endian base-4 code of A[k, t .. t + n - 1], indices
+    mod N, from rotated copies of the rows."""
+    A = np.asarray(A, dtype=np.int64) % 4
+    codes = np.zeros_like(A)
+    for j in range(n):
+        codes = 4 * codes + np.roll(A, -j, axis=1)
+    return codes
+
+
 @pytest.mark.parametrize("n,coeffs", PRIMITIVE_2_TO_8 + [(n, None) for n in range(9, 13)])
 def test_aligned_certificate_gives_the_window_codes(n, coeffs):
     family = z4.build_family_a(n, coeffs=coeffs)
-    codes, failure = z4._window_codes(family.array, family.polynomial, n)
+    codes = window_codes(family.array, n)
     cert = family._certificate
-    assert failure is None and cert.failure is None and cert.aligned
+    assert cert.failure is None
     np.testing.assert_array_equal(cert.first, codes[:, 0])
     np.testing.assert_array_equal(cert.least, codes.min(axis=1))
 
@@ -591,17 +607,20 @@ MEMBER_EDITS = st.one_of(
 )
 
 
-def window_decision(A, f, n):
-    """The general certificate: the window check, then the alignment of rows
-    1..; the refusal's message and witness, or the first and least codes."""
-    codes, failure = z4._window_codes(A, f, n)
-    try:
-        if failure is not None:
-            raise ConstructionError(f"members are not the cyclic classes: {failure[0]}", witness=failure[1])
-        z4._certify_alignment(A)
-    except ConstructionError as exc:
-        return "refused", str(exc), exc.witness
-    return "certified", codes[:, 0], codes.min(axis=1)
+def oracle_refusal(A, f, n: int):
+    """The family check from its definition: None if every row satisfies the
+    recurrence with polynomial f, the window codes are every nonzero state
+    once and rows 1.. share one reduction mod 2, else ("classes", first row
+    off the recurrence or None) or ("aligned", first row j >= 2 whose
+    reduction differs from row 1's)."""
+    A = np.asarray(A, dtype=np.int64) % 4
+    off = np.any(sum(c * np.roll(A, -j, axis=1) for j, c in enumerate(f)) % 4, axis=1)
+    if off.any():
+        return "classes", int(np.argmax(off))
+    if not np.array_equal(np.sort(window_codes(A, n).ravel()), np.arange(1, 4**n)):
+        return "classes", None
+    unaligned = np.any((A[2:] - A[1]) % 2, axis=1)
+    return ("aligned", 2 + int(np.argmax(unaligned))) if unaligned.any() else None
 
 
 # the lifts of both primitive polynomials of degree 4: the family is built
@@ -619,15 +638,28 @@ def test_family_certificate_decides_as_the_window_check(edit, polynomial):
     else:
         corrupt(doc, edit)
     edited = z4.FamilyA(n=4, polynomial=polynomial, array=doc["members"])
-    decision, *want = window_decision(edited.array, edited.polynomial, 4)
+    A = edited.array
+    refusal = oracle_refusal(A, polynomial, 4)
     try:
         z4.subset_l(edited, verify=True)
     except ConstructionError as exc:
-        assert decision == "refused" and [str(exc), exc.witness] == want
+        assert refusal is not None
+        kind, row = refusal
+        if kind == "aligned":
+            assert str(exc).startswith(f"member {row} does not share member 1's reduction mod 2: ")
+            assert exc.witness == (tuple(A[1].tolist()), tuple(A[row].tolist()))
+        elif row is not None:
+            assert str(exc) == f"members are not the cyclic classes: row {row} does not satisfy the recurrence"
+            assert exc.witness == (row, tuple(A[row].tolist()))
+        else:  # two windows share one state code
+            code, where = exc.witness
+            assert str(exc).startswith("members are not the cyclic classes: state code ")
+            assert len(where) == 2 and [window_codes(A, 4)[r, t] for r, t in where] == [code, code]
     else:
-        assert decision == "certified"
-        np.testing.assert_array_equal(edited._certificate.first, want[0])
-        np.testing.assert_array_equal(edited._certificate.least, want[1])
+        assert refusal is None
+        codes = window_codes(A, 4)
+        np.testing.assert_array_equal(edited._certificate.first, codes[:, 0])
+        np.testing.assert_array_equal(edited._certificate.least, codes.min(axis=1))
 
 
 PRIMITIVE_2_TO_7 = [case for case in PRIMITIVE_2_TO_8 if case[0] <= 7]
