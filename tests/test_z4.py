@@ -230,7 +230,7 @@ def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request
     i, j, tau, value = err.value.witness
     assert (i != j or tau) and 0 <= tau < family.period  # not in phase
     assert oracle(family.members[i], family.members[j], tau) == value
-    assert abs(value) == alpha and tau == 0
+    assert abs(value) == alpha and i == 0 and tau == 0
 
 
 @pytest.mark.parametrize(
