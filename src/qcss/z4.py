@@ -7,11 +7,13 @@ one int8 (K, N) array.
 Sequences are tuples or int8 arrays of residues mod 4.  Correlations of raw
 Z4 sequences are Gaussian integers, counted exactly (no FFT, no rounding),
 so equality checks like "this value is -1" carry no floating-point slack.
-No check of the family sums a correlation census: once the members are
-shown to be the cyclic classes in the aligned layout, by the subset-L coset
-check the correlation census runs, alpha_max follows from their symbol sums
-and subset L's -1 at shift zero from their shared reduction mod 2, both in
-O(K N).
+No check of the family sums a correlation census.  The build certifies its
+rows in the aligned layout once, by the subset-L coset check the
+correlation census runs; alpha_max then follows from their symbol sums and
+subset L's -1 at shift zero from their shared reduction mod 2, both in
+O(K N).  For a primitive h there is exactly one family in the build's
+canonical layout, so any other family is checked by comparing it with the
+build for its polynomial mod 2.
 """
 
 from __future__ import annotations
@@ -19,19 +21,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import binpoly
 from .errors import ConstructionError
 
-# The build with its checks takes ~2.5 ms at n = 10 and ~34 ms at n = 12 (2-core
-# VM, in process, best of 5), 1.3 ms and 22 ms of it the aligned certificate;
-# family_alpha_max adds ~1.5 ms and ~25 ms, family_json_bytes ~1 ms and ~26 ms.
+# The build with its aligned check takes ~5.5 ms at n = 10 and ~83 ms at n = 12
+# (2-core VM, in process, best of 15 and 5), 2.0 ms and 49 ms of it the check;
+# family_alpha_max adds ~3.2 ms and ~46 ms, family_json_bytes ~1.9 ms and ~66 ms.
 # Its 151 MB buffer sets most of the ~0.21 GB peak of `qcss family --n 12`.
 MAX_FAMILY_DEGREE = 12
-_BLOCK_CODES = 1 << 18  # window codes the aligned certificate forms at once (1 MB)
+_BLOCK_CODES = 1 << 18  # window codes the aligned check forms at once (1 MB)
 
 
 def graeffe_lift(coeffs) -> tuple[int, ...]:
@@ -115,16 +116,16 @@ class FamilyA:
     nonzero solutions of the Z4 recurrence, stored once as the read-only int8
     (K, N) array ``array`` of residues mod 4, one member per row.
 
-    The aligned layout of subset L: row 0 is the binary-valued class 2m(. +
-    s) (symbols in {0, 2}), and rows 1.. are s_1 + 2 beta for the 2^n
-    distinct beta in the binary recurrence space of m = s_1 mod 2, so every
-    pair of them correlates to exactly -1 at shift zero.  The constructor
+    The aligned layout of subset L: row 0 is the binary-valued class 2m
+    (symbols in {0, 2}), and rows 1.. are s_1 + 2 beta for the 2^n distinct
+    beta in the binary recurrence space of m = s_1 mod 2, so every pair of
+    them correlates to exactly -1 at shift zero.  The constructor
     takes any 2-D integer array-like and copies it; ragged rows, another
     number of dimensions or non-integer symbols raise ValueError.  Two
     families are equal when n, the polynomial and every symbol agree.
-    Neither changes, so the certificate is computed once; rows in another
-    order or rotation are refused by it.  It keeps each row's first and
-    least window code, not all K N.
+    Neither changes, so the refusal is computed once: None for a family
+    ``build_family_a`` made, else the first difference from the build for
+    the polynomial mod 2.  Rows in another order or rotation are refused.
     """
 
     n: int
@@ -149,8 +150,8 @@ class FamilyA:
         return (self.n, self.polynomial) == (other.n, other.polynomial) and np.array_equal(self.array, other.array)
 
     @cached_property
-    def _certificate(self) -> _Certificate:
-        return _family_certificate(self.array, self.polynomial, self.n)
+    def _refusal(self) -> tuple[str, object] | None:
+        return _compare_with_build(self.n, self.polynomial, self.array)[1]
 
     @property
     def period(self) -> int:
@@ -171,16 +172,15 @@ class FamilyA:
 
 
 def _windows(rows: np.ndarray, f, n: int):
-    """Big-endian base-4 codes of the cyclic n-windows of rows of period N
-    ([k, t] encodes rows[k, t .. t + n - 1], indices mod N), and each row's
-    recurrence residue, nonzero mod 4 wherever the row breaks the recurrence
-    with polynomial f."""
+    """Big-endian base-4 codes of the cyclic n-windows of rows of residues
+    0-3 of period N ([k, t] encodes rows[k, t .. t + n - 1], indices mod N),
+    and each row's recurrence residue, nonzero mod 4 wherever the row breaks
+    the recurrence with polynomial f."""
     # column t + j of the rows extended by their first n columns is symbol
     # t + j mod N, so every window is a slice; int8 sums wrap mod 256, which
-    # keeps every residue mod 4, and & 3 takes the residue
+    # keeps every residue mod 4
     N = rows.shape[1]
     ext = np.concatenate([rows, rows[:, :n]], axis=1, dtype=np.int8)
-    ext &= 3
     acc = ext[:, n:].copy()
     term = np.empty_like(acc)
     codes = np.zeros(rows.shape, dtype=np.int32)  # 4^n < 2^31 up to MAX_FAMILY_DEGREE
@@ -194,31 +194,9 @@ def _windows(rows: np.ndarray, f, n: int):
     return codes, acc
 
 
-def _window_failure(rows: np.ndarray, f, n: int):
-    """None if the rows are 2^n + 1 full cyclic classes of period 2^n - 1 of
-    the recurrence with polynomial f, in any order and rotation, else
-    (message, witness).
-
-    Each row must satisfy the recurrence cyclically and the 4^n - 1 window
-    codes of ``_windows`` must hit every nonzero state once: they do iff
-    none is zero and all are distinct (pigeonhole), so one boolean mask
-    decides it.
-    """
-    if rows.shape != ((1 << n) + 1, (1 << n) - 1):
-        return f"shape {rows.shape} is not 2^n + 1 rows of period 2^n - 1", rows.shape
-    codes, acc = _windows(rows, f, n)
-    broken = np.flatnonzero(np.any(acc & 3, axis=1))
-    if broken.size:
-        k = int(broken[0])
-        return f"row {k} does not satisfy the recurrence", (k, tuple(rows[k].tolist()))
-    seen = np.zeros(1 << (2 * n), dtype=bool)
-    seen[codes] = True
-    if not seen[0] and np.count_nonzero(seen) == codes.size:
-        return None
-    # a zero window makes its whole row zero, so some code always repeats
-    code = int(np.flatnonzero(np.bincount(codes.ravel()) > 1)[0])
-    where = [divmod(int(i), codes.shape[1]) for i in np.flatnonzero(codes.ravel() == code)[:2]]
-    return f"state code {code} is the window at (row, shift) {where}", (code, where)
+def _rotations(row: np.ndarray) -> np.ndarray:
+    """The read-only (N, N) view whose row s is row(. + s), indices mod N."""
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row[:-1]]), len(row))
 
 
 def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +219,7 @@ def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"the census needs a base of 2^n rows of period 2^n - 1, n >= 2, got shape {base.shape}")
     bits = 1 << np.arange(n)
     m = base[0] & 1
-    rotations = np.lib.stride_tricks.sliding_window_view(np.concatenate([m, m[:-1]]), N)  # row s: m(. + s)
+    rotations = _rotations(m)  # row s: m(. + s)
     code = bits @ rotations[:n]
     seen = np.bincount(code, minlength=K)
     if seen[0] or seen.max() > 1:  # N codes: with no zero and no repeat, each nonzero state once
@@ -284,92 +262,76 @@ def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return code, np.where(a > 0, pos[a], -1)
 
 
-class _Certificate(NamedTuple):
-    """What the family check found: each row's first and least n-window
-    code, or the refusal (j, message, witness), with j the first member
-    whose reduction mod 2 differs from member 1's, or None when the rows
-    are not the cyclic classes."""
-
-    failure: tuple | None
-    first: np.ndarray | None = None
-    least: np.ndarray | None = None
-
-
-def _aligned_certificate(A: np.ndarray, f, n: int) -> _Certificate | None:
-    """The certificate of rows in ``build_family_a``'s aligned layout, or
-    None if they are not in it; O(n N + K N).
+def _aligned_check(rows: np.ndarray, f, n: int) -> np.ndarray:
+    """Certify in O(n N + K N) that ``build_family_a``'s rows are the cyclic
+    classes in the aligned layout, and return the least window code of each
+    row 2.., which orders them.
 
     Row 1 must satisfy the recurrence, rows 1.. must pass ``coset_codes``,
-    and row 0 must be 2m(. + shift[0]).  Row 1 mod 2 is then an m-sequence,
-    so row 1's states span Z4^n and every solution has period N; rows 1..
-    are 2^n distinct unit classes (rotating one changes its reduction mod 2)
-    and row 0 is the even class, so the windows are every nonzero state
-    once.  (s + 2b) mod 4 is s XOR 2b, so row k's codes are row 1's XOR those
-    of 2 beta_k.
+    and row 0 must be 2m, m = row 1 mod 2.  Row 1 mod 2 is then an
+    m-sequence, so row 1's states span Z4^n and every solution has period
+    N; rows 1.. are 2^n distinct unit classes (rotating one changes its
+    reduction mod 2) and row 0 is the even class, so the windows are every
+    nonzero state once.  A failed check raises ConstructionError with its
+    own witness: (1, t) for the first t at which row 1 breaks the
+    recurrence, ``coset_codes``' witness (its rows count from row 1), or (0,
+    t) for the first t at which row 0 is not 2m.  (s + 2b) mod 4 is s XOR
+    2b, so row k's codes are row 1's XOR those of 2 beta_k.
     """
-    K, N = (1 << n) + 1, (1 << n) - 1
-    if A.shape != (K, N):
-        return None
-    m = A[1] & 1
-    (c1, high), acc = _windows(np.stack([A[1], 2 * m]), f, n)
-    if np.any(acc & 3):  # 2m satisfies the recurrence whenever row 1 does
-        return None
-    try:
-        code, shift = coset_codes(A[1:])
-    except ConstructionError:
-        return None
-    # the one rotation of m whose first window is half row 0's
-    where = np.flatnonzero(code == ((A[0, :n] & 3) >> 1) @ (1 << np.arange(n)))
-    if not where.size or np.any((A[0] & 3) != 2 * np.roll(m, -where[0])):
-        return None
-    shift = np.concatenate([where[:1], shift])
-    first, least = np.empty(K, dtype=np.int32), np.empty(K, dtype=np.int32)
-    first[0], least[0] = high[shift[0]], high.min()  # row 0's codes are high(. + shift[0])
-    rotations = np.lib.stride_tricks.sliding_window_view(np.concatenate([high, high[:-1]]), N)
+    N = rows.shape[1]
+    m = rows[1] & 1
+    (c1, high), acc = _windows(np.stack([rows[1], 2 * m]), f, n)
+    broken = np.flatnonzero(acc[0] & 3)  # 2m satisfies the recurrence whenever row 1 does
+    if broken.size:
+        t = int(broken[0])
+        raise ConstructionError(f"row 1 does not satisfy the recurrence: it breaks at t = {t}", witness=(1, t))
+    _, shift = coset_codes(rows[1:])
+    off = np.flatnonzero(rows[0] != 2 * m)
+    if off.size:
+        t = int(off[0])
+        raise ConstructionError(f"row 0 is not 2m, m = row 1 mod 2: it differs at t = {t}", witness=(0, t))
+    shift = shift[1:]  # rows 2..: their first windows differ from row 1's, so no beta_k is 0
+    least = np.empty(len(shift), dtype=np.int32)
+    rotations = _rotations(high)
     step = max(1, _BLOCK_CODES // N)
-    for start in range(1, K, step):  # the codes c1 ^ high(. + shift[k]) of a cache-sized block of rows
-        rows = shift[start : start + step]
-        codes = rotations[rows]
-        codes[rows < 0] = 0
+    for start in range(0, len(shift), step):  # the codes c1 ^ high(. + shift[k]) of a cache-sized block of rows
+        codes = rotations[shift[start : start + step]]
         codes ^= c1
-        first[start : start + step], least[start : start + step] = codes[:, 0], codes.min(axis=1)
-    return _Certificate(None, first, least)
+        least[start : start + step] = codes.min(axis=1)
+    return least
 
 
-def _family_certificate(A: np.ndarray, f, n: int) -> _Certificate:
-    """The aligned certificate, the only one a family gets, or the refusal
-    of rows outside that layout, named by the general check: the
-    ``_window_failure`` of rows that are not the cyclic classes, else the
-    first member j >= 2 whose reduction mod 2 differs from member 1's.
+def _compare_with_build(n: int, polynomial: tuple, A: np.ndarray) -> tuple[FamilyA | None, tuple | None]:
+    """The family ``build_family_a`` makes for h = polynomial mod 2, and the
+    refusal (message, witness) of the family (n, polynomial, A) against it,
+    or None if the two are equal.
 
-    Both checks decide alike.  If the windows are every nonzero state once
-    and members 1.. share one reduction, no binary member is among them (its
-    reduction is 0, a unit member's an m-sequence), so member 0 is the even
-    class 2m(. + s) and members 1.. are s_1 + 2 beta for distinct beta,
-    which are all of B: the aligned layout.
+    For a primitive h the build is the one family in the canonical layout,
+    so the first difference names the refusal: h builds no family (witness
+    h), the polynomial is not the lift of h (which refuses a non-monic one),
+    the shape differs, or the first (member, t) whose symbol differs.
     """
-    cert = _aligned_certificate(A, f, n)
-    if cert is not None:
-        return cert
-    failure = _window_failure(A, f, n)
-    if failure is not None:
-        return _Certificate((None, *failure))
-    j = 2 + int(np.flatnonzero(np.any((A[2:] ^ A[1]) & 1, axis=1))[0])
-    return _Certificate((
-        j,
-        f"member {j} does not share member 1's reduction mod 2: their zero-shift "
-        f"correlation is {z4_correlation(A[1], A[j])}, not certified -1",
-        (tuple(A[1].tolist()), tuple(A[j].tolist())),
-    ))
+    h = tuple(c % 2 for c in polynomial)
+    try:
+        built = build_family_a(n, h)
+    except ValueError as exc:
+        return None, (f"the polynomial mod 2 {h} builds no family: {exc}", h)
+    if polynomial != built.polynomial:
+        return built, (f"polynomial {polynomial} is not {built.polynomial}, the lift of its reduction mod 2",
+                       polynomial)
+    if A.shape != built.array.shape:
+        return built, (f"shape {A.shape} is not the build's {built.array.shape}", A.shape)
+    if not np.array_equal(A, built.array):
+        k, t = np.argwhere(A != built.array)[0].tolist()
+        return built, (f"member {k} differs from the build at t = {t}", (k, t))
+    return built, None
 
 
-def _certified(family: FamilyA) -> _Certificate:
-    """The family's certificate; its refusal raises ConstructionError."""
-    cert = family._certificate
-    if cert.failure is not None:
-        j, message, witness = cert.failure
-        raise ConstructionError(message if j else f"members are not the cyclic classes: {message}", witness=witness)
-    return cert
+def _certified(family: FamilyA) -> None:
+    """Raise ConstructionError with the family's refusal, if it has one."""
+    if family._refusal is not None:
+        message, witness = family._refusal
+        raise ConstructionError(message, witness=witness)
 
 
 def check_family_degree(n: int) -> None:
@@ -388,8 +350,8 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     binary solution, so the 2^n unit classes aligned with s_1 are s_1 + 2b,
     b = 0 or m(. + j), j < N, with m = s_1 mod 2.  Member 0 is 2m, which
     starts at the least binary-valued state (0, ..., 0, 2).  The aligned
-    certificate proves these are the cyclic classes; members 2.. go by least
-    window code.
+    check, the one certificate of Family A, proves these are the cyclic
+    classes; members 2.. go by least window code.
 
     Parameters
     ----------
@@ -400,25 +362,21 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     Raises
     ------
     ConstructionError
-        if the rows are not the cyclic classes (the falsification path,
-        never silently patched).
+        with the witness of the aligned check that failed, if the rows are
+        not the cyclic classes (the falsification path, never silently
+        patched).
     """
     check_family_degree(n)
     h = tuple(coeffs) if coeffs is not None else binpoly.primitive_polynomial(n)
     if binpoly.poly_degree(h) != n:
         raise ValueError("polynomial degree does not match n")
     f = graeffe_lift(h)
-    N = (1 << n) - 1
     s1 = np.array(run_z4_recurrence(f, (0,) * (n - 1) + (1,)), dtype=np.int8)
-    shifts = np.lib.stride_tricks.sliding_window_view(np.tile(2 * (s1 & 1), 2)[:-1], N)  # row j: 2m(. + j)
+    shifts = _rotations(2 * (s1 & 1))  # row j: 2m(. + j)
     rows = np.vstack([shifts[0], s1, (s1 + shifts) & 3])
-    cert = _family_certificate(rows, f, n)
-    if cert.failure is not None:  # rows 1.. share s_1's reduction, so only the window check refuses
-        _, message, witness = cert.failure
-        raise ConstructionError(f"constructed rows are not the cyclic classes: {message}", witness=witness)
-    order = np.concatenate([[0, 1], 2 + np.argsort(cert.least[2:])])
+    order = np.concatenate([[0, 1], 2 + np.argsort(_aligned_check(rows, f, n))])
     family = FamilyA(n=n, polynomial=f, array=rows[order])
-    vars(family)["_certificate"] = cert._replace(first=cert.first[order], least=cert.least[order])
+    vars(family)["_refusal"] = None
     return family
 
 
@@ -426,17 +384,18 @@ def subset_l(family: FamilyA, verify: bool = True) -> np.ndarray:
     """The 2^n aligned members excluding the binary-valued one, as the
     read-only int8 (2^n, N) view ``family.array[1:]``.
 
-    With ``verify`` (default) the O(n N + K N) aligned certificate proves
-    that every pair correlates to exactly -1 + 0i at shift zero: members 1..
-    are s_1 + 2 beta for distinct beta in B, the binary recurrence space of
-    m = s_1 mod 2, an m-sequence.  For two of them u = s_i - s_j is twice
-    the nonzero beta_i - beta_j in B, a rotation of m, so u has 2^(n-1) twos
-    and 2^(n-1) - 1 zeros, and sum_t i^(u_t) = -1.
+    With ``verify`` (default) the family must be ``build_family_a``'s, whose
+    aligned check proves that every pair correlates to exactly -1 + 0i at
+    shift zero: members 1.. are s_1 + 2 beta for distinct beta in B, the
+    binary recurrence space of m = s_1 mod 2, an m-sequence.  For two of
+    them u = s_i - s_j is twice the nonzero beta_i - beta_j in B, a rotation
+    of m, so u has 2^(n-1) twos and 2^(n-1) - 1 zeros, and sum_t i^(u_t) =
+    -1.  A family made otherwise is compared, once, with the build for its
+    polynomial mod 2.
 
-    Raises ConstructionError with the window witness if the members are not
-    the cyclic classes, or with the pair (member 1, member j), as symbol
-    tuples, for the first member j that does not share member 1's reduction;
-    the message gives that pair's exact ``z4_correlation``.
+    Raises ConstructionError with the first difference from that build: the
+    (member, t) of the first differing symbol, or else the shape, the
+    polynomial, or its reduction mod 2 if that builds no family.
     """
     if verify:
         _certified(family)
@@ -447,7 +406,7 @@ def family_alpha_max(family: FamilyA) -> float:
     """Maximum correlation magnitude over all member pairs and shifts,
     excluding only the in-phase autocorrelation, without summing one.
 
-    The members must be the cyclic classes in the aligned layout (checked).
+    The family must be ``build_family_a``'s (checked as by ``subset_l``).
     The recurrence is linear, so u = s_i - s_j(. + tau) is a solution: zero
     only in phase, else a rotation of the member m_k whose window it shares,
     so C_ij(tau) = S_k = sum_t i^(m_k(t)).  And for i != k, s_i - m_k is a
@@ -457,19 +416,19 @@ def family_alpha_max(family: FamilyA) -> float:
     member j whose first window is that of s_i - m_k, and is certified by
     ``z4_correlation``.
 
-    Raises ConstructionError as ``subset_l`` does if the members are not in
-    the aligned layout, or with (i, j, tau, S_k) if the certificate fails.
+    Raises ConstructionError as ``subset_l`` does if the family is not the
+    build, or with (i, j, tau, S_k) if the certificate fails.
     """
     A, n = family.array, family.n
-    cert = _certified(family)
+    _certified(family)
     c = np.stack([np.count_nonzero(A == v, axis=1) for v in range(4)])
     re, im = c[0] - c[2], c[1] - c[3]
     k = int(np.argmax(re * re + im * im))
     value, i, tau = complex(int(re[k]), int(im[k])), int(k == 0), 0
-    code = int("".join(map(str, (A[i, :n] - A[k, :n]) % 4)), 4)  # big-endian base 4
     # s_i - m_k is a unit member in phase: -s_1 = s_1 + 2m makes it s_1 + 2 gamma
-    # with gamma in B, so its window is one row's first
-    j = int(np.flatnonzero(cert.first == code)[0])
+    # with gamma in B, so its window is one row's first (big-endian base 4)
+    powers = 4 ** np.arange(n - 1, -1, -1)
+    j = int(np.flatnonzero(A[:, :n] @ powers == ((A[i, :n] - A[k, :n]) % 4) @ powers)[0])
     if z4_correlation(A[i], A[j], tau) != value:
         raise ConstructionError(
             f"correlation of members {i}, {j} at shift {tau} is not member {k}'s symbol sum {value}",
@@ -518,12 +477,10 @@ def family_json_text(family: FamilyA) -> str:
 
 
 def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
-    """Rebuild a family from its export form, re-checking the cheap
-    invariants: binary-valued member 0, the aligned certificate (distinct
-    full cyclic classes of the recurrence in the aligned layout, so every
-    pair of members 1.. correlates to -1 at shift 0), and the canonical form
-    ``build_family_a`` writes: members 0 and 1 start at their least window
-    code, and members 1.. are ordered by it.
+    """Rebuild a family from its export form.  With ``verify`` (default) the
+    document must hold exactly what ``build_family_a`` writes for its
+    polynomial mod 2, and the build is returned; a document that differs
+    raises ValueError with the first difference, as ``subset_l`` names it.
 
     A document that lacks a key, holds a value of the wrong type, or has a
     symbol other than the integers 0-3 or members of unequal length raises
@@ -545,20 +502,10 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
         A = None
     if A is None or np.any(A > 3):
         raise ValueError("family symbols must be the integers 0-3")
-    fam = FamilyA(n=n, polynomial=tuple(c % 4 for c in poly), array=A)
-    if verify:
-        if np.any(A[:1] % 2):
-            raise ValueError("member 0 must be binary-valued (symbols in {0, 2})")
-        cert = fam._certificate
-        if cert.failure is not None:
-            j, message, _ = cert.failure
-            raise ValueError(f"member {j} does not share member 1's mod-2 reduction" if j
-                             else f"members are not distinct cyclic classes: {message}")
-        # build_family_a's canonical form; the aligned layout fixes the
-        # rotation of members 2.. by member 1's
-        for k in (0, 1):
-            if cert.first[k] != cert.least[k]:
-                raise ValueError(f"member {k} does not start at its least rotation")
-        if np.any(np.diff(cert.least[1:]) <= 0):
-            raise ValueError("members 1.. are not ordered by their least window code")
-    return fam
+    polynomial = tuple(c % 4 for c in poly)
+    if not verify:
+        return FamilyA(n=n, polynomial=polynomial, array=A)
+    built, refusal = _compare_with_build(n, polynomial, A.view(np.int8))  # the build's dtype, same bytes
+    if refusal is not None:
+        raise ValueError(refusal[0])
+    return built

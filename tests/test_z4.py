@@ -187,20 +187,25 @@ def test_alpha_max_every_primitive_polynomial(n, coeffs):
     assert abs(z4.family_alpha_max(family) - oracle) <= 1e-9
 
 
+def first_edit(A, B):
+    """The first (member, t), in row-major order, at which A and B differ."""
+    return tuple(np.argwhere(np.asarray(A) != np.asarray(B))[0].tolist())
+
+
 def test_alpha_max_rejects_a_non_family(family4):
+    # each family is refused with its first difference from the build
     members = list(family4.members)
     copied = members[:3] + [members[2]] + members[4:]
-    with pytest.raises(ConstructionError, match="is the window at") as err:
+    t = first_edit(members[2], members[3])[0]
+    with pytest.raises(ConstructionError, match=rf"^member 3 differs from the build at t = {t}$") as err:
         z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, array=copied))
-    code, where = err.value.witness
-    assert [row for row, _ in where] == [2, 3] and where[0][1] == where[1][1]
+    assert err.value.witness == (3, t)
     broken = members[5][:7] + ((members[5][7] + 1) % 4,) + members[5][8:]
     tampered = members[:5] + [broken] + members[6:]
-    with pytest.raises(ConstructionError, match="does not satisfy the recurrence") as err:
+    with pytest.raises(ConstructionError, match="^member 5 differs from the build at t = 7$") as err:
         z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, array=tampered))
-    assert err.value.witness == (5, broken)
-    # a missing member leaves the other windows distinct, but not every state
-    with pytest.raises(ConstructionError, match=r"is not 2\^n \+ 1 rows") as err:
+    assert err.value.witness == (5, 7)
+    with pytest.raises(ConstructionError, match=r"^shape \(16, 15\) is not the build's \(17, 15\)$") as err:
         z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, array=members[:-1]))
     assert err.value.witness == (16, 15)
 
@@ -210,18 +215,15 @@ def test_alpha_max_rejects_a_non_family(family4):
 def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request, monkeypatch):
     # an oracle that disagrees makes the certificate fail and expose its
     # witness, which the real oracle must reproduce; with the largest symbol
-    # sum moved to member 0 the members leave the aligned layout, and the
-    # family is refused with the first member that breaks the alignment
+    # sum moved to member 0 the members leave the build's layout, and the
+    # family is refused with the first symbol the reordering moved
     family = request.getfixturevalue(fixture_name)
     alpha = z4.family_alpha_max(family)
     if largest_first:
         members = sorted(family.members, key=lambda m: -abs(sum(1j**v for v in m)))
-        A = np.array(members)
-        j = 2 + next(r for r, row in enumerate(A[2:]) if np.any((row - A[1]) % 2))
-        with pytest.raises(ConstructionError, match=f"member {j} does not share member 1's reduction mod 2") as err:
+        with pytest.raises(ConstructionError, match="differs from the build") as err:
             z4.family_alpha_max(z4.FamilyA(n=family.n, polynomial=family.polynomial, array=members))
-        assert err.value.witness == (members[1], members[j])
-        assert f"is {z4.z4_correlation(members[1], members[j])}, not" in str(err.value)
+        assert err.value.witness == first_edit(members, family.members)
         return
     oracle = z4.z4_correlation
     monkeypatch.setattr(z4, "z4_correlation", lambda a, b, tau: oracle(a, b, tau) + 1)
@@ -245,18 +247,19 @@ def test_subset_l_zero_shift_property(fixture_name, request):
 
 
 def test_subset_l_flags_misaligned_member(family3):
-    # rotating one representative breaks the zero-shift pairwise property
+    # rotating one representative breaks the zero-shift pairwise property,
+    # and a repeated member is no family at all: each is refused at its
+    # first symbol that differs from the build
     members = list(family3.members)
     broken = members[2][1:] + members[2][:1]
     tampered = z4.FamilyA(n=family3.n, polynomial=family3.polynomial, array=members[:2] + [broken] + members[3:])
-    with pytest.raises(ConstructionError, match="reduction mod 2") as err:
+    with pytest.raises(ConstructionError, match="^member 2 differs from the build") as err:
         qcss.subset_l(tampered)
-    assert err.value.witness == (members[1], broken)  # the first failing pair
-    assert f"is {z4.z4_correlation(members[1], broken)}, not" in str(err.value)
-    # a repeated member is no family at all: the window check names it
+    assert err.value.witness == (2, first_edit(broken, members[2])[0])
     copied = z4.FamilyA(n=family3.n, polynomial=family3.polynomial, array=members[:3] + [members[2]] + members[4:])
-    with pytest.raises(ConstructionError, match="not the cyclic classes"):
+    with pytest.raises(ConstructionError, match="^member 3 differs from the build") as err:
         qcss.subset_l(copied)
+    assert err.value.witness == (3, first_edit(members[2], members[3])[0])
 
 
 def gram_oracle(rows):
@@ -289,8 +292,9 @@ def test_subset_l_certificate_agrees_with_gram_oracle(case):
 @given(st.sampled_from(PRIMITIVE_2_TO_8), st.data())
 def test_subset_l_certificate_catches_a_rotated_member(case, data):
     # a rotation by r in 1..N-1 moves the member's reduction mod 2, a binary
-    # m-sequence of period N, so the certificate fires on every such member;
-    # the oracle must agree that some pair of L no longer correlates to -1
+    # m-sequence of period N, so the member differs from the build's and is
+    # refused; the oracle must agree that some pair of L no longer
+    # correlates to -1
     n, coeffs = case
     family = z4.build_family_a(n, coeffs=coeffs)
     K, N = family.array.shape
@@ -301,27 +305,40 @@ def test_subset_l_certificate_catches_a_rotated_member(case, data):
     tampered = z4.FamilyA(n=n, polynomial=family.polynomial, array=A)
     G = gram_oracle(A[1:])
     assert np.any(G[~np.eye(K - 1, dtype=bool)] != -1)
-    with pytest.raises(ConstructionError, match="reduction mod 2") as err:
+    with pytest.raises(ConstructionError, match=f"^member {j} differs from the build") as err:
         z4.subset_l(tampered, verify=True)
-    first, other = err.value.witness
-    partner = 2 if j == 1 else j
-    assert (first, other) == (tuple(A[1].tolist()), tuple(A[partner].tolist()))
-    assert G[0, partner - 1] == z4.z4_correlation(first, other)
-    assert f"is {z4.z4_correlation(first, other)}, not" in str(err.value)
+    assert err.value.witness == first_edit(A, family.array)
+    assert err.value.witness[0] == j
 
 
 def test_build_falsifies_a_wrong_lift(monkeypatch):
-    # x^3 - 1: every sequence has period 3, so no row closes after 7 symbols
+    # x^3 - 1: s_1 = 0010010 repeats every 3, so it breaks the recurrence
+    # s(t + 3) = s(t) at t = 5, where s(8 mod 7) = 0 but s(5) = 1
     monkeypatch.setattr(z4, "graeffe_lift", lambda h: (3, 0, 0, 1))
-    with pytest.raises(ConstructionError, match="does not satisfy the recurrence"):
+    with pytest.raises(ConstructionError, match="^row 1 does not satisfy the recurrence: it breaks at t = 5$") as err:
         z4.build_family_a(3)
-    # x^4 + x^3 + x^2 + x + 1 divides x^5 - 1: rows close after 15 symbols
-    # but repeat every 5, so their windows cannot partition the states
+    assert err.value.witness == (1, 5)
+    # x^4 + x^3 + x^2 + x + 1 divides x^5 - 1: row 1 closes after 15 symbols
+    # but repeats every 5, so the coset check, whose row 0 is row 1, names
+    # the least window code of m = s_1 mod 2 that repeats, and its first
+    # two shifts
     monkeypatch.setattr(z4, "graeffe_lift", lambda h: (1, 1, 1, 1, 1))
-    with pytest.raises(ConstructionError, match="is the window at") as err:
+    m = np.array(z4.run_z4_recurrence((1, 1, 1, 1, 1), (0, 0, 0, 1))) % 2
+    codes = [int(m[(t + np.arange(4)) % 15] @ (1 << np.arange(4))) for t in range(15)]
+    code = min(c for c in codes if codes.count(c) > 1)
+    where = tuple(t for t, c in enumerate(codes) if c == code)[:2]
+    with pytest.raises(ConstructionError) as err:
         z4.build_family_a(4)
-    code, where = err.value.witness
-    assert len(where) == 2 and where[0][0] == where[1][0]  # one row, twice
+    assert str(err.value) == f"row 0 mod 2 is not an m-sequence: window code {code} sits at shifts {where}"
+    assert err.value.witness == (code, where)
+
+
+def test_aligned_check_refuses_row_0_off_2m(family4):
+    rows = family4.array.copy()
+    rows[0, 6] ^= 2
+    with pytest.raises(ConstructionError, match="^row 0 is not 2m, m = row 1 mod 2: it differs at t = 6$") as err:
+        z4._aligned_check(rows, family4.polynomial, 4)
+    assert err.value.witness == (0, 6)
 
 
 # sha256 of json.dumps(family_to_json(build_family_a(n, coeffs))), computed
@@ -392,27 +409,25 @@ def test_build_matches_the_seeded_oracle(coeffs):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_family_certificate_runs_once_per_family(n, monkeypatch):
-    # a family in the aligned layout is certified once, never by the general
-    # window check, and its alpha witness is one row's first window
-    inner = z4._family_certificate
+    # the build's aligned check is the one certificate: a built family runs
+    # it once, and so does a family read back, since the reader compares the
+    # document with the build and returns that build
+    inner = z4._aligned_check
     calls = []
-    monkeypatch.setattr(z4, "_family_certificate", lambda *args: calls.append(args) or inner(*args))
-    monkeypatch.setattr(z4, "_window_failure", None)
+    monkeypatch.setattr(z4, "_aligned_check", lambda *args: calls.append(args) or inner(*args))
     family = z4.build_family_a(n)
     z4.family_alpha_max(family)
     z4.subset_l(family, verify=True)
     assert len(calls) == 1
     assert not family.array.flags.writeable
-    # the build hands over its certificate in member order: a fresh one agrees
-    fresh = inner(family.array, family.polynomial, n)
-    for got, want in zip(family._certificate, fresh):
-        np.testing.assert_array_equal(got, want)
-    calls.clear()
-    rebuilt = z4.family_from_json(z4.family_to_json(family), verify=True)
-    z4.subset_l(rebuilt, verify=True)
-    z4.family_alpha_max(rebuilt)
-    assert len(calls) == 1
-    assert not rebuilt.array.flags.writeable
+    for verify in (True, False):
+        calls.clear()
+        rebuilt = z4.family_from_json(z4.family_to_json(family), verify=verify)
+        z4.subset_l(rebuilt, verify=True)
+        z4.family_alpha_max(rebuilt)
+        z4.subset_l(rebuilt, verify=True)
+        assert len(calls) == 1
+        assert rebuilt == family and not rebuilt.array.flags.writeable
 
 
 def window_codes(A, n: int) -> np.ndarray:
@@ -427,12 +442,12 @@ def window_codes(A, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n,coeffs", PRIMITIVE_2_TO_8 + [(n, None) for n in range(9, 13)])
 def test_aligned_certificate_gives_the_window_codes(n, coeffs):
+    # the build's rows in member order are still in the aligned layout, so
+    # the check gives the least window codes of members 2.., in order
     family = z4.build_family_a(n, coeffs=coeffs)
-    codes = window_codes(family.array, n)
-    cert = family._certificate
-    assert cert.failure is None
-    np.testing.assert_array_equal(cert.first, codes[:, 0])
-    np.testing.assert_array_equal(cert.least, codes.min(axis=1))
+    least = z4._aligned_check(family.array, family.polynomial, n)
+    np.testing.assert_array_equal(least, window_codes(family.array, n).min(axis=1)[2:])
+    assert np.all(np.diff(least) > 0)
 
 
 def first_break(beta, h):
@@ -498,7 +513,8 @@ def test_family_json_rejects_duplicated_classes(family4):
     for dup in (member2, member2[5:] + member2[:5]):
         doc = z4.family_to_json(family4)
         doc["members"][3] = list(dup)
-        with pytest.raises(ValueError, match="not distinct cyclic classes"):
+        t = first_edit(dup, family4.members[3])[0]
+        with pytest.raises(ValueError, match=f"^member 3 differs from the build at t = {t}$"):
             z4.family_from_json(doc)
 
 
@@ -509,7 +525,7 @@ def _rotate(member, r):
 def test_family_json_rejects_a_non_binary_member_0(family4):
     doc = z4.family_to_json(family4)
     doc["members"][0][0] = 1
-    with pytest.raises(ValueError, match="member 0 must be binary-valued"):
+    with pytest.raises(ValueError, match="^member 0 differs from the build at t = 0$"):
         z4.family_from_json(doc)
 
 
@@ -518,7 +534,8 @@ def test_family_json_rejects_a_misaligned_member(family4):
     # longer correlates to -1 with the other members at shift zero
     doc = z4.family_to_json(family4)
     doc["members"][3] = _rotate(doc["members"][3], 1)
-    with pytest.raises(ValueError, match="member 3 does not share member 1's mod-2 reduction"):
+    t = first_edit(doc["members"][3], family4.members[3])[0]
+    with pytest.raises(ValueError, match=f"^member 3 differs from the build at t = {t}$"):
         z4.family_from_json(doc)
 
 
@@ -527,22 +544,48 @@ def _swap_2_3(members):
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit",
     [
-        (lambda m: m.__setitem__(0, _rotate(m[0], 3)), "member 0 does not start at its least rotation"),
-        (_swap_2_3, "not ordered by their least window code"),
+        lambda m: m.__setitem__(0, _rotate(m[0], 3)),
+        _swap_2_3,
         # rotating all of L by one shift keeps its alignment
-        (lambda m: m.__setitem__(slice(1, None), [_rotate(x, 2) for x in m[1:]]),
-         "member 1 does not start at its least rotation"),
+        lambda m: m.__setitem__(slice(1, None), [_rotate(x, 2) for x in m[1:]]),
     ],
     ids=["member-0-rotated", "members-2-3-swapped", "members-1-on-rotated"],
 )
-def test_non_canonical_family_document_is_rejected(edit, message, family4):
-    # each edit leaves valid, aligned classes that build_family_a never writes
+def test_non_canonical_family_document_is_rejected(edit, family4):
+    # each edit leaves valid, aligned classes that build_family_a never
+    # writes, and the reader names the first symbol it moved
     doc = z4.family_to_json(family4)
     edit(doc["members"])
-    with pytest.raises(ValueError, match=message):
+    k, t = first_edit(doc["members"], family4.members)
+    with pytest.raises(ValueError, match=f"^member {k} differs from the build at t = {t}$"):
         z4.family_from_json(doc)
+    with pytest.raises(ConstructionError) as err:  # the same family handed over is refused alike
+        z4.subset_l(z4.FamilyA(n=4, polynomial=family4.polynomial, array=doc["members"]))
+    assert err.value.witness == (k, t)
+
+
+@pytest.mark.parametrize("leading", [2, 3, 4, 5])
+def test_non_monic_polynomial_is_refused(leading, family4):
+    # a leading coefficient of 2, 3 or 0 mod 4 is no lift of a primitive
+    # polynomial: the recurrence it names is not the family's, whatever the
+    # members; the reader takes 5 as its residue 1
+    doc = z4.family_to_json(family4)
+    doc["polynomial"][-1] = leading
+    if leading % 4 == 1:
+        assert z4.family_from_json(doc, verify=True) == family4
+        return
+    with pytest.raises(ValueError, match="^(the polynomial mod 2|polynomial )"):
+        z4.family_from_json(doc, verify=True)
+    polynomial = tuple(doc["polynomial"])
+    with pytest.raises(ConstructionError) as err:
+        z4.subset_l(z4.FamilyA(n=4, polynomial=polynomial, array=family4.array))
+    # an even leading coefficient reduces to a polynomial of lower degree,
+    # which builds no family; leading 3 reduces to h, whose lift ends in 1
+    assert err.value.witness == (tuple(c % 2 for c in polynomial) if leading % 2 == 0 else polynomial)
+    with pytest.raises(ConstructionError):
+        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=polynomial, array=family4.array))
 
 
 WRONG_TYPES = ["4", 4.0, None, [1], {"n": 4}]
@@ -607,20 +650,30 @@ MEMBER_EDITS = st.one_of(
 )
 
 
-def oracle_refusal(A, f, n: int):
-    """The family check from its definition: None if every row satisfies the
-    recurrence with polynomial f, the window codes are every nonzero state
-    once and rows 1.. share one reduction mod 2, else ("classes", first row
-    off the recurrence or None) or ("aligned", first row j >= 2 whose
-    reduction differs from row 1's)."""
-    A = np.asarray(A, dtype=np.int64) % 4
-    off = np.any(sum(c * np.roll(A, -j, axis=1) for j, c in enumerate(f)) % 4, axis=1)
-    if off.any():
-        return "classes", int(np.argmax(off))
-    if not np.array_equal(np.sort(window_codes(A, n).ravel()), np.arange(1, 4**n)):
-        return "classes", None
-    unaligned = np.any((A[2:] - A[1]) % 2, axis=1)
-    return ("aligned", 2 + int(np.argmax(unaligned))) if unaligned.any() else None
+def oracle_accepts(A, f, n: int) -> bool:
+    """Family A in build_family_a's canonical form, from its definition: f
+    is the monic lift of a primitive h, the one that divides x^N - 1; every
+    symbol is a residue 0-3; every row satisfies the recurrence with f; the
+    window codes are every nonzero state once; rows 1.. share one reduction
+    mod 2; and members 0 and 1 start at their least window code, by which
+    members 1.. are ordered."""
+    N = (1 << n) - 1
+    if len(f) != n + 1 or f[-1] != 1 or not binpoly.is_primitive_binary(tuple(c % 2 for c in f)):
+        return False
+    if not z4.z4_poly_divides(f, N):
+        return False
+    A = np.asarray(A, dtype=np.int64)
+    if A.shape != (N + 2, N) or A.min() < 0 or A.max() > 3:
+        return False
+    if np.any(sum(c * np.roll(A, -j, axis=1) for j, c in enumerate(f)) % 4):
+        return False
+    codes = window_codes(A, n)
+    if not np.array_equal(np.sort(codes.ravel()), np.arange(1, 4**n)):
+        return False
+    if np.any((A[2:] - A[1]) % 2):
+        return False
+    least = codes.min(axis=1)
+    return codes[0, 0] == least[0] and codes[1, 0] == least[1] and bool(np.all(np.diff(least[1:]) > 0))
 
 
 # the lifts of both primitive polynomials of degree 4: the family is built
@@ -628,38 +681,48 @@ def oracle_refusal(A, f, n: int):
 POLYS_4 = [coeffs for n, coeffs in PRIMITIVE_2_TO_8 if n == 4]
 LIFTS_4 = [z4.graeffe_lift(coeffs) for coeffs in POLYS_4]
 
+# the member edits, plus rotating all of L at once, or moving one
+# coefficient of the polynomial by d
+FAMILY_EDITS = st.one_of(
+    MEMBER_EDITS,
+    st.tuples(st.just("rotate-L"), st.integers(1, 14)),
+    st.tuples(st.just("polynomial"), st.integers(0, 4), st.integers(1, 3)),
+)
 
-@settings(max_examples=100, deadline=None)
-@given(MEMBER_EDITS, st.sampled_from(LIFTS_4))
+
+@settings(max_examples=200, deadline=None)
+@given(FAMILY_EDITS, st.sampled_from(LIFTS_4))
 def test_family_certificate_decides_as_the_window_check(edit, polynomial):
+    # the comparison with the build decides as the definition does, and
+    # names the first difference from that build
     doc = z4.family_to_json(z4.build_family_a(4, coeffs=POLYS_4[0]))
+    members, polynomial = doc["members"], list(polynomial)
     if callable(edit[0]):
-        edit[0](doc["members"], *edit[1:])
+        edit[0](members, *edit[1:])
+    elif edit[0] == "rotate-L":
+        members[1:] = [_rotate(m, edit[1]) for m in members[1:]]
+    elif edit[0] == "polynomial":
+        polynomial[edit[1]] = (polynomial[edit[1]] + edit[2]) % 4
     else:
         corrupt(doc, edit)
-    edited = z4.FamilyA(n=4, polynomial=polynomial, array=doc["members"])
+    polynomial = tuple(polynomial)
+    edited = z4.FamilyA(n=4, polynomial=polynomial, array=members)
     A = edited.array
-    refusal = oracle_refusal(A, polynomial, 4)
+    accepted = oracle_accepts(A, polynomial, 4)
     try:
         z4.subset_l(edited, verify=True)
     except ConstructionError as exc:
-        assert refusal is not None
-        kind, row = refusal
-        if kind == "aligned":
-            assert str(exc).startswith(f"member {row} does not share member 1's reduction mod 2: ")
-            assert exc.witness == (tuple(A[1].tolist()), tuple(A[row].tolist()))
-        elif row is not None:
-            assert str(exc) == f"members are not the cyclic classes: row {row} does not satisfy the recurrence"
-            assert exc.witness == (row, tuple(A[row].tolist()))
-        else:  # two windows share one state code
-            code, where = exc.witness
-            assert str(exc).startswith("members are not the cyclic classes: state code ")
-            assert len(where) == 2 and [window_codes(A, 4)[r, t] for r, t in where] == [code, code]
+        assert not accepted
+        h = tuple(c % 2 for c in polynomial)
+        if h not in POLYS_4:  # a lower degree or not primitive
+            assert exc.witness == h
+        elif polynomial not in LIFTS_4:
+            assert exc.witness == polynomial
+        else:
+            assert exc.witness == first_edit(A, z4.build_family_a(4, coeffs=h).array)
+            assert str(exc) == "member {} differs from the build at t = {}".format(*exc.witness)
     else:
-        assert refusal is None
-        codes = window_codes(A, 4)
-        np.testing.assert_array_equal(edited._certificate.first, codes[:, 0])
-        np.testing.assert_array_equal(edited._certificate.least, codes.min(axis=1))
+        assert accepted
 
 
 PRIMITIVE_2_TO_7 = [case for case in PRIMITIVE_2_TO_8 if case[0] <= 7]
