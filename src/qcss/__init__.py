@@ -60,7 +60,6 @@ from .z4 import (
     build_family_a,
     family_alpha_max,
     family_from_json,
-    family_json_text,
     family_to_json,
     graeffe_lift,
     run_z4_recurrence,

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diffsets import CyclicSubset, exp_sum_profile, roots_table
-from .z4 import coset_codes
+from .z4 import _rotations, coset_codes
 
 MAGNITUDE_TOL = 1e-6  # distinct algebraic magnitudes at desk scale differ by far more
 EXACT_TOL = 1e-9
@@ -244,7 +244,7 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     code, _ = coset_codes(qcss.base)
     K, N = qcss.base.shape
     v0, t = qcss.base[0], np.arange(N)
-    rotations = np.lib.stride_tricks.sliding_window_view(np.concatenate([v0, v0]), N)  # row s: v0(. + s)
+    rotations = _rotations(v0)  # row s: v0(. + s)
     dtype = _plane_dtype(N)
     step = max(1, _BLOCK_ENTRIES // K)
     for start in range(0, N, step):

@@ -8,12 +8,12 @@ Sequences are tuples or int8 arrays of residues mod 4.  Correlations of raw
 Z4 sequences are Gaussian integers, counted exactly (no FFT, no rounding),
 so equality checks like "this value is -1" carry no floating-point slack.
 No check of the family sums a correlation census.  The build certifies its
-rows in the aligned layout once, by the subset-L coset check the
-correlation census runs; alpha_max then follows from their symbol sums and
-subset L's -1 at shift zero from their shared reduction mod 2, both in
-O(K N).  For a primitive h there is exactly one family in the build's
-canonical layout, so any other family is checked by comparing it with the
-build for its polynomial mod 2.
+rows in the aligned layout once, in O(n N), from s_1 alone: s_1 closes its
+period and s_1 mod 2 is an m-sequence.  alpha_max then follows from their
+symbol sums and subset L's -1 at shift zero from their shared reduction
+mod 2, both in O(K N).  For a primitive h there is exactly one family in
+the build's canonical layout, so any other family is checked by comparing
+it with the build for its polynomial mod 2.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ import numpy as np
 from . import binpoly
 from .errors import ConstructionError
 
-# The build with its aligned check takes ~5.5 ms at n = 10 and ~83 ms at n = 12
-# (2-core VM, in process, best of 15 and 5), 2.0 ms and 49 ms of it the check;
-# family_alpha_max adds ~3.2 ms and ~46 ms, family_json_bytes ~1.9 ms and ~66 ms.
+# The build takes ~2.4-3.8 ms at n = 10 and ~28-31 ms at n = 12 (2-core VM, in
+# process, best of 15 and 5), of which its two checks take ~0.1 ms and ~0.3 ms;
+# family_alpha_max adds ~3 ms and ~43 ms, family_json_bytes ~1.7 ms and ~70 ms.
 # Its 151 MB buffer sets most of the ~0.21 GB peak of `qcss family --n 12`.
 MAX_FAMILY_DEGREE = 12
-_BLOCK_CODES = 1 << 18  # window codes the aligned check forms at once (1 MB)
+_BLOCK_CODES = 1 << 18  # window codes the build forms at once to order its members (1 MB)
 
 
 def graeffe_lift(coeffs) -> tuple[int, ...]:
@@ -171,32 +171,25 @@ class FamilyA:
         return tuple(self.array[0].tolist())
 
 
-def _windows(rows: np.ndarray, f, n: int):
-    """Big-endian base-4 codes of the cyclic n-windows of rows of residues
-    0-3 of period N ([k, t] encodes rows[k, t .. t + n - 1], indices mod N),
-    and each row's recurrence residue, nonzero mod 4 wherever the row breaks
-    the recurrence with polynomial f."""
-    # column t + j of the rows extended by their first n columns is symbol
-    # t + j mod N, so every window is a slice; int8 sums wrap mod 256, which
-    # keeps every residue mod 4
-    N = rows.shape[1]
-    ext = np.concatenate([rows, rows[:, :n]], axis=1, dtype=np.int8)
-    acc = ext[:, n:].copy()
-    term = np.empty_like(acc)
-    codes = np.zeros(rows.shape, dtype=np.int32)  # 4^n < 2^31 up to MAX_FAMILY_DEGREE
-    for j in range(n):
-        window = ext[:, j : j + N]
-        codes <<= 2
-        codes |= window
-        if f[j] % 4:
-            np.multiply(window, f[j] % 4, out=term)
-            acc += term
-    return codes, acc
-
-
 def _rotations(row: np.ndarray) -> np.ndarray:
     """The read-only (N, N) view whose row s is row(. + s), indices mod N."""
     return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row[:-1]]), len(row))
+
+
+def _m_sequence_codes(windows: np.ndarray) -> np.ndarray:
+    """The codes of m's n-bit windows, given as the (n, N) rows m(. + j), j <
+    n (bit j of code[t] is m(t + j)), certified to be every nonzero state
+    once when N = 2^n - 1: so m is an m-sequence.  Else ConstructionError
+    with the least code that is 0 or repeats, and its first two shifts."""
+    n = len(windows)
+    code = (1 << np.arange(n)) @ windows
+    seen = np.bincount(code, minlength=1 << n)
+    if seen[0] or seen.max() > 1:  # N codes: with no zero and no repeat, each nonzero state once
+        bad = 0 if seen[0] else int(np.argmax(seen > 1))
+        where = tuple(np.flatnonzero(code == bad)[:2].tolist())
+        raise ConstructionError(f"row 0 mod 2 is not an m-sequence: window code {bad} sits at shifts {where}",
+                                witness=(bad, where))
+    return code
 
 
 def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,13 +213,7 @@ def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = 1 << np.arange(n)
     m = base[0] & 1
     rotations = _rotations(m)  # row s: m(. + s)
-    code = bits @ rotations[:n]
-    seen = np.bincount(code, minlength=K)
-    if seen[0] or seen.max() > 1:  # N codes: with no zero and no repeat, each nonzero state once
-        bad = 0 if seen[0] else int(np.argmax(seen > 1))
-        where = tuple(np.flatnonzero(code == bad)[:2].tolist())
-        raise ConstructionError(f"row 0 mod 2 is not an m-sequence: window code {bad} sits at shifts {where}",
-                                witness=(bad, where))
+    code = _m_sequence_codes(rotations[:n])
     diff = base - base[0]
     diff &= 3
     odd = diff & 1
@@ -260,45 +247,6 @@ def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k, l = np.flatnonzero(a == np.argmax(counts))[:2].tolist()
         raise ConstructionError(f"rows {k} and {l} are one element of the coset", witness=(k, l))
     return code, np.where(a > 0, pos[a], -1)
-
-
-def _aligned_check(rows: np.ndarray, f, n: int) -> np.ndarray:
-    """Certify in O(n N + K N) that ``build_family_a``'s rows are the cyclic
-    classes in the aligned layout, and return the least window code of each
-    row 2.., which orders them.
-
-    Row 1 must satisfy the recurrence, rows 1.. must pass ``coset_codes``,
-    and row 0 must be 2m, m = row 1 mod 2.  Row 1 mod 2 is then an
-    m-sequence, so row 1's states span Z4^n and every solution has period
-    N; rows 1.. are 2^n distinct unit classes (rotating one changes its
-    reduction mod 2) and row 0 is the even class, so the windows are every
-    nonzero state once.  A failed check raises ConstructionError with its
-    own witness: (1, t) for the first t at which row 1 breaks the
-    recurrence, ``coset_codes``' witness (its rows count from row 1), or (0,
-    t) for the first t at which row 0 is not 2m.  (s + 2b) mod 4 is s XOR
-    2b, so row k's codes are row 1's XOR those of 2 beta_k.
-    """
-    N = rows.shape[1]
-    m = rows[1] & 1
-    (c1, high), acc = _windows(np.stack([rows[1], 2 * m]), f, n)
-    broken = np.flatnonzero(acc[0] & 3)  # 2m satisfies the recurrence whenever row 1 does
-    if broken.size:
-        t = int(broken[0])
-        raise ConstructionError(f"row 1 does not satisfy the recurrence: it breaks at t = {t}", witness=(1, t))
-    _, shift = coset_codes(rows[1:])
-    off = np.flatnonzero(rows[0] != 2 * m)
-    if off.size:
-        t = int(off[0])
-        raise ConstructionError(f"row 0 is not 2m, m = row 1 mod 2: it differs at t = {t}", witness=(0, t))
-    shift = shift[1:]  # rows 2..: their first windows differ from row 1's, so no beta_k is 0
-    least = np.empty(len(shift), dtype=np.int32)
-    rotations = _rotations(high)
-    step = max(1, _BLOCK_CODES // N)
-    for start in range(0, len(shift), step):  # the codes c1 ^ high(. + shift[k]) of a cache-sized block of rows
-        codes = rotations[shift[start : start + step]]
-        codes ^= c1
-        least[start : start + step] = codes.min(axis=1)
-    return least
 
 
 def _compare_with_build(n: int, polynomial: tuple, A: np.ndarray) -> tuple[FamilyA | None, tuple | None]:
@@ -346,12 +294,19 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     s_1, the recurrence run from the state (0, ..., 0, 1).
 
     Code 1 is the least unit state, so s_1 is member 1 at its least
-    rotation.  Two Z4 solutions with one reduction mod 2 differ by twice a
-    binary solution, so the 2^n unit classes aligned with s_1 are s_1 + 2b,
-    b = 0 or m(. + j), j < N, with m = s_1 mod 2.  Member 0 is 2m, which
-    starts at the least binary-valued state (0, ..., 0, 2).  The aligned
-    check, the one certificate of Family A, proves these are the cyclic
-    classes; members 2.. go by least window code.
+    rotation.  Member 0 is 2m, m = s_1 mod 2, which starts at the least
+    binary-valued state (0, ..., 0, 2), and members 2.. are s_1 + 2m(. + j),
+    j < N, by least window code.  Only a wrong lift f can make these rows
+    other than the cyclic classes, and two checks on s_1 alone certify them,
+    in O(n N): s_1 closes its period (f acting on it is zero at every t mod
+    N), and m's n-bit windows are every nonzero state once.  Then m, a
+    solution of f mod 2, is an m-sequence, so B, the 2^n binary solutions,
+    is 0 and the N distinct rotations of m; 2 beta solves the Z4 recurrence
+    for every beta in B, so the rows s_1 + 2 beta are the 2^n unit classes,
+    apart since their first windows differ and a rotation moves their
+    reduction mod 2, and 2m is the even class.  Because (s + 2b) mod 4 = s
+    XOR 2b, member s_1 + 2m(. + j) has the window codes c1 XOR high(. + j),
+    c1 and high those of s_1 and of 2m.
 
     Parameters
     ----------
@@ -362,8 +317,9 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     Raises
     ------
     ConstructionError
-        with the witness of the aligned check that failed, if the rows are
-        not the cyclic classes (the falsification path, never silently
+        with witness (1, t) for the first t at which s_1 breaks the
+        recurrence, or (code, shifts) from the m-sequence check it shares
+        with ``coset_codes`` (the falsification path, never silently
         patched).
     """
     check_family_degree(n)
@@ -372,10 +328,23 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
         raise ValueError("polynomial degree does not match n")
     f = graeffe_lift(h)
     s1 = np.array(run_z4_recurrence(f, (0,) * (n - 1) + (1,)), dtype=np.int8)
+    rotations = _rotations(s1)  # row j: s_1(. + j)
+    broken = np.flatnonzero(np.array(f) @ rotations[: n + 1] & 3)
+    if broken.size:
+        t = int(broken[0])
+        raise ConstructionError(f"row 1 does not satisfy the recurrence: it breaks at t = {t}", witness=(1, t))
     shifts = _rotations(2 * (s1 & 1))  # row j: 2m(. + j)
-    rows = np.vstack([shifts[0], s1, (s1 + shifts) & 3])
-    order = np.concatenate([[0, 1], 2 + np.argsort(_aligned_check(rows, f, n))])
-    family = FamilyA(n=n, polynomial=f, array=rows[order])
+    _m_sequence_codes(shifts[:n] >> 1)
+    powers = 4 ** np.arange(n - 1, -1, -1, dtype=np.int32)  # big-endian base-4 window codes
+    c1, high = powers @ rotations[:n], _rotations(powers @ shifts[:n])  # high row j: 2m(. + j)'s codes
+    N = len(s1)
+    least = np.empty(N, dtype=np.int32)
+    step = max(1, _BLOCK_CODES // N)
+    for start in range(0, N, step):  # the codes of a cache-sized block of members
+        codes = high[start : start + step] ^ c1
+        least[start : start + step] = codes.min(axis=1)
+    rows = np.vstack([shifts[0], s1, s1 ^ shifts[np.argsort(least)]])
+    family = FamilyA(n=n, polynomial=f, array=rows)
     vars(family)["_refusal"] = None
     return family
 
@@ -385,7 +354,7 @@ def subset_l(family: FamilyA, verify: bool = True) -> np.ndarray:
     read-only int8 (2^n, N) view ``family.array[1:]``.
 
     With ``verify`` (default) the family must be ``build_family_a``'s, whose
-    aligned check proves that every pair correlates to exactly -1 + 0i at
+    checks prove that every pair correlates to exactly -1 + 0i at
     shift zero: members 1.. are s_1 + 2 beta for distinct beta in B, the
     binary recurrence space of m = s_1 mod 2, an m-sequence.  For two of
     them u = s_i - s_j is twice the nonzero beta_i - beta_j in B, a rotation
@@ -469,11 +438,6 @@ def family_json_bytes(family: FamilyA) -> memoryview:
     buf[len(buf) - len(tail) :] = np.frombuffer(tail, dtype=np.uint8)
     buf.setflags(write=False)
     return memoryview(buf)
-
-
-def family_json_text(family: FamilyA) -> str:
-    """``family_json_bytes`` decoded: the indented JSON dump as a str."""
-    return str(family_json_bytes(family), "ascii")
 
 
 def family_from_json(doc: dict, verify: bool = True) -> FamilyA:

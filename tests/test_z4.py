@@ -333,12 +333,34 @@ def test_build_falsifies_a_wrong_lift(monkeypatch):
     assert err.value.witness == (code, where)
 
 
-def test_aligned_check_refuses_row_0_off_2m(family4):
-    rows = family4.array.copy()
-    rows[0, 6] ^= 2
-    with pytest.raises(ConstructionError, match="^row 0 is not 2m, m = row 1 mod 2: it differs at t = 6$") as err:
-        z4._aligned_check(rows, family4.polynomial, 4)
-    assert err.value.witness == (0, 6)
+def first_residue(f, s):
+    """Oracle: the first t at which sum_j f_j s(t + j), indices mod N, is
+    nonzero mod 4, from rotated copies of s; None if s closes its period."""
+    s = np.asarray(s, dtype=np.int64)
+    residue = sum(c * np.roll(s, -j) for j, c in enumerate(f)) % 4
+    broken = np.flatnonzero(residue)
+    return int(broken[0]) if broken.size else None
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_build_refuses_the_identity_lift(n, monkeypatch):
+    # h read as Z4 coefficients reduces to h mod 2, but for n >= 3 it does
+    # not divide x^N - 1: s_1 runs the recurrence for N symbols and breaks it
+    # only where its windows wrap, so the closure check alone refuses it
+    h = binpoly.primitive_polynomial(n)
+    N = (1 << n) - 1
+    lifted = z4.build_family_a(n)
+    monkeypatch.setattr(z4, "graeffe_lift", lambda h: tuple(h))
+    t = first_residue(h, z4.run_z4_recurrence(h, (0,) * (n - 1) + (1,)))
+    if n == 2:  # x^2 + x + 1 is its own lift
+        assert t is None and lifted.polynomial == h
+        assert z4.build_family_a(n) == lifted
+        return
+    assert N - n <= t < N
+    with pytest.raises(ConstructionError) as err:
+        z4.build_family_a(n)
+    assert str(err.value) == f"row 1 does not satisfy the recurrence: it breaks at t = {t}"
+    assert err.value.witness == (1, t)
 
 
 # sha256 of json.dumps(family_to_json(build_family_a(n, coeffs))), computed
@@ -366,10 +388,10 @@ def test_family_export_is_pinned(n, coeffs):
     text = json.dumps(doc)
     assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[n, coeffs]
     # the array writer gives the indented dump's bytes
-    assert z4.family_json_text(family) == json.dumps(doc, indent=2) + "\n"
+    assert z4.family_json_bytes(family) == (json.dumps(doc, indent=2) + "\n").encode()
 
 
-# sha256 of family_json_text(build_family_a(n)) for the table polynomials,
+# sha256 of family_json_bytes(build_family_a(n)) for the table polynomials,
 # computed with the earlier build that ran one seed per cyclic class
 FAMILY_TEXT_DIGESTS = {
     2: "0a15aac17ff3218311ba8a8d38153cb0fc934bfe62a1219c7682ab06a574d1fb",
@@ -388,8 +410,7 @@ FAMILY_TEXT_DIGESTS = {
 
 @pytest.mark.parametrize("n", list(FAMILY_TEXT_DIGESTS))
 def test_table_family_text_is_pinned(n):
-    text = z4.family_json_text(z4.build_family_a(n))
-    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_TEXT_DIGESTS[n]
+    assert hashlib.sha256(z4.family_json_bytes(z4.build_family_a(n))).hexdigest() == FAMILY_TEXT_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -409,12 +430,12 @@ def test_build_matches_the_seeded_oracle(coeffs):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_family_certificate_runs_once_per_family(n, monkeypatch):
-    # the build's aligned check is the one certificate: a built family runs
-    # it once, and so does a family read back, since the reader compares the
-    # document with the build and returns that build
-    inner = z4._aligned_check
+    # the build is the one certificate: a built family runs it once, and so
+    # does a family read back, since the reader compares the document with
+    # the build and returns that build
+    inner = z4.build_family_a
     calls = []
-    monkeypatch.setattr(z4, "_aligned_check", lambda *args: calls.append(args) or inner(*args))
+    monkeypatch.setattr(z4, "build_family_a", lambda *args: calls.append(args) or inner(*args))
     family = z4.build_family_a(n)
     z4.family_alpha_max(family)
     z4.subset_l(family, verify=True)
@@ -442,11 +463,9 @@ def window_codes(A, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n,coeffs", PRIMITIVE_2_TO_8 + [(n, None) for n in range(9, 13)])
 def test_aligned_certificate_gives_the_window_codes(n, coeffs):
-    # the build's rows in member order are still in the aligned layout, so
-    # the check gives the least window codes of members 2.., in order
+    # members 2.. go by least window code, and no two share it
     family = z4.build_family_a(n, coeffs=coeffs)
-    least = z4._aligned_check(family.array, family.polynomial, n)
-    np.testing.assert_array_equal(least, window_codes(family.array, n).min(axis=1)[2:])
+    least = window_codes(family.array, n).min(axis=1)[2:]
     assert np.all(np.diff(least) > 0)
 
 
@@ -733,7 +752,7 @@ PRIMITIVE_2_TO_7 = [case for case in PRIMITIVE_2_TO_8 if case[0] <= 7]
 def test_family_text_roundtrip(case):
     n, coeffs = case
     family = z4.build_family_a(n, coeffs=coeffs)
-    rebuilt = z4.family_from_json(json.loads(z4.family_json_text(family)))
+    rebuilt = z4.family_from_json(json.loads(bytes(z4.family_json_bytes(family))))
     assert rebuilt == family
     # a family built from its members as tuples, as the tampered-family
     # tests build them, gets the same array and gives the same results
@@ -749,7 +768,7 @@ def test_family_text_roundtrip(case):
         assert np.array_equal(z4.subset_l(fam), family.members[1:])
         assert np.shares_memory(z4.subset_l(fam), fam.array)  # a view, not a copy
         assert z4.family_alpha_max(fam) == z4.family_alpha_max(family)
-        assert z4.family_json_text(fam) == json.dumps(z4.family_to_json(family), indent=2) + "\n"
+        assert z4.family_json_bytes(fam) == (json.dumps(z4.family_to_json(family), indent=2) + "\n").encode()
 
 
 @pytest.mark.parametrize(
