@@ -27,10 +27,10 @@ import numpy as np
 from . import binpoly
 from .errors import ConstructionError
 
-# The build takes ~2.4-3.8 ms at n = 10 and ~28-31 ms at n = 12 (2-core VM, in
+# The build takes ~1.4-1.9 ms at n = 10 and ~21 ms at n = 12 (2-core VM, in
 # process, best of 15 and 5), of which its two checks take ~0.1 ms and ~0.3 ms;
-# family_alpha_max adds ~3 ms and ~43 ms, family_json_bytes ~1.7 ms and ~70 ms.
-# Its 151 MB buffer sets most of the ~0.21 GB peak of `qcss family --n 12`.
+# family_alpha_max adds ~2-3 ms and ~37-39 ms, family_json_bytes ~1.0 ms and
+# ~15-18 ms.  Its 34 MB buffer is part of the ~95 MB peak of `qcss family --n 12`.
 MAX_FAMILY_DEGREE = 12
 _BLOCK_CODES = 1 << 18  # window codes the build forms at once to order its members (1 MB)
 
@@ -80,6 +80,10 @@ def run_z4_recurrence(coeffs, init, length: int | None = None) -> tuple[int, ...
         s(t+n) = -(c_{n-1} s(t+n-1) + ... + c_0 s(t)) mod 4
 
     and return the first 2^n - 1 symbols (or ``length`` symbols).
+
+    The states (s(t), ..., s(t+n-1)) grow by doubling: with C the companion
+    matrix of f, state t + L is state t times C^L, so the first L states
+    give the next L, and C^L is squared each round.
     """
     f = [int(c) % 4 for c in coeffs]
     n = len(f) - 1
@@ -92,10 +96,19 @@ def run_z4_recurrence(coeffs, init, length: int | None = None) -> tuple[int, ...
         raise ValueError("initial state must be nonzero (zero solution excluded)")
     if length is None:
         length = (1 << n) - 1
-    s = list(init)
-    for t in range(length - n):
-        s.append(-sum(c * v for c, v in zip(f, s[t : t + n])) % 4)
-    return tuple(s[:length])
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
+    step = np.eye(n, k=-1, dtype=np.int64)  # C: state @ C is the next state
+    step[:, -1] = [-c % 4 for c in f[:n]]
+    states = np.empty((max(length, 1), n), dtype=np.int64)
+    states[0] = init
+    filled = 1
+    while filled < length:
+        grow = min(filled, length - filled)
+        states[filled : filled + grow] = states[:grow] @ step % 4
+        step = step @ step % 4
+        filled += grow
+    return tuple(states[:length, 0].tolist())
 
 
 def z4_correlation(a, b, tau: int = 0) -> complex:
@@ -416,24 +429,25 @@ def family_to_json(family: FamilyA) -> dict:
 
 
 def family_json_bytes(family: FamilyA) -> memoryview:
-    """The ASCII bytes of ``json.dumps(family_to_json(family), indent=2) +
-    "\\n"``, byte for byte, built from the member array instead of one Python
-    object per symbol, as a read-only view of one uint8 buffer.
+    """The export text of ``family_to_json(family)`` as ASCII bytes: laid
+    out as ``json.dumps(..., indent=2) + "\\n"``, except that each member is
+    one compact line "    [d,d,...,d],".  It is built from the member array,
+    without one Python object per symbol, as a read-only view of one uint8
+    buffer.
 
-    Each member is a fixed-width block of 9N + 12 bytes: its opening line,
-    N - 1 symbol lines "      d,", the last symbol line without the comma and
-    the closing line "    ],".  All K blocks are filled at once in the buffer
-    that also holds the text before and after them; the text after them
-    overwrites the last block's ",\n".
+    Each member is a fixed-width block of 2N + 7 bytes, symbol t at byte
+    5 + 2t.  All K blocks are filled at once in the buffer that also holds
+    the text before and after them; the text after them overwrites the last
+    block's ",\\n".
     """
     K, N = family.array.shape
-    row = b"    [\n" + b"      0,\n" * (N - 1) + b"      0\n    ],\n"
+    row = b"    [" + b"0," * (N - 1) + b"0],\n"
     head, tail = json.dumps(_family_doc(family, []), indent=2).split("[]")
     head, tail = f"{head}[\n".encode(), f"\n  ]{tail}\n".encode()
     buf = np.empty(len(head) + K * len(row) - 2 + len(tail), dtype=np.uint8)
     blocks = buf[len(head) : len(head) + K * len(row)].reshape(K, len(row))
     blocks[:] = np.frombuffer(row, dtype=np.uint8)
-    blocks[:, 12::9] += family.array.view(np.uint8)  # symbol t sits at byte 12 + 9t
+    blocks[:, 5 : 2 * N + 5 : 2] += family.array.view(np.uint8)
     buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     buf[len(buf) - len(tail) :] = np.frombuffer(tail, dtype=np.uint8)
     buf.setflags(write=False)

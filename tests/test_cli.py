@@ -290,9 +290,8 @@ def test_family_cache_roundtrip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# sha256 of `qcss family --n 5` output, written by json.dumps(doc, indent=2)
-# before the array writer replaced it
-FAMILY_N5_SHA256 = "e8f1a7a07a64024dc4ca8b94d23cfbc295c9e52d337801a1ec86ea550bd9f36e"
+# sha256 of `qcss family --n 5` output, one member per line
+FAMILY_N5_SHA256 = "8df4043507ba01a4e1ee7c39b3293c2ec7b4b48f78a8bd2dcd533559774471ee"
 
 
 def test_family_cache_entry_and_export_keep_their_bytes(tmp_path, capsys):
@@ -320,6 +319,27 @@ def test_qcss_run_leaves_numpy_ma_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_family_n12_stays_within_its_memory_budget(tmp_path):
+    # the README's budget for `qcss family --n 12`: the export text, one
+    # member per line, is 34 MB; one symbol per line it was 151 MB and the
+    # process peaked at ~207 MB
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import resource\n"
+        "from qcss import cli\n"
+        f"assert cli.main(['family', '--n', '12', '--out', {str(tmp_path / 'f.json')!r}]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # a process started from this one counts this one's resident pages in its
+    # ru_maxrss, so a small launcher in between starts the child
+    launch = f"import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', {script!r}]).returncode)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.splitlines()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 150, f"qcss family --n 12 peaked at {peak_mb:.0f} MB"
 
 
 def test_family_cache_miss_renders_the_text_once(tmp_path, monkeypatch):

@@ -54,6 +54,14 @@ def test_divides_rejects_wrong_order():
     assert not z4.z4_poly_divides(f, 6)
 
 
+PRIMITIVE_2_TO_8 = [
+    (n, (1,) + mid + (1,))
+    for n in range(2, 9)
+    for mid in itertools.product((0, 1), repeat=n - 1)
+    if binpoly.is_primitive_binary((1,) + mid + (1,))
+]
+
+
 # ---------------------------------------------------------------- recurrence
 
 
@@ -69,6 +77,8 @@ def test_recurrence_guards():
         z4.run_z4_recurrence(f, [0, 0, 0])
     with pytest.raises(ValueError):
         z4.run_z4_recurrence((2, 1, 1), [1])  # not monic
+    with pytest.raises(ValueError, match="non-negative"):
+        z4.run_z4_recurrence(f, [1, 0, 0], length=-1)
 
 
 def test_recurrence_classes_n3_brute_force():
@@ -95,6 +105,26 @@ def test_recurrence_period_divides_full_order(n):
             init[0] = 1
         long_run = z4.run_z4_recurrence(f, init, length=2 * period)
         assert long_run[period:] == long_run[:period]
+
+
+def recurrence_oracle(f, init, length):
+    """The recurrence run one symbol at a time."""
+    n = len(init)
+    s = list(init)
+    for t in range(length - n):
+        s.append(-sum(c * v for c, v in zip(f, s[t : t + n])) % 4)
+    return tuple(s[:length])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMITIVE_2_TO_8), st.data())
+def test_recurrence_matches_the_scalar_loop(case, data):
+    n, coeffs = case
+    f = z4.graeffe_lift(coeffs)
+    init = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    length = data.draw(st.integers(0, 3 * ((1 << n) - 1)))
+    assert z4.run_z4_recurrence(f, init, length=length) == recurrence_oracle(f, init, length)
+    assert z4.run_z4_recurrence(f, init) == recurrence_oracle(f, init, (1 << n) - 1)
 
 
 # ---------------------------------------------------------------- family
@@ -270,14 +300,6 @@ def gram_oracle(rows):
     return Z @ Z.conj().T
 
 
-PRIMITIVE_2_TO_8 = [
-    (n, (1,) + mid + (1,))
-    for n in range(2, 9)
-    for mid in itertools.product((0, 1), repeat=n - 1)
-    if binpoly.is_primitive_binary((1,) + mid + (1,))
-]
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(PRIMITIVE_2_TO_8))
 def test_subset_l_certificate_agrees_with_gram_oracle(case):
@@ -387,24 +409,31 @@ def test_family_export_is_pinned(n, coeffs):
     doc = z4.family_to_json(family)
     text = json.dumps(doc)
     assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[n, coeffs]
-    # the array writer gives the indented dump's bytes
-    assert z4.family_json_bytes(family) == (json.dumps(doc, indent=2) + "\n").encode()
+    assert z4.family_json_bytes(family) == family_text_oracle(doc)
+
+
+def family_text_oracle(doc) -> bytes:
+    """The export layout, written with json: the indent=2 text around the
+    members, each member one compact line."""
+    head, tail = json.dumps(dict(doc, members=[]), indent=2).split("[]")
+    lines = ",\n".join("    " + json.dumps(m, separators=(",", ":")) for m in doc["members"])
+    return f"{head}[\n{lines}\n  ]{tail}\n".encode()
 
 
 # sha256 of family_json_bytes(build_family_a(n)) for the table polynomials,
-# computed with the earlier build that ran one seed per cyclic class
+# one member per line; the JSON value is the one FAMILY_DIGESTS pins
 FAMILY_TEXT_DIGESTS = {
-    2: "0a15aac17ff3218311ba8a8d38153cb0fc934bfe62a1219c7682ab06a574d1fb",
-    3: "be5d69d446fe2ffdd1b07199af8b4ee6fd3d9b27f5362780da3438a98ad89156",
-    4: "df5151e3111868cfe13a3588c0be7623c20daa3d97708f7462a634ec6d892c30",
-    5: "e8f1a7a07a64024dc4ca8b94d23cfbc295c9e52d337801a1ec86ea550bd9f36e",
-    6: "1c5fc6eb64ed7aa18848119c509b5b576438a032095bdec9c63f6192ba928a92",
-    7: "82706cba18258fb85e20e0b15702edd337b5285f2e58ce7e5691d92092860e64",
-    8: "ea7c0a65415cce5aae5bb7a2c886aff5e95a5dede8a970dbe8595eaee09383ce",
-    9: "f25d26b49e1d52c8a6eec07be413f61843695334213fe70eda2685b29772c277",
-    10: "043a83fa17c5c120540191cb9ab09c18eddb0d1140a5ef98fa8f4beec5e8d8db",
-    11: "e60c4aae18d7909ae093802a39d15d90d10c9f59ebbf916636b9ddd3b1ed40e7",
-    12: "c5cc2e9e8e6f66c694c693fab36b116d52e8e3795a8f33974291b26733cd48e6",
+    2: "78312e394ce7f5f4027729118c1f7f39d1231cceb45c17d4e00731c8f742d9f2",
+    3: "50e7d2d88eb99709f11be2c59040dc8674f491bf70a4603e79dade14693b3a69",
+    4: "a56276a819744efa0f7a410eae149ff04deb6ec14e7e54cff8239e2d15f6ec1f",
+    5: "8df4043507ba01a4e1ee7c39b3293c2ec7b4b48f78a8bd2dcd533559774471ee",
+    6: "2712ba1b46aa3daf845d0c0070865ff02214de11a15a429abc5eaf20ed0ed847",
+    7: "d39eb45d495e1019552050f4a4f92b9e5c130ec5d0dc3dc7759a3236ddefce13",
+    8: "0ea619e167a0f7edb0ffe5ae8813200f9f0f9b943a5f1d8e82c58de72d98e20c",
+    9: "451ff39936cb42ec9eca52184e0db9f37edd03e8506971c8bdc8ca12f2815f5b",
+    10: "9cd008fbfe597c87440b63dcd9b829c8b7a8ccdb90a91d5ee05a730267240988",
+    11: "414a24f4a92d4174e871e983066572844d3ab73a5f9f07f4b981f6284e8767df",
+    12: "f718fb2e5389be3ffb8ef47f482e8a06ea5fc1ee5e11482b8630dd072d294824",
 }
 
 
@@ -768,7 +797,30 @@ def test_family_text_roundtrip(case):
         assert np.array_equal(z4.subset_l(fam), family.members[1:])
         assert np.shares_memory(z4.subset_l(fam), fam.array)  # a view, not a copy
         assert z4.family_alpha_max(fam) == z4.family_alpha_max(family)
-        assert z4.family_json_bytes(fam) == (json.dumps(z4.family_to_json(family), indent=2) + "\n").encode()
+        assert z4.family_json_bytes(fam) == family_text_oracle(z4.family_to_json(family))
+
+
+@pytest.mark.parametrize("n,coeffs", PRIMITIVE_2_TO_8)
+def test_family_text_parses_to_the_export_form(n, coeffs):
+    family = z4.build_family_a(n, coeffs=coeffs)
+    assert json.loads(bytes(z4.family_json_bytes(family))) == z4.family_to_json(family)
+
+
+@pytest.mark.parametrize("n,coeffs", [(5, None), (8, (1, 0, 1, 1, 0, 1, 0, 0, 1))])
+def test_family_text_in_the_symbol_per_line_layout_reads_back(n, coeffs):
+    # files written before the members went one per line hold the same value
+    family = z4.build_family_a(n, coeffs=coeffs)
+    old = json.dumps(z4.family_to_json(family), indent=2) + "\n"
+    assert z4.family_from_json(json.loads(old), verify=True) == family
+
+
+def test_family_text_length_is_fixed_by_the_shape():
+    family = z4.build_family_a(12)
+    K, N = family.array.shape
+    doc = {"n": 12, "polynomial": list(family.polynomial), "members": [], "l0_index": 0}
+    head, tail = json.dumps(doc, indent=2).split("[]")
+    head, tail = f"{head}[\n", f"\n  ]{tail}\n"
+    assert len(z4.family_json_bytes(family)) == len(head) + K * (2 * N + 7) - 2 + len(tail)
 
 
 @pytest.mark.parametrize(
