@@ -190,7 +190,7 @@ def sweep(n_values, x_values, empirical: bool = False):
             })
         if empirical and cells:
             family = z4.build_family_a(n)
-            base = z4.subset_l(family, verify=False)  # build_family_a checked it
+            base = z4.subset_l(family)
             qsets = [
                 correlation.build_qcss(
                     base,

@@ -133,7 +133,7 @@ def cmd_qcss(args) -> int:
     n = args.n
     params = analysis.construction_params(n)
     family, _ = _build_family(n, args)
-    base = z4.subset_l(family, verify=False)  # build_family_a checked it
+    base = z4.subset_l(family)
     ads, _ = _build_ads(params.f, args.ds, args)
     qset = correlation.build_qcss(
         base,

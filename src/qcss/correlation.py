@@ -19,15 +19,30 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .diffsets import CyclicSubset, exp_sum_profile, roots_table
+from .diffsets import CyclicSubset, exp_sum_profile
 from .z4 import _rotations, coset_codes
 
 MAGNITUDE_TOL = 1e-6  # distinct algebraic magnitudes at desk scale differ by far more
 EXACT_TOL = 1e-9
 _BLOCK_ENTRIES = 1 << 18  # Walsh plane entries (shifts x 2^n) the census transforms at once
+
+
+@lru_cache(maxsize=64)
+def roots_table(root_order: int) -> np.ndarray:
+    """All root_order-th roots of unity; quadrant values are patched to be
+    exact so embedded Z4 symbols stay Gaussian integers."""
+    table = np.exp(2j * np.pi * np.arange(root_order) / root_order)
+    if root_order % 4 == 0:
+        table[0] = 1
+        table[root_order // 4] = 1j
+        table[root_order // 2] = -1
+        table[3 * root_order // 4] = -1j
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)

@@ -461,8 +461,8 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     raises ValueError with the first difference, as ``subset_l`` names it.
 
     A document that lacks a key, holds a value of the wrong type, or has a
-    symbol other than the integers 0-3 or members of unequal length raises
-    ValueError."""
+    symbol outside 0-3 (the byte join reads JSON true and false as 1 and 0)
+    or members of unequal length raises ValueError."""
     if not isinstance(doc, dict) or not {"n", "polynomial", "members"} <= doc.keys():
         raise ValueError("a family document is an object with the keys n, polynomial and members")
     n, poly, members = doc["n"], doc["polynomial"], doc["members"]

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -83,6 +84,22 @@ def test_ads_lift_mismatch_is_falsified_and_writes_nothing(tmp_path, monkeypatch
     assert not out.exists() and not cache.exists()
 
 
+def test_ads_with_a_non_integral_difference_count_is_falsified(tmp_path, monkeypatch, capsys):
+    # raising |F(1)|^2 by 0.3 q adds 0.3 cos(2 pi x / q) to d_D(x), most at x = 0
+    real = diffsets._spectrum
+
+    def skewed(subset):
+        F = real(subset)
+        F[1] *= math.sqrt(1 + 0.3 * subset.modulus / abs(F[1]) ** 2)
+        return F
+
+    monkeypatch.setattr(diffsets, "_spectrum", skewed)
+    out = tmp_path / "a.json"
+    assert run(["ads", "--f", "7", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("construction falsified: difference count d_D(0) = 3.3")
+    assert not out.exists()
+
+
 def test_ads_from_degree(tmp_path):
     out = tmp_path / "ads.json"
     assert run(["ads", "--n", "5", "--out", str(out)]) == 0
@@ -133,14 +150,14 @@ def test_qcss_rejects_small_degree(n, tmp_path):
 def test_qcss_runs_above_the_old_census_cap(tmp_path):
     out = tmp_path / "x.json"
     assert run(["qcss", "--n", "9", "--verify", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["deltaMax"] == 809.6083174513273
+    assert json.loads(out.read_text())["deltaMax"] == 809.6083174513274
 
 
-# sha256 of `qcss qcss --n 5` output in both formats, taken before the set
-# stopped storing its K*M*N phase tensor
+# sha256 of `qcss qcss --n 5` output in both formats, with the exponential
+# sums taken from one FFT of the shift set
 QCSS_N5_SHA256 = {
-    "json": "0a96cb9ec9f087ab3c2b329d2aa2c3c30b44d055eb259f16c0ac5b8d8610e59a",
-    "csv": "a98a3b0d3fca2f4744d13004c0b31e656fac4efeb57ee01887381442a48e60f3",
+    "json": "c0a84885eb6ceee0d875ca61988edc771db0d21bdffd4ed07e9fb74aed689fe5",
+    "csv": "83dee740d64b2e97afae2cec7bd0f6bd07ded5063f574cae14339f0530c211ba",
 }
 
 
@@ -216,8 +233,8 @@ def test_sweep_command(tmp_path):
 
 
 # sha256 of `qcss sweep --n-range 4,5,6 --x-range 2,3,4 --empirical` output,
-# taken before the sweep measured each degree's cells in one census pass
-SWEEP_EMPIRICAL_SHA256 = "2d5505c275173b3d2c08ab2a6b86484b3f2d3013b8b45922b0b1119cf63a5159"
+# with the exponential sums taken from one FFT of the shift set
+SWEEP_EMPIRICAL_SHA256 = "0a555c6073bc1f42586c0d2dcd75d651cb05d7d367bf35366d29afcfaa86fc27"
 
 
 def test_empirical_sweep_keeps_its_bytes(tmp_path):
@@ -322,24 +339,27 @@ def test_qcss_run_leaves_numpy_ma_unimported(tmp_path):
 
 
 def test_family_n12_stays_within_its_memory_budget(tmp_path):
-    # the README's budget for `qcss family --n 12`: the export text, one
+    # the README's budgets at n = 12.  `qcss family`: the export text, one
     # member per line, is 34 MB; one symbol per line it was 151 MB and the
-    # process peaked at ~207 MB
+    # process peaked at ~207 MB.  `qcss qcss --verify`: ~143 MB with the
+    # exponential sums from one FFT, ~270 MB with them gathered from a q x M
+    # table of roots
     src = Path(cli.__file__).resolve().parents[1]
-    script = (
-        "import resource\n"
-        "from qcss import cli\n"
-        f"assert cli.main(['family', '--n', '12', '--out', {str(tmp_path / 'f.json')!r}]) == 0\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    # a process started from this one counts this one's resident pages in its
-    # ru_maxrss, so a small launcher in between starts the child
-    launch = f"import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', {script!r}]).returncode)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout.splitlines()[-1]) / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mb < 150, f"qcss family --n 12 peaked at {peak_mb:.0f} MB"
+    for argv, budget_mb in (["family", "--n", "12"], 150), (["qcss", "--n", "12", "--verify"], 200):
+        script = (
+            "import resource\n"
+            "from qcss import cli\n"
+            f"assert cli.main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        # a process started from this one counts this one's resident pages in
+        # its ru_maxrss, so a small launcher in between starts the child
+        launch = f"import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', {script!r}]).returncode)"
+        proc = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout.splitlines()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < budget_mb, f"qcss {' '.join(argv)} peaked at {peak_mb:.0f} MB"
 
 
 def test_family_cache_miss_renders_the_text_once(tmp_path, monkeypatch):

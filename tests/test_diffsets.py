@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcss import diffsets
+from qcss import binpoly, diffsets
+from qcss.correlation import roots_table
 from qcss.diffsets import (
     ALMOST_DIFFERENCE_SET,
     CANONICAL_PATTERN,
@@ -16,6 +20,7 @@ from qcss.diffsets import (
     difference_function,
     exp_sum_bound,
     exp_sum_profile,
+    expected_ads_classification,
     find_canonical_pattern,
     legendre_ds,
     lift_ads_to_z4f,
@@ -252,3 +257,86 @@ def test_json_roundtrip():
     assert doc["pattern"]["pieces"][3] == {"set": "W*", "offset": 21}
     assert CyclicSubset(modulus=doc["q"], elements=doc["elements"]) == U
     assert "pattern" not in diffsets.ads_to_json(U)
+
+
+# ------------------------------------------------------- one FFT of the set
+
+
+@st.composite
+def small_subsets(draw):
+    q = draw(st.integers(1, 200))
+    return CyclicSubset(q, tuple(draw(st.sets(st.integers(0, q - 1), min_size=1))))
+
+
+def gathered_sums(D):
+    """E(tau) summed from the root table, one q x M gather."""
+    return roots_table(D.modulus)[np.outer(np.arange(D.modulus), D.elements) % D.modulus].sum(axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_subsets())
+def test_spectrum_gives_the_definitions_on_random_subsets(D):
+    counts = diffsets._difference_counts(D)
+    assert counts.tolist() == [difference_function(D, x) for x in range(D.modulus)]
+    assert np.abs(exp_sum_profile(D).sums - gathered_sums(D)).max() <= 1e-12 * D.size
+
+
+@pytest.mark.parametrize(
+    "kind, arg", [("singer", k) for k in range(2, 13)] + [("legendre", f) for f in (7, 11, 19, 23, 31, 43)]
+)
+def test_difference_counts_of_the_base_sets_and_their_lifts(kind, arg):
+    W = singer_ds(arg) if kind == "singer" else legendre_ds(arg)
+    f = W.modulus
+    base = [W.size] + [(f - 3) // 4] * (f - 1)
+    # f + 1 = 0 mod 4 puts the canonical lift's four pieces in distinct classes
+    # mod 4, so at a nonzero x = 0 mod 4 only pairs within a piece differ by x:
+    # three copies of W give (f - 3)/4 each and W* gives (f + 1)/4, f - 2 in
+    # all; t = f - 1 then leaves f - 1 at every other x
+    lifted = np.where(np.arange(4 * f) % 4 == 0, f - 2, f - 1)
+    lifted[0] = 2 * f - 1
+    for S, closed in ((W, base), (lift_ads_to_z4f(W), lifted.tolist())):
+        q, counts = S.modulus, diffsets._difference_counts(S)
+        assert counts.tolist() == closed
+        # the scalar definition at every shift, or at the 128 around 0 above q = 4095
+        xs = range(q) if q <= 4095 else [*range(64), *range(q - 64, q)]
+        assert [counts[x] for x in xs] == [difference_function(S, x) for x in xs]
+        if q <= 1023:
+            assert np.abs(exp_sum_profile(S).sums - gathered_sums(S)).max() <= 1e-12 * S.size
+
+
+def test_a_non_integral_difference_count_is_refused(monkeypatch):
+    # raising |F(1)|^2 by skew * q adds skew * cos(2 pi x / q) to d_D(x): at
+    # odd q only x = 0 moves by the whole skew
+    real, skew = diffsets._spectrum, 0.2
+
+    def skewed(subset):
+        F = real(subset)
+        F[1] *= math.sqrt(1 + skew * subset.modulus / abs(F[1]) ** 2)
+        return F
+
+    monkeypatch.setattr(diffsets, "_spectrum", skewed)
+    W = singer_ds(4)
+    assert classify_set(W).as_tuple() == (DIFFERENCE_SET, 15, 7, 3, 14)  # a residual of 0.2 rounds
+    skew = 0.3
+    with pytest.raises(ConstructionError) as err:
+        classify_set(W)
+    x, value = err.value.witness
+    assert x == 0 and value == pytest.approx(7.3, abs=1e-9)
+
+
+def test_degree_13_lift_is_classified_and_summed_in_little_memory():
+    # q = 32764, M = 16381: an M x M difference matrix would take 2 GiB
+    h = (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)  # 1 + x^9 + x^10 + x^12 + x^13
+    assert binpoly.is_primitive_binary(h)
+    W = singer_ds(13, h)
+    tracemalloc.start()
+    try:
+        U = lift_ads_to_z4f(W)
+        c = classify_set(U)
+        profile = exp_sum_profile(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, f"peaked at {peak / 2**20:.1f} MB"
+    assert c == expected_ads_classification(8191)
+    assert profile.max_nontrivial() < profile.bound
