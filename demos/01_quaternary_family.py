@@ -17,13 +17,13 @@ print(f"degree n = {n}")
 print(f"characteristic polynomial over Z4 (constant term first): {family.polynomial}")
 print(f"members: {family.size} sequences of period {family.period}")
 print()
-print("member 0 (binary-valued):", family.l0)
-print("member 1:", family.members[1])
-print("member 2:", family.members[2])
+print("member 0 (binary-valued):", tuple(family.array[0].tolist()))
+print("member 1:", tuple(family.array[1].tolist()))
+print("member 2:", tuple(family.array[2].tolist()))
 print()
 
 print("autocorrelation of member 0 (exact Gaussian integers):")
-pacf = [z4_correlation(family.l0, family.l0, tau) for tau in range(family.period)]
+pacf = [z4_correlation(family.array[0], family.array[0], tau) for tau in range(family.period)]
 print("  ", [int(v.real) for v in pacf])
 print()
 

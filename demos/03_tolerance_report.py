@@ -15,7 +15,6 @@ from qcss import (
     construction_params,
     lift_ads_to_z4f,
     singer_ds,
-    subset_l,
     tolerances,
     welch_lower_bound,
 )
@@ -26,7 +25,7 @@ print(f"parameters at n = {n}: f={params.f} q={params.q} K={params.K} M={params.
 
 family = build_family_a(n)
 ads = lift_ads_to_z4f(singer_ds(n - 2))
-qset = build_qcss(subset_l(family), ads, provenance={"n": n})
+qset = build_qcss(family, ads, provenance={"n": n})
 report = tolerances(qset)
 
 print(f"root order of all entries: {qset.root_order} (phases stay integers)")

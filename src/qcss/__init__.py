@@ -46,7 +46,6 @@ from .diffsets import (
     SetClassification,
     classify_set,
     coset_union,
-    difference_function,
     exp_sum_bound,
     exp_sum_profile,
     find_canonical_pattern,
@@ -65,7 +64,6 @@ from .z4 import (
     run_z4_recurrence,
     subset_l,
     z4_correlation,
-    z4_poly_divides,
 )
 
 __version__ = "0.1.0"

@@ -190,10 +190,9 @@ def sweep(n_values, x_values, empirical: bool = False):
             })
         if empirical and cells:
             family = z4.build_family_a(n)
-            base = z4.subset_l(family)
             qsets = [
                 correlation.build_qcss(
-                    base,
+                    family,
                     diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - rec["x"])),
                     provenance={"n": n, "x": rec["x"]},
                 )

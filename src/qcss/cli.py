@@ -133,10 +133,9 @@ def cmd_qcss(args) -> int:
     n = args.n
     params = analysis.construction_params(n)
     family, _ = _build_family(n, args)
-    base = z4.subset_l(family)
     ads, _ = _build_ads(params.f, args.ds, args)
     qset = correlation.build_qcss(
-        base,
+        family,
         ads,
         provenance={
             "n": n,

@@ -5,11 +5,11 @@ report.
 Entries of every sequence here are roots of unity stored as integer phases
 modulo a common root order L, so building blocks stay exact; complex values
 only appear when a correlation sum is evaluated.  An assembled set stores
-its base sequences and shift set, not its K*M*N entries.  The census of a
-certified subset-L base takes one Walsh-Hadamard transform per shift,
+its family and shift set, not its K*M*N entries.  The census of subset L
+of a certified family takes one Walsh-Hadamard transform per shift,
 O(n 4^n) additions in the least integer dtype that holds +-N, so nothing
 is rounded, and each shift set's exponential sums at the wrap point; sets
-over one base share one census pass.  ``periodic_correlation`` is the
+over one family share one census pass.  ``periodic_correlation`` is the
 scalar reference it is tested against.
 """
 
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diffsets import CyclicSubset, exp_sum_profile
-from .z4 import _rotations, coset_codes
+from .z4 import FamilyA, _m_sequence_codes, _rotations, subset_l
 
 MAGNITUDE_TOL = 1e-6  # distinct algebraic magnitudes at desk scale differ by far more
 EXACT_TOL = 1e-9
@@ -136,19 +136,25 @@ def matrix_correlation(c1: QcssMatrix, c2: QcssMatrix, tau: int) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class QcssSet:
-    """K matrices assembled from base sequences v_k and a shift set D: matrix
-    k has rows phase_transform(v_k, d, q) for d in D, sorted.
+    """K matrices assembled from subset L of a family, v_k = member k + 1,
+    and a shift set D: matrix k has rows phase_transform(v_k, d, q) for d
+    in D, sorted.
 
-    Only the read-only int8 (K, N) ``base`` of Z4 symbols and the shifts are
-    stored.  ``matrix(k)`` builds one (M, N) matrix on demand for the scalar
-    oracle; ``phases`` builds the whole (K, M, N) tensor on each access, and
-    the census never reads it.
+    Only the family and the shifts are stored.  ``matrix(k)`` builds one
+    (M, N) matrix on demand for the scalar oracle; ``phases`` builds the
+    whole (K, M, N) tensor on each access, and the census never reads it.
     """
 
-    base: np.ndarray  # shape (K, N), symbols 0..3
+    family: FamilyA
     q: int
     shifts: tuple[int, ...]
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def base(self) -> np.ndarray:
+        """The (K, N) base v_k, the read-only int8 view ``family.array[1:]``
+        (unchecked; the census reads it through ``subset_l``)."""
+        return self.family.array[1:]
 
     @property
     def root_order(self) -> int:
@@ -184,27 +190,18 @@ class QcssSet:
         return p
 
 
-def build_qcss(base_sequences, shift_set: CyclicSubset, provenance: dict | None = None) -> QcssSet:
-    """Assemble K matrices from a (K, N) array-like of Z4 base sequences,
-    such as ``subset_l(family)``, over the shift set.
-
-    The symbols are stored once, reduced mod 4, as a read-only int8 array;
-    no row of any matrix is built here.
+def build_qcss(family: FamilyA, shift_set: CyclicSubset, provenance: dict | None = None) -> QcssSet:
+    """Assemble the 2^n matrices over subset L of ``family`` and the shift
+    set.  Nothing is copied or checked here: the census certifies the
+    family through ``subset_l``.  Raises TypeError unless ``family`` is a
+    FamilyA, and ValueError for an empty shift set.
     """
-    try:
-        base = np.asarray(base_sequences)
-    except ValueError as exc:  # nested sequences of unequal length
-        raise ValueError("base sequences must share one length") from exc
-    if base.dtype == object:
-        raise ValueError("base sequences must share one length")
-    if base.ndim != 2 or len(base) == 0 or shift_set.size == 0:
-        raise ValueError("need at least one base sequence and a nonempty shift set")
-    if base.dtype.kind not in "iu":
-        raise ValueError(f"base symbols must be integers, got dtype {base.dtype}")
-    base = (base % 4).astype(np.int8)
-    base.setflags(write=False)
+    if not isinstance(family, FamilyA):
+        raise TypeError(f"build_qcss takes a FamilyA, got {type(family).__name__}")
+    if shift_set.size == 0:
+        raise ValueError("need a nonempty shift set")
     return QcssSet(
-        base=base,
+        family=family,
         q=shift_set.modulus,
         shifts=shift_set.elements,
         provenance=dict(provenance or {}),
@@ -235,11 +232,12 @@ def _walsh_hadamard(planes: np.ndarray) -> None:
 
 
 def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Stream the coset census of a subset-L base in blocks of shifts.
+    """Stream the coset census of the family's subset L in blocks of shifts.
 
-    For rows v_k = v_0 + 2 beta_k (certified first), a pair (k, l) at shift
-    tau has u = v_k - v_l(. + tau) = c_tau + 2 gamma with c_tau = v_0 -
-    v_0(. + tau) and gamma(t) = popcount(a & code[t]) mod 2 for one code a.
+    For rows v_k = v_0 + 2 beta_k (certified first, by ``subset_l``), a
+    pair (k, l) at shift tau has u = v_k - v_l(. + tau) = c_tau + 2 gamma
+    with c_tau = v_0 - v_0(. + tau) and gamma(t) = popcount(a & code[t])
+    mod 2 for one code a, code[t] the window code of m = v_0 mod 2 at t.
     For all a at once, the Walsh-Hadamard transforms of i^(c_tau(t)) placed
     at code[t] in four integer planes (in-range real and imaginary, wrapped
     real and imaginary) give the in-range part W = sum_{t < N - tau} i^(u_t)
@@ -256,9 +254,10 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     wr[b, a] = Wr at tau = start + b, in blocks of about _BLOCK_ENTRIES // K
     shifts, at least one.
     """
-    code, _ = coset_codes(qcss.base)
-    K, N = qcss.base.shape
-    v0, t = qcss.base[0], np.arange(N)
+    base = subset_l(qcss.family)
+    K, N = base.shape
+    v0, t = base[0], np.arange(N)
+    code = _m_sequence_codes(_rotations(v0 & 1)[: qcss.family.n])  # bit j of code[t] is m(t + j)
     rotations = _rotations(v0)  # row s: v0(. + s)
     dtype = _plane_dtype(N)
     step = max(1, _BLOCK_ENTRIES // K)
@@ -399,8 +398,8 @@ class _Tally:
 
 
 def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
-    """Reduce one ``correlation_tensor`` pass over the first set's base
-    into the report of every set; the sets must share that base.
+    """Reduce one ``correlation_tensor`` pass over the first set's family
+    into the report of every set; the sets must share an equal family.
 
     Row d of matrix k is a_k = i^(v_k) ramped by exp(2 pi i d t / q), t in
     0..N-1, so splitting each periodic row sum at the wrap point gives
@@ -412,8 +411,8 @@ def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
     values of the code a; the cost does not depend on M.
     """
     first = qsets[0]
-    if any(not np.array_equal(qcss.base, first.base) for qcss in qsets[1:]):
-        raise ValueError("the sets of one census must share one base")
+    if any(qcss.family != first.family for qcss in qsets[1:]):
+        raise ValueError("the sets of one census must share one family")
     tallies = [_Tally(qcss) for qcss in qsets]
     for start, w, wr in correlation_tensor(first):
         taus = slice(start, start + len(w))
@@ -426,14 +425,15 @@ def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
 def tolerances(qcss: QcssSet) -> CorrelationReport:
     """The tolerance report of one set: every ordered pair of matrices at
     every shift, reduced block by block as ``correlation_tensor`` streams
-    its base, which must be subset L (else ValueError or ConstructionError)."""
+    subset L of its family, which ``subset_l`` certifies (else
+    ConstructionError)."""
     return _census([qcss])[0]
 
 
 def tolerances_many(qsets) -> list[CorrelationReport]:
-    """The reports of several sets over one base, from one census pass:
+    """The reports of several sets over one family, from one census pass:
     the base correlations do not depend on the shift set.  Raises
-    ValueError if the sets do not share one base."""
+    ValueError if the sets do not share an equal family."""
     qsets = list(qsets)
     if not qsets:
         raise ValueError("need at least one set")

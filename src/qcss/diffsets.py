@@ -68,15 +68,6 @@ class SetClassification:
         return (self.kind, self.p, self.m, self.lam, self.t)
 
 
-def difference_function(subset: CyclicSubset, x: int) -> int:
-    """d_D(x) = |(D + x) ∩ D|."""
-    q = subset.modulus
-    if not 0 <= x < q:
-        raise ValueError("shift out of range")
-    elems = set(subset.elements)
-    return sum(1 for e in elems if (e + x) % q in elems)
-
-
 def _spectrum(subset: CyclicSubset) -> np.ndarray:
     """F(x) = sum_{d in D} exp(-2 pi i d x / q), x in [0, q): one length-q FFT."""
     return np.fft.fft(np.bincount(subset.elements, minlength=subset.modulus))

@@ -56,23 +56,6 @@ def graeffe_lift(coeffs) -> tuple[int, ...]:
     return f
 
 
-def z4_poly_divides(f, order: int) -> bool:
-    """True iff monic f divides x^order - 1 in Z4[x] (checked by long division)."""
-    f = [int(c) % 4 for c in f]
-    n = len(f) - 1
-    if f[n] != 1:
-        raise ValueError("divisor must be monic")
-    r = np.zeros(order + 1, dtype=np.int64)
-    r[order] = 1
-    r[0] = 3
-    fa = np.array(f, dtype=np.int64)
-    for top in range(order, n - 1, -1):
-        c = r[top] % 4
-        if c:
-            r[top - n : top + 1] = (r[top - n : top + 1] - c * fa) % 4
-    return not np.any(r[:n] % 4)
-
-
 def run_z4_recurrence(coeffs, init, length: int | None = None) -> tuple[int, ...]:
     """Run the order-n linear recurrence over Z4 with characteristic
     polynomial f(x) = x^n + c_{n-1} x^{n-1} + ... + c_0:
@@ -179,10 +162,6 @@ class FamilyA:
         """The members as a tuple of symbol tuples, built on each access."""
         return tuple(map(tuple, self.array.tolist()))
 
-    @property
-    def l0(self) -> tuple[int, ...]:
-        return tuple(self.array[0].tolist())
-
 
 def _rotations(row: np.ndarray) -> np.ndarray:
     """The read-only (N, N) view whose row s is row(. + s), indices mod N."""
@@ -203,63 +182,6 @@ def _m_sequence_codes(windows: np.ndarray) -> np.ndarray:
         raise ConstructionError(f"row 0 mod 2 is not an m-sequence: window code {bad} sits at shifts {where}",
                                 witness=(bad, where))
     return code
-
-
-def coset_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certify in O(n N + K N) that the (K, N) base is subset L, the rows v_0
-    + 2 beta for all 2^n beta in the binary recurrence space B of m = row 0
-    mod 2.  Return m's window codes (bit j of code[t] is m(t + j)) and each
-    row's shift: beta_k = m(. + shift[k]), or shift[k] = -1 where beta_k = 0.
-
-    The codes must be every nonzero state once, and m(. + n) a sum of the
-    windows m(. + j), j < n, so that B is 0 and the rotations of m.  Each
-    beta_k = (v_k - v_0) / 2 (so rows share row 0's parity) is read off its
-    first window a_k: it must be m(. + pos[a_k]), with code[pos[a]] = a, or
-    0 when a_k = 0, and the K first windows must be distinct.  A shape other
-    than 2^n x (2^n - 1), n >= 2, raises ValueError, and a failed check
-    ConstructionError with a witness.
-    """
-    K, N = base.shape
-    n = K.bit_length() - 1
-    if n < 2 or K != 1 << n or N != K - 1:
-        raise ValueError(f"the census needs a base of 2^n rows of period 2^n - 1, n >= 2, got shape {base.shape}")
-    bits = 1 << np.arange(n)
-    m = base[0] & 1
-    rotations = _rotations(m)  # row s: m(. + s)
-    code = _m_sequence_codes(rotations[:n])
-    diff = base - base[0]
-    diff &= 3
-    odd = diff & 1
-    if odd.any():
-        k, t = np.argwhere(odd)[0].tolist()
-        raise ConstructionError(f"row {k} and row 0 differ by an odd symbol at t = {t}", witness=(k, t))
-    pos = np.zeros(K, dtype=np.intp)
-    pos[code] = np.arange(N)
-    # m(. + n) at the shifts of the unit windows gives the taps of m's recurrence
-    # x(t + n) = XOR_j taps_j x(t + j); a cyclic solution is fixed by its first
-    # n symbols, so once m passes, B is 0 and the rotations of m
-    taps = np.flatnonzero(rotations[n, pos[bits]])
-    broken = np.flatnonzero(np.bitwise_xor.reduce(rotations[[*taps, n]], axis=0))
-    if broken.size:
-        t = int(broken[0])
-        raise ConstructionError(f"m(. + n) is not a sum of the windows m(. + j), j < n: it differs at t = {t}",
-                                witness=(K, t))
-    a = (diff[:, :n] >> 1) @ bits  # each beta_k's first window
-    expected = rotations[pos[a]]
-    expected[a == 0] = 0
-    expected <<= 1  # 2 beta_k, if beta_k is in B
-    wrong = expected != diff
-    if wrong.any():
-        # beta_k agrees with expected on its first window, so the recurrence
-        # first breaks at t = p - n, p the first symbol where they differ
-        k, p = np.argwhere(wrong)[0].tolist()
-        raise ConstructionError(f"(row {k} - row 0) / 2 is not a sum of the windows m(. + j), j < n: "
-                                f"it differs at t = {p - n}", witness=(k, p - n))
-    counts = np.bincount(a)
-    if counts.max() > 1:
-        k, l = np.flatnonzero(a == np.argmax(counts))[:2].tolist()
-        raise ConstructionError(f"rows {k} and {l} are one element of the coset", witness=(k, l))
-    return code, np.where(a > 0, pos[a], -1)
 
 
 def _compare_with_build(n: int, polynomial: tuple, A: np.ndarray) -> tuple[FamilyA | None, tuple | None]:
@@ -331,9 +253,9 @@ def build_family_a(n: int, coeffs=None) -> FamilyA:
     ------
     ConstructionError
         with witness (1, t) for the first t at which s_1 breaks the
-        recurrence, or (code, shifts) from the m-sequence check it shares
-        with ``coset_codes`` (the falsification path, never silently
-        patched).
+        recurrence, or (code, shifts) from the m-sequence check, which the
+        census also runs to read m's window codes (the falsification path,
+        never silently patched).
     """
     check_family_degree(n)
     h = tuple(coeffs) if coeffs is not None else binpoly.primitive_polynomial(n)

@@ -62,9 +62,40 @@ def seeded_family_members(coeffs) -> list[tuple[int, ...]]:
 
 
 @cache
-def subset_l_base(coeffs) -> np.ndarray:
-    """Subset L of Family A built from one binary primitive polynomial."""
-    return qcss.subset_l(qcss.build_family_a(len(coeffs) - 1, coeffs))
+def family_a(coeffs) -> z4.FamilyA:
+    """Family A built from one binary primitive polynomial, once."""
+    return qcss.build_family_a(len(coeffs) - 1, coeffs)
+
+
+def first_edit(A, B):
+    """The first (member, t), in row-major order, at which A and B differ."""
+    return tuple(np.argwhere(np.asarray(A) != np.asarray(B))[0].tolist())
+
+
+def z4_poly_divides(f, order: int) -> bool:
+    """True iff monic f divides x^order - 1 in Z4[x] (checked by long division)."""
+    f = [int(c) % 4 for c in f]
+    n = len(f) - 1
+    if f[n] != 1:
+        raise ValueError("divisor must be monic")
+    r = np.zeros(order + 1, dtype=np.int64)
+    r[order] = 1
+    r[0] = 3
+    fa = np.array(f, dtype=np.int64)
+    for top in range(order, n - 1, -1):
+        c = r[top] % 4
+        if c:
+            r[top - n : top + 1] = (r[top - n : top + 1] - c * fa) % 4
+    return not np.any(r[:n] % 4)
+
+
+def difference_function(subset, x: int) -> int:
+    """d_D(x) = |(D + x) ∩ D|, from the definition."""
+    q = subset.modulus
+    if not 0 <= x < q:
+        raise ValueError("shift out of range")
+    elems = set(subset.elements)
+    return sum(1 for e in elems if (e + x) % q in elems)
 
 
 def direct_tensor(qset) -> np.ndarray:

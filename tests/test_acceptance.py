@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import qcss
-from qcss import cli, correlation, diffsets, z4
+from conftest import difference_function
+from qcss import analysis, cli, correlation, diffsets, z4
 
 
 def report_line(cid, ok, detail):
@@ -136,7 +137,7 @@ def test_c06_exp_sum_bound_and_identity():
 def _identity_holds(D):
     q = D.modulus
     values = diffsets.exp_sum_profile(D).values
-    counts = [diffsets.difference_function(D, x) for x in range(q)]
+    counts = [difference_function(D, x) for x in range(q)]
     for tau in range(q):
         rhs = D.size + sum(
             counts[x] * math.cos(2 * math.pi * tau * x / q) for x in range(1, q)
@@ -148,14 +149,12 @@ def _identity_holds(D):
 
 def test_c07_factorization_regimes():
     family4 = z4.build_family_a(4)
-    synthetic = correlation.build_qcss(qcss.subset_l(family4), diffsets.singer_ds(4))
+    synthetic = correlation.build_qcss(family4, diffsets.singer_ds(4))
     synthetic_report = correlation.tolerances(synthetic)
     exact_ok = synthetic_report.factorization_gap_max <= 1e-9
 
     family5 = z4.build_family_a(5)
-    built = correlation.build_qcss(
-        qcss.subset_l(family5), diffsets.lift_ads_to_z4f(diffsets.singer_ds(3))
-    )
+    built = correlation.build_qcss(family5, diffsets.lift_ads_to_z4f(diffsets.singer_ds(3)))
     report = correlation.tolerances(built)
     measured_gap = report.factorization_gap_max
     report_line(
@@ -174,7 +173,7 @@ def test_c08_lower_bound_validity():
     for n in (5, 6):
         family = z4.build_family_a(n)
         ads = diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - 2))
-        report = correlation.tolerances(correlation.build_qcss(qcss.subset_l(family), ads))
+        report = correlation.tolerances(correlation.build_qcss(family, ads))
         ok &= report.delta_max >= report.lower_bound - 1e-6
         details.append(f"n={n}: delta_max {report.delta_max:.4f} >= bound {report.lower_bound:.4f}")
     report_line("C8", ok, "; ".join(details))
@@ -187,7 +186,7 @@ def test_c09_construction_comparison_informational():
         t0 = time.perf_counter()
         family = z4.build_family_a(n)
         ads = diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - 2))
-        report = correlation.tolerances(correlation.build_qcss(qcss.subset_l(family), ads))
+        report = correlation.tolerances(correlation.build_qcss(family, ads))
         elapsed = time.perf_counter() - t0
         claimed = (1 + 2 ** (n / 2)) * math.sqrt((1 << n) - 3)
         # informational: measured values are reported next to the claimed ones,
@@ -243,3 +242,21 @@ def test_c11_determinism(tmp_path):
         ok &= cli.main(argv + ["--out", str(out2)]) == 0
         ok &= out1.read_bytes() == out2.read_bytes()
     report_line("C11", ok, "two consecutive runs of every command are byte-identical")
+
+
+def test_c12_census_free_floor_refutes_the_claim_for_x_at_least_3():
+    # at tau = q, E(-q) = E(0) = M for any shift set of size M, and the
+    # in-range and wrapped sums are orthogonal over the 2^n codes (Parseval
+    # for the Walsh-Hadamard transform), so the mean of |G|^2 over the codes
+    # is at least M^2 (N - q): some pair reaches M sqrt(N - q), whatever h,
+    # base set or lift pattern was chosen.  tests/test_correlation.py checks
+    # the floor against the census.
+    cells = [(n, 3) for n in range(6, 61)] + [(n, x) for x in range(4, 8) for n in range(x + 2, 61)]
+    short = []
+    for n, x in cells:
+        p = analysis.construction_params(n, x)
+        floor = p.M * math.sqrt(p.N - p.q)
+        if not floor > p.claimed_delta_max:
+            short.append((n, x, floor, p.claimed_delta_max))
+    report_line("C12", not short, f"M sqrt(N - q) > claimed delta_max at {len(cells) - len(short)} of "
+                                  f"{len(cells)} cells, x = 3 at n = 6..60 and x = 4..7 at n = x + 2..60; not at {short}")

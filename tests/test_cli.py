@@ -263,17 +263,18 @@ def test_sweep_cap_skips_degrees_without_cells(tmp_path):
 
 
 def test_census_of_a_base_that_is_not_subset_l_is_falsified(tmp_path, monkeypatch, capsys):
-    real = z4.subset_l
+    real = cli._build_family
 
-    def tampered(family, verify=True):
-        base = real(family, verify).copy()
-        base[3, 7] ^= 1
-        return base
+    def tampered(n, args):
+        family, text = real(n, args)
+        A = family.array.copy()
+        A[4, 7] ^= 1
+        return z4.FamilyA(n=n, polynomial=family.polynomial, array=A), text
 
-    monkeypatch.setattr(z4, "subset_l", tampered)
+    monkeypatch.setattr(cli, "_build_family", tampered)
     out = tmp_path / "r.json"
     assert run(["qcss", "--n", "4", "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("construction falsified: row 3 and row 0 differ by an odd symbol")
+    assert capsys.readouterr().err == "construction falsified: member 4 differs from the build at t = 7\n"
     assert not out.exists()
 
 
@@ -341,12 +342,13 @@ def test_qcss_run_leaves_numpy_ma_unimported(tmp_path):
 def test_family_n12_stays_within_its_memory_budget(tmp_path):
     # the README's budgets at n = 12.  `qcss family`: the export text, one
     # member per line, is 34 MB; one symbol per line it was 151 MB and the
-    # process peaked at ~207 MB.  `qcss qcss --verify`: ~143 MB with the
-    # exponential sums from one FFT, ~270 MB with them gathered from a q x M
-    # table of roots
+    # process peaked at ~207 MB.  `qcss qcss --verify`: ~79 MB with the
+    # census reading the family's own rows; 127-143 MB with a second
+    # certificate of subset L and a copy of it, ~270 MB with the exponential
+    # sums gathered from a q x M table of roots
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    for argv, budget_mb in (["family", "--n", "12"], 150), (["qcss", "--n", "12", "--verify"], 200):
+    for argv, budget_mb in (["family", "--n", "12"], 150), (["qcss", "--n", "12", "--verify"], 100):
         script = (
             "import resource\n"
             "from qcss import cli\n"

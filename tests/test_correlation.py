@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qcss
-from conftest import ALL_PRIMITIVE_POLYS, direct_report_fields, direct_tensor, subset_l_base
+from conftest import ALL_PRIMITIVE_POLYS, direct_report_fields, direct_tensor, family_a, first_edit
 from qcss import correlation, diffsets, z4
 from qcss.correlation import (
     PhaseSequence,
@@ -25,7 +25,7 @@ WELCH_32_13_31 = 15.476521067056753  # sqrt(169 * 961 * (19/13) / 991)
 
 @pytest.fixture(scope="module")
 def qcss5(family5):
-    return build_qcss(qcss.subset_l(family5), diffsets.lift_ads_to_z4f(diffsets.singer_ds(3)))
+    return build_qcss(family5, diffsets.lift_ads_to_z4f(diffsets.singer_ds(3)))
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def test_periodic_correlation_in_phase_energy():
 
 
 def test_periodic_correlation_embedded_binary_member(family4):
-    seq = phase_transform(family4.l0, 0, 1)
+    seq = phase_transform(family4.array[0], 0, 1)
     for tau in range(1, family4.period):
         assert periodic_correlation(seq, seq, tau) == pytest.approx(-1 + 0j, abs=1e-9)
 
@@ -134,9 +134,8 @@ def test_magnitude_equality_sample_case(family4):
 
 def test_synthetic_factorization_gap_is_zero(family4):
     # base period equals the shift modulus, so the separable form is exact
-    base = qcss.subset_l(family4)
     shifts = diffsets.singer_ds(4)  # subset of Z_15, q = N = 15
-    qset = build_qcss(base, shifts)
+    qset = build_qcss(family4, shifts)
     report = tolerances(qset)
     assert report.factorization_gap_max <= 1e-9
     assert report.r2_observed == 0.0  # no nontrivial multiple of q below N
@@ -154,16 +153,16 @@ def test_build_shapes_n5(qcss5):
 
 def test_build_guards(family4):
     shifts = diffsets.singer_ds(3)
-    for empty in ([], np.empty((0, 15), dtype=np.int8)):
-        with pytest.raises(ValueError, match="at least one base sequence"):
-            build_qcss(empty, shifts)
-    ragged = [(0, 1), (0, 1, 2)]
-    rows = [np.array(r, dtype=np.int8) for r in ragged]
-    for base in (ragged, rows, np.array(rows, dtype=object)):
-        with pytest.raises(ValueError, match="share one length"):
-            build_qcss(base, shifts)
-    with pytest.raises(ValueError, match="must be integers"):
-        build_qcss(np.zeros((2, 3)), shifts)
+    # the census reads a family's certificate, so an array of its rows is refused
+    for other in (qcss.subset_l(family4), family4.array, family4.array.tolist(), None):
+        with pytest.raises(TypeError, match="^build_qcss takes a FamilyA"):
+            build_qcss(other, shifts)
+    with pytest.raises(ValueError, match="nonempty shift set"):
+        build_qcss(family4, diffsets.CyclicSubset(7, ()))
+    qset = build_qcss(family4, shifts)
+    assert qset.family is family4
+    assert np.shares_memory(qset.base, family4.array) and not qset.base.flags.writeable  # no copy
+    np.testing.assert_array_equal(qset.base, family4.array[1:])
 
 
 def test_matrix_correlation_in_phase(qcss5):
@@ -207,7 +206,7 @@ def test_report_matches_direct_sums_on_random_sets(block_entries, monkeypatch):
     for coeffs in ALL_PRIMITIVE_POLYS:
         q = int(rng.integers(1, 13))
         shifts = diffsets.CyclicSubset(q, tuple(sorted(set(rng.integers(0, q, size=3).tolist()))))
-        qset = build_qcss(subset_l_base(coeffs), shifts)
+        qset = build_qcss(family_a(coeffs), shifts)
         report = tolerances(qset)
         delta_a, delta_c, per_shift, gap = direct_report_fields(qset)
         assert report.delta_a == pytest.approx(delta_a, abs=1e-9)
@@ -223,7 +222,7 @@ def test_report_matches_direct_sums_n7(monkeypatch):
     rng = np.random.default_rng(15)
     q = int(rng.integers(5, 13))
     shifts = diffsets.CyclicSubset(q, tuple(sorted(set(rng.integers(0, q, size=3).tolist()))))
-    qset = build_qcss(qcss.subset_l(qcss.build_family_a(7)), shifts)
+    qset = build_qcss(qcss.build_family_a(7), shifts)
     blocks = list(correlation.correlation_tensor(qset))
     assert [start for start, _, _ in blocks] == [0, 40, 80, 120]
     assert blocks[0][1][0, 0] == 127
@@ -262,15 +261,38 @@ def test_walsh_hadamard_is_exact_at_the_dtype_edge(n):
     assert want[K // 2, 0] == N and want[K // 2, 1] == -N
 
 
-def test_per_shift_maxima_are_mirror_symmetric(qcss5, report5):
+@pytest.fixture(scope="module")
+def cell_reports():
+    """The report of every construction cell n = 4..10, x = 2..4, by
+    (n, x), from one ``tolerances_many`` per n."""
+    reports = {}
+    for n in range(4, 11):
+        family = qcss.build_family_a(n)
+        xs = [x for x in (2, 3, 4) if n - x >= 2]
+        qsets = [build_qcss(family, diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - x))) for x in xs]
+        reports.update(zip([(n, x) for x in xs], correlation.tolerances_many(qsets)))
+    return reports
+
+
+def test_per_shift_maxima_are_mirror_symmetric(qcss5, cell_reports):
     # R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau), so the maxima at tau and
     # N - tau agree, though the census sums them from other Walsh planes
     tensor = direct_tensor(qcss5)
     n = qcss5.period
     for tau in (1, 5, 28):
         assert np.allclose(tensor[tau], np.conj(tensor[(n - tau) % n]).T, atol=1e-9)
-    per_shift = report5.per_shift_max
-    assert np.allclose(per_shift[1:], per_shift[:0:-1], rtol=0, atol=1e-9)
+    for cell, report in cell_reports.items():
+        per_shift = report.per_shift_max
+        assert np.abs(per_shift[1:] - per_shift[:0:-1]).max() <= 1e-9, cell
+
+
+def test_census_meets_the_floor_at_the_shift_q(cell_reports):
+    # E(-q) = M for any shift set of size M, so over the 2^n codes at tau = q
+    # the mean of |G|^2 is at least M^2 (N - q) (test_acceptance, C12)
+    for cell, report in cell_reports.items():
+        q, M, N = report.q, report.num_rows, report.period
+        assert q < N
+        assert report.per_shift_max[q] >= M * math.sqrt(N - q) - 1e-9, cell
 
 
 def test_census_reads_its_ramp_sums_from_one_table(qcss5, report5, monkeypatch):
@@ -336,17 +358,10 @@ def test_report_recomputed_maxima_scalar_loop(qcss5, report5):
     pytest.fail("argmax of the sweep never matched the reported maximum")
 
 
-def test_tolerances_needs_two_matrices(family4):
-    base = [family4.members[1]]
-    qset = build_qcss(base, diffsets.singer_ds(4))
-    with pytest.raises(ValueError):
-        tolerances(qset)
-
-
 def test_single_row_toy_excludes_inphase_autocorrelation(family4):
     # M = 1 toy: delta_a ranges over nonzero shifts only
     base = qcss.subset_l(family4)
-    qset = build_qcss(base, diffsets.CyclicSubset(15, (0,)))
+    qset = build_qcss(family4, diffsets.CyclicSubset(15, (0,)))
     report = tolerances(qset)
     expected_auto = max(
         abs(z4.z4_correlation(row, row, tau)) for row in base for tau in range(1, 15)
@@ -424,68 +439,73 @@ def test_report_csv_layout(report5):
 
 
 # ------------------------------------------------------- subset-L certificate
+#
+# Each base the former array certificate refused, made into a family: member
+# k + 1 is base row k, as member 0 is 2m.  The census's only certificate is
+# subset_l's, so each refusal names the first (member, t) that differs from
+# the build, or the shape.
 
 
-@pytest.mark.parametrize("shape", [(1, 15), (3, 3), (2, 1), (8, 3), (16, 16), (16, 14)])
-def test_census_refuses_a_base_of_another_shape(shape):
-    qset = build_qcss(np.zeros(shape, dtype=np.int8), diffsets.CyclicSubset(3, (0, 1)))
-    with pytest.raises(ValueError, match="2\\^n rows of period 2\\^n - 1"):
-        tolerances(qset)
-
-
-def census_failure(base) -> ConstructionError:
+def census_failure(family4, A) -> ConstructionError:
+    """The census's refusal of family4's polynomial with rows A, which must
+    be subset_l's refusal of that family."""
+    tampered = z4.FamilyA(n=4, polynomial=family4.polynomial, array=A)
     with pytest.raises(ConstructionError) as info:
-        tolerances(build_qcss(base, diffsets.CyclicSubset(3, (0, 1))))
+        tolerances(build_qcss(tampered, diffsets.CyclicSubset(3, (0, 1))))
+    with pytest.raises(ConstructionError) as again:
+        qcss.subset_l(tampered)
+    assert (str(info.value), info.value.witness) == (str(again.value), again.value.witness)
     return info.value
 
 
+@pytest.mark.parametrize("shape", [(2, 15), (4, 3), (3, 1), (9, 3), (17, 16), (17, 14)])
+def test_census_refuses_a_base_of_another_shape(family4, shape):
+    error = census_failure(family4, np.zeros(shape, dtype=np.int8))
+    assert error.witness == shape
+    assert str(error) == f"shape {shape} is not the build's (17, 15)"
+
+
 @pytest.mark.parametrize("row0, witness", [
-    (np.ones(15, dtype=np.int8), (15, (0, 1))),  # every window is 1111
-    (np.zeros(15, dtype=np.int8), (0, tuple(range(15)))),  # the zero window
+    (np.ones(15, dtype=np.int8), (1, 0)),  # every window is 1111; s_1 starts 0001
+    (np.zeros(15, dtype=np.int8), (1, 3)),  # the zero window
 ])
 def test_certificate_needs_row0_mod_2_to_be_an_m_sequence(family4, row0, witness):
-    base = qcss.subset_l(family4).copy()
-    base[0] = row0
-    error = census_failure(base)
-    assert "not an m-sequence" in str(error)
-    assert error.witness[0] == witness[0] and error.witness[1] == witness[1][:2]
+    A = family4.array.copy()
+    A[1] = row0
+    assert census_failure(family4, A).witness == witness
 
 
 def test_certificate_needs_one_parity(family4):
-    base = qcss.subset_l(family4).copy()
-    base[5, 9] ^= 1
-    error = census_failure(base)
-    assert error.witness == (5, 9)
-    assert "odd symbol" in str(error)
+    A = family4.array.copy()
+    A[6, 9] ^= 1
+    error = census_failure(family4, A)
+    assert error.witness == (6, 9)
+    assert str(error) == "member 6 differs from the build at t = 9"
 
 
 def test_certificate_needs_each_row_in_the_coset(family4):
-    # one symbol moved by 2: beta_7 gains one bit, and no sum of windows has weight 1 more
-    base = qcss.subset_l(family4).copy()
-    base[7, 4] ^= 2
-    error = census_failure(base)
-    assert error.witness[0] == 7
-    assert "(row 7 - row 0) / 2 is not a sum of the windows" in str(error)
+    # one symbol moved by 2: beta gains one bit, and no sum of windows has weight 1 more
+    A = family4.array.copy()
+    A[8, 4] ^= 2
+    assert census_failure(family4, A).witness == (8, 4)
 
 
-def test_certificate_needs_a_linear_m_sequence():
+def test_certificate_needs_a_linear_m_sequence(family4):
     # window-complete but nonlinear: every nonzero 4-bit state once, yet
     # m(. + 4) is no sum of m(. + j), j < 4; each row is m + 2 (a sum of its windows)
     m = np.array([int(c) for c in "000100111101011"], dtype=np.int8)
     windows = np.stack([np.roll(m, -j) for j in range(4)])
     coeffs = (np.arange(16)[:, None] >> np.arange(4)) & 1
-    base = m + 2 * ((coeffs @ windows) % 2)
-    error = census_failure(base)
-    assert error.witness[0] == 16  # the row after the K rows: m(. + n)
-    assert "m(. + n) is not a sum of the windows" in str(error)
+    A = np.vstack([family4.array[:1], m + 2 * ((coeffs @ windows) % 2)])
+    error = census_failure(family4, A)
+    assert error.witness == first_edit(A, family4.array) and error.witness[0] >= 1
 
 
 def test_certificate_needs_distinct_rows(family4):
-    base = qcss.subset_l(family4).copy()
-    base[11] = base[3]
-    error = census_failure(base)
-    assert error.witness == (3, 11)
-    assert "one element of the coset" in str(error)
+    A = family4.array.copy()
+    A[12] = A[4]
+    error = census_failure(family4, A)
+    assert error.witness == (12, first_edit(A[4], family4.array[12])[0])
 
 
 # ------------------------------------------------------- reduction shortcuts
@@ -496,7 +516,7 @@ def test_pairs_cover_the_coset(coeffs):
     # the census reduces over beta alone: at tau != 0 the pairs (k, k) and
     # the pairs k != l each give every beta_k - beta_l(. + tau), and at
     # tau = 0 the pairs k != l give every nonzero one
-    base = subset_l_base(coeffs)
+    base = qcss.subset_l(family_a(coeffs))
     K, N = base.shape
     beta = ((base - base[0]) % 4) // 2
     space = {row.tobytes() for row in beta}
@@ -512,12 +532,11 @@ def test_pairs_cover_the_coset(coeffs):
             assert cross == space - {bytes(N)}
 
 
-def test_delta_a_equals_delta_c_and_zero_shift_is_m():
-    # observed for every construction cell with n = 4..8 and x = 2..4
-    for n in range(4, 9):
-        base = qcss.subset_l(qcss.build_family_a(n))
-        xs = [x for x in (2, 3, 4) if n - x >= 2]
-        qsets = [build_qcss(base, diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - x))) for x in xs]
-        for x, report in zip(xs, correlation.tolerances_many(qsets)):
+def test_delta_a_equals_delta_c_and_zero_shift_is_m(cell_reports):
+    # observed for every construction cell with n = 4..10 and x = 2..4; the
+    # zero-shift maximum is M exactly up to n = 8, and within ulps above
+    for (n, x), report in cell_reports.items():
+        assert report.delta_a == report.delta_c, (n, x)
+        assert report.per_shift_max[0] == pytest.approx(report.num_rows, rel=1e-12, abs=0), (n, x)
+        if n <= 8:
             assert report.per_shift_max[0] == report.num_rows, (n, x)
-            assert report.delta_a == report.delta_c, (n, x)

@@ -1,7 +1,8 @@
 """Property tests: the coset census against the scalar reference
 (``periodic_correlation`` / ``matrix_correlation``) and the direct sums on
 subset L of the primitive polynomials of degree 2..6 under arbitrary shift
-sets, and the assembly and the wrap split on random small sets."""
+sets, the assembly on those families, and the wrap split on random
+sequences."""
 
 import cmath
 from collections import Counter
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_PRIMITIVE_POLYS, direct_tensor, oracle_tensor, subset_l_base
-from qcss import binpoly, correlation
+from conftest import ALL_PRIMITIVE_POLYS, direct_tensor, family_a, oracle_tensor
+from qcss import binpoly, correlation, z4
 from qcss.correlation import (
     build_qcss,
     matrix_correlation,
@@ -33,25 +34,12 @@ def shift_sets(draw):
     return CyclicSubset(modulus=q, elements=tuple(shifts))
 
 
-@st.composite
-def set_inputs(draw, symbols=st.integers(0, 3)):
-    """Random base sequences and any shift set build_qcss accepts: q may
-    exceed N or not divide it, and D need not be a difference set."""
-    K = draw(st.integers(2, 4))
-    N = draw(st.integers(2, 9))
-    base = draw(st.lists(st.lists(symbols, min_size=N, max_size=N), min_size=K, max_size=K))
-    return base, draw(shift_sets())
-
-
-def small_sets():
-    return set_inputs().map(lambda inputs: build_qcss(*inputs))
-
-
 def subset_l_sets(max_degree=6):
     """Subset L of a primitive polynomial of degree 2..max_degree under an
-    arbitrary shift set."""
+    arbitrary shift set: q may exceed N or not divide it, and D need not be
+    a difference set."""
     polys = [h for h in ALL_PRIMITIVE_POLYS if len(h) - 1 <= max_degree]
-    return st.builds(build_qcss, st.sampled_from(polys).map(subset_l_base), shift_sets())
+    return st.builds(build_qcss, st.sampled_from(polys).map(family_a), shift_sets())
 
 
 # block sizes from one shift per block up to every shift of degree 3 at
@@ -90,19 +78,20 @@ def test_engine_matches_scalar_oracle(qset, block_entries):
 
 
 @SETTINGS
-@given(small_sets(), st.data())
-def test_wrap_split_identity(qset, data):
-    K, N = qset.num_sets, qset.period
-    k, l = data.draw(st.integers(0, K - 1)), data.draw(st.integers(0, K - 1))
+@given(st.integers(2, 9).flatmap(lambda N: st.lists(st.lists(st.integers(0, 3), min_size=N, max_size=N),
+                                                    min_size=2, max_size=2)),
+       shift_sets(), st.data())
+def test_wrap_split_identity(pair, shift_set, data):
+    # the split holds for any two Z4 sequences a, b and any shift set
+    a, b = pair
+    N, q = len(a), shift_set.modulus
     tau = data.draw(st.integers(0, N - 1))
-    q = qset.q
 
     def E(x):
-        return sum(cmath.exp(2j * cmath.pi * d * x / q) for d in qset.shifts)
+        return sum(cmath.exp(2j * cmath.pi * d * x / q) for d in shift_set.elements)
 
-    a, b = qset.base[k], qset.base[l]
     split = E(-tau) * aperiodic(a, b, tau) + E(N - tau) * aperiodic(a, b, tau - N)
-    rows = [(phase_transform(a, d, q), phase_transform(b, d, q)) for d in qset.shifts]
+    rows = [(phase_transform(a, d, q), phase_transform(b, d, q)) for d in shift_set.elements]
     assert abs(split - sum(periodic_correlation(x, y, tau) for x, y in rows)) <= 1e-9
 
 
@@ -132,13 +121,15 @@ def test_reported_maxima_reproduced_at_argmax(qset, block_entries):
 
 
 @SETTINGS
-@given(set_inputs(symbols=st.integers(-9, 9)), st.booleans(), st.data())
-def test_matrix_matches_per_row_assembly(inputs, as_array, data):
-    base, shift_set = inputs
-    qset = build_qcss(np.array(base) if as_array else base, shift_set)
+@given(st.sampled_from(ALL_PRIMITIVE_POLYS), shift_sets(), st.data())
+def test_matrix_matches_per_row_assembly(coeffs, shift_set, data):
+    family = family_a(coeffs)
+    qset = build_qcss(family, shift_set)
+    base = z4.subset_l(family)
     assert qset.base.dtype == np.int8 and not qset.base.flags.writeable
-    np.testing.assert_array_equal(qset.base, np.array(base) % 4)
-    assert qset.num_rows == shift_set.size
+    assert np.shares_memory(qset.base, family.array)  # a view, not a copy
+    np.testing.assert_array_equal(qset.base, base)
+    assert (qset.num_sets, qset.num_rows, qset.period) == (len(base), shift_set.size, family.period)
     k = data.draw(st.integers(0, len(base) - 1))
     # the assembly build_qcss used to run: one phase_transform per (k, d)
     rows = np.stack([phase_transform(base[k], d, qset.q).phases for d in shift_set.elements])
@@ -151,8 +142,8 @@ def test_matrix_matches_per_row_assembly(inputs, as_array, data):
 @SETTINGS
 @given(st.sampled_from(ALL_PRIMITIVE_POLYS), st.lists(shift_sets(), min_size=1, max_size=4), BLOCK_ENTRIES)
 def test_one_census_serves_every_shift_set(coeffs, shift_set_list, block_entries):
-    base = subset_l_base(coeffs)
-    qsets = [build_qcss(base, shift_set) for shift_set in shift_set_list]
+    family = family_a(coeffs)
+    qsets = [build_qcss(family, shift_set) for shift_set in shift_set_list]
     with mock.patch.object(correlation, "_BLOCK_ENTRIES", block_entries):
         together = correlation.tolerances_many(qsets)
         alone = [tolerances(qset) for qset in qsets]
@@ -167,22 +158,25 @@ def test_one_census_serves_every_shift_set(coeffs, shift_set_list, block_entries
 
 def test_one_census_needs_one_base():
     shifts = CyclicSubset(modulus=7, elements=(1, 2, 4))
-    base = subset_l_base((1, 1, 1))  # n = 2: four rows of period 3
-    first = build_qcss(base, shifts)
-    flipped = base.copy()
+    family = family_a((1, 1, 0, 1))  # n = 3: eight rows of period 7
+    first = build_qcss(family, shifts)
+    flipped = family.array.copy()
     flipped[3, 2] ^= 2
     with_another = [
-        build_qcss(flipped, shifts),  # one symbol differs
-        build_qcss(np.vstack([base, base[:1]]), shifts),  # one more sequence
-        build_qcss(np.hstack([base, base[:, :1]]), shifts),  # longer sequences
+        family_a((1, 0, 1, 1)),  # the other polynomial of degree 3
+        family_a((1, 1, 1)),  # degree 2
+        family_a((1, 1, 0, 0, 1)),  # degree 4
+        z4.FamilyA(n=3, polynomial=family.polynomial, array=flipped),  # one symbol differs
     ]
     for other in with_another:
-        with pytest.raises(ValueError, match="share one base"):
-            correlation.tolerances_many([first, other])
+        with pytest.raises(ValueError, match="share one family"):
+            correlation.tolerances_many([first, build_qcss(other, shifts)])
     with pytest.raises(ValueError, match="at least one set"):
         correlation.tolerances_many([])
-    same = build_qcss(base + 4, CyclicSubset(modulus=5, elements=(0, 1)))
-    assert len(correlation.tolerances_many([first, same])) == 2  # symbols are read mod 4
+    # an equal family made apart from the build is compared with it, and passes
+    same = z4.FamilyA(n=3, polynomial=family.polynomial, array=family.array.tolist())
+    other_shifts = CyclicSubset(modulus=5, elements=(0, 1))
+    assert len(correlation.tolerances_many([first, build_qcss(same, other_shifts)])) == 2
 
 
 def pairs_with_row_0(qset):
@@ -201,7 +195,7 @@ BASE_8 = binpoly.primitive_polynomial(8)
 def test_census_planes_match_direct_sums_at_degree_8():
     # n = 8 is the least degree whose Walsh planes are int16; in int8 the in-phase
     # autocorrelation N = 255 would wrap
-    qset = build_qcss(subset_l_base(BASE_8), CyclicSubset(modulus=1, elements=(0,)))
+    qset = build_qcss(family_a(BASE_8), CyclicSubset(modulus=1, elements=(0,)))
     N = qset.period
     w, wr = (np.concatenate([block[i] for block in correlation.correlation_tensor(qset)]) for i in (1, 2))
     for tau, products, _ in pairs_with_row_0(qset):
@@ -216,7 +210,7 @@ def test_census_matches_direct_sums_at_degree_8(shift_set):
     # row d of matrix k is i^(v_k(t)) exp(2 pi i d t / q), so the M rows' terms
     # at t sum to i^(v_k(t) - v_0(t')) E(t - t'), E(x) = sum_d exp(2 pi i d x / q):
     # K N^2 terms over the pairs (k, 0)
-    qset = build_qcss(subset_l_base(BASE_8), shift_set)
+    qset = build_qcss(family_a(BASE_8), shift_set)
     N = qset.period
     E = np.exp(2j * np.pi * np.outer(np.arange(-N, N), qset.shifts) / qset.q).sum(axis=1)  # E[x + N]
     want = np.empty(N)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import difference_function
 from qcss import binpoly, diffsets
 from qcss.correlation import roots_table
 from qcss.diffsets import (
@@ -17,7 +18,6 @@ from qcss.diffsets import (
     CyclicSubset,
     classify_set,
     coset_union,
-    difference_function,
     exp_sum_bound,
     exp_sum_profile,
     expected_ads_classification,

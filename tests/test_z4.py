@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcss
-from conftest import ALL_PRIMITIVE_POLYS, seeded_family_members
+from conftest import ALL_PRIMITIVE_POLYS, first_edit, seeded_family_members, z4_poly_divides
 from qcss import binpoly, z4
 from qcss.errors import ConstructionError
 
@@ -39,7 +39,7 @@ def test_lift_mod2_consistency_and_divisibility(n):
     f = z4.graeffe_lift(h)
     assert tuple(c % 2 for c in f) == h
     assert f[-1] == 1
-    assert z4.z4_poly_divides(f, (1 << n) - 1)
+    assert z4_poly_divides(f, (1 << n) - 1)
 
 
 def test_lift_rejects_nonprimitive():
@@ -51,7 +51,7 @@ def test_lift_rejects_nonprimitive():
 
 def test_divides_rejects_wrong_order():
     f = z4.graeffe_lift(X3_X_1)
-    assert not z4.z4_poly_divides(f, 6)
+    assert not z4_poly_divides(f, 6)
 
 
 PRIMITIVE_2_TO_8 = [
@@ -147,15 +147,15 @@ def test_family_counting(fixture_name, n, request):
 
 
 def test_family_member_zero_is_binary_valued(family4):
-    assert all(v in (0, 2) for v in family4.l0)
+    assert set(family4.array[0].tolist()) <= {0, 2}
 
 
 def test_l0_has_ideal_autocorrelation(family5):
     # the {0,2}-valued member maps to a +-1 sequence with PACF -1 off-phase
     period = family5.period
     for tau in range(1, period):
-        assert z4.z4_correlation(family5.l0, family5.l0, tau) == complex(-1, 0)
-    assert z4.z4_correlation(family5.l0, family5.l0, 0) == complex(period, 0)
+        assert z4.z4_correlation(family5.array[0], family5.array[0], tau) == complex(-1, 0)
+    assert z4.z4_correlation(family5.array[0], family5.array[0], 0) == complex(period, 0)
 
 
 ALPHA_MAX_SQUARED = {3: 13, 4: 25, 5: 41, 6: 81}  # brute-force sweep oracle
@@ -215,11 +215,6 @@ def test_alpha_max_every_primitive_polynomial(n, coeffs):
     family = z4.build_family_a(n, coeffs=coeffs)
     oracle = brute_force_alpha(family) if n <= 4 else fft_alpha(family)
     assert abs(z4.family_alpha_max(family) - oracle) <= 1e-9
-
-
-def first_edit(A, B):
-    """The first (member, t), in row-major order, at which A and B differ."""
-    return tuple(np.argwhere(np.asarray(A) != np.asarray(B))[0].tolist())
 
 
 def test_alpha_max_rejects_a_non_family(family4):
@@ -498,35 +493,6 @@ def test_aligned_certificate_gives_the_window_codes(n, coeffs):
     assert np.all(np.diff(least) > 0)
 
 
-def first_break(beta, h):
-    """Scalar oracle: the first t at which beta breaks the binary recurrence
-    x(t + n) = sum_j h_j x(t + j) mod 2 of polynomial h, indices mod N."""
-    n, N = len(h) - 1, len(beta)
-    for t in range(N):
-        if beta[(t + n) % N] != sum(h[j] * beta[(t + j) % N] for j in range(n)) % 2:
-            return t
-    return None
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(PRIMITIVE_2_TO_8), st.data())
-def test_coset_witness_is_the_first_break_of_the_recurrence(case, data):
-    # moving one symbol of row k by 2 moves beta_k out of B, and the witness
-    # names row k and the first t where beta_k breaks m's recurrence
-    n, coeffs = case
-    base = z4.subset_l(z4.build_family_a(n, coeffs=coeffs)).copy()
-    K, N = base.shape
-    k = data.draw(st.integers(1, K - 1), label="row")
-    p = data.draw(st.integers(0, N - 1), label="symbol")
-    base[k, p] ^= 2
-    t = first_break(((base[k] - base[0]) % 4 // 2).tolist(), coeffs)
-    with pytest.raises(ConstructionError) as err:
-        z4.coset_codes(base)
-    assert err.value.witness == (k, t)
-    assert str(err.value) == (f"(row {k} - row 0) / 2 is not a sum of the windows m(. + j), j < n: "
-                              f"it differs at t = {t}")
-
-
 def test_build_family_guards():
     with pytest.raises(ValueError):
         z4.build_family_a(1)
@@ -708,7 +674,7 @@ def oracle_accepts(A, f, n: int) -> bool:
     N = (1 << n) - 1
     if len(f) != n + 1 or f[-1] != 1 or not binpoly.is_primitive_binary(tuple(c % 2 for c in f)):
         return False
-    if not z4.z4_poly_divides(f, N):
+    if not z4_poly_divides(f, N):
         return False
     A = np.asarray(A, dtype=np.int64)
     if A.shape != (N + 2, N) or A.min() < 0 or A.max() > 3:
@@ -790,7 +756,7 @@ def test_family_text_roundtrip(case):
     for fam in (family, rebuilt, plain):
         assert fam.array.dtype == np.int8 and not fam.array.flags.writeable
         np.testing.assert_array_equal(fam.array, np.array(family.members, dtype=np.int8))
-        assert fam.members == family.members and fam.l0 == family.members[0]
+        assert fam.members == family.members
         assert fam.size == len(family.members)
         with pytest.raises(ValueError):
             fam.array[0, 0] = 1
