@@ -6,11 +6,13 @@ Entries of every sequence here are roots of unity stored as integer phases
 modulo a common root order L, so building blocks stay exact; complex values
 only appear when a correlation sum is evaluated.  An assembled set stores
 its family and shift set, not its K*M*N entries.  The census of subset L
-of a certified family takes one Walsh-Hadamard transform per shift,
-O(n 4^n) additions in the least integer dtype that holds +-N, so nothing
-is rounded, and each shift set's exponential sums at the wrap point; sets
-over one family share one census pass.  ``periodic_correlation`` is the
-scalar reference it is tested against.
+of a certified family takes one Walsh-Hadamard transform per mirror pair
+of shifts {tau, N - tau}, O(n 4^n) additions in the least integer dtype
+that holds +-N, so nothing is rounded, and each shift set's exponential
+sums at the wrap point; since R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau),
+the shifts tau <= (N - 1)/2 give every maximum.  Sets over one family share
+one census pass.  ``periodic_correlation`` is the scalar reference it is
+tested against.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -232,7 +233,8 @@ def _walsh_hadamard(planes: np.ndarray) -> None:
 
 
 def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Stream the coset census of the family's subset L in blocks of shifts.
+    """Stream the coset census of the family's subset L in blocks of the
+    shifts tau = 0..(N - 1)/2, one of each mirror pair {tau, N - tau}.
 
     For rows v_k = v_0 + 2 beta_k (certified first, by ``subset_l``), a
     pair (k, l) at shift tau has u = v_k - v_l(. + tau) = c_tau + 2 gamma
@@ -252,7 +254,9 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
 
     Yields (start, w, wr), complex (T, K) arrays with w[b, a] = W and
     wr[b, a] = Wr at tau = start + b, in blocks of about _BLOCK_ENTRIES // K
-    shifts, at least one.
+    shifts, at least one, that cover [0, (N + 1)/2).  N = 2^n - 1 is odd, so
+    for tau >= 1 the shifts tau and N - tau never coincide; ``_Tally.fold``
+    reads the shift N - tau off the block at tau.
     """
     base = subset_l(qcss.family)
     K, N = base.shape
@@ -260,9 +264,9 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     code = _m_sequence_codes(_rotations(v0 & 1)[: qcss.family.n])  # bit j of code[t] is m(t + j)
     rotations = _rotations(v0)  # row s: v0(. + s)
     dtype = _plane_dtype(N)
-    step = max(1, _BLOCK_ENTRIES // K)
-    for start in range(0, N, step):
-        T = min(N - start, step)
+    step, half = max(1, _BLOCK_ENTRIES // K), (N + 1) // 2
+    for start in range(0, half, step):
+        T = min(half - start, step)
         b = np.arange(T)[:, None]
         c = v0 - rotations[start:start + T]  # c_tau as a (T, N) int8 block, read mod 4 by its low bits
         wrapped = t >= N - start - b
@@ -292,8 +296,7 @@ def welch_lower_bound(K: int, M: int, N: int) -> float:
         raise ValueError("need K >= 1, M >= 1, N >= 2")
     if K <= M:
         return 0.0
-    ratio = Fraction(K - M, M * (K * N - 1))
-    return M * N * math.sqrt(ratio)
+    return M * N * math.sqrt((K - M) / (M * (K * N - 1)))  # int / int rounds correctly
 
 
 def tightness(delta_max: float, K: int, M: int, N: int) -> float:
@@ -351,24 +354,37 @@ class _Tally:
     def __init__(self, qcss: QcssSet):
         N, q = qcss.period, qcss.q
         profile = exp_sum_profile(CyclicSubset(modulus=q, elements=qcss.shifts))
-        E, tau = profile.sums, np.arange(N)  # E(x) depends on x mod q
+        E, tau = profile.sums, np.arange((N + 1) // 2)  # E(x) depends on x mod q
         self.e_in = E[-tau % q][:, None]  # E(-tau)
         self.e_wrap = E[(N - tau) % q][:, None]  # E(N - tau)
-        self.ramp_sum = profile.values[tau % q][:, None]  # |E(tau)|
+        self.mirror = -tau % N  # N - tau, and 0 at tau = 0
+        self.ramp_sums = [profile.values[x % q][:, None] for x in (tau, self.mirror)]  # |E(tau)|, |E(N - tau)|
         self.qcss = qcss
         self.per_shift = np.zeros(N)
         self.gap = 0.0
 
     def fold(self, taus: slice, w, wr, base_mags) -> None:
+        """Fold a block of shifts tau into the maxima at tau and at N - tau.
+
+        For tau >= 1, (k, l) -> (l, k) maps the pairs at tau onto those at
+        N - tau, and R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau) holds for
+        the sets and for their base rows alike, so both shifts have the same
+        |G| and base magnitudes: one row maximum serves both, and the gap at
+        N - tau differs only by its ramp |E(N - tau)|.
+        """
         g = self.e_in[taus] * w
         g += self.e_wrap[taus] * wr
         mags = np.abs(g)
-        d = base_mags * self.ramp_sum[taus]
-        d -= mags
-        self.gap = max(self.gap, float(np.abs(d, out=d).max()))
+        d = np.empty_like(mags)
+        for ramp_sum in self.ramp_sums:
+            np.multiply(base_mags, ramp_sum[taus], out=d)
+            d -= mags
+            self.gap = max(self.gap, float(np.abs(d, out=d).max()))
         if taus.start == 0:
             mags[0, 0] = 0.0  # beta = 0 at tau = 0: the in-phase autocorrelation, trivially M*N
-        self.per_shift[taus] = mags.max(axis=1)
+        row_max = mags.max(axis=1)
+        self.per_shift[taus] = row_max
+        self.per_shift[self.mirror[taus]] = row_max
 
     def report(self) -> CorrelationReport:
         qcss, N, per_shift = self.qcss, self.qcss.period, self.per_shift
@@ -408,7 +424,8 @@ def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
 
     with E(x) = sum_{d in D} exp(2 pi i d x / q) and W, Wr the in-range and
     wrapped parts of R(a_k, a_l; tau), whose K^2 pairs take only the 2^n
-    values of the code a; the cost does not depend on M.
+    values of the code a; the cost does not depend on M.  The stream covers
+    tau <= (N - 1)/2, and each block also gives the shifts N - tau.
     """
     first = qsets[0]
     if any(qcss.family != first.family for qcss in qsets[1:]):

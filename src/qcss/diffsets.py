@@ -281,10 +281,12 @@ def exp_sum_bound(c: SetClassification) -> float:
 def exp_sum_profile(subset: CyclicSubset) -> ExpSumProfile:
     """Exponential sums at every shift, the conjugate of ``_spectrum``: one
     length-q FFT in double precision, within 1e-13 of a long-double sum at
-    q = 4092 (far below the 1e-9 comparisons used downstream)."""
+    q = 4092 (far below the 1e-9 comparisons used downstream).  E(0) = M is
+    set exactly, as ``roots_table`` patches its quadrant values."""
     if subset.size < 1:
         raise ValueError("subset must be nonempty")
     sums = _spectrum(subset).conj()
+    sums[0] = subset.size
     return ExpSumProfile(subset, sums, np.abs(sums))
 
 

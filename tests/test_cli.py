@@ -154,10 +154,11 @@ def test_qcss_runs_above_the_old_census_cap(tmp_path):
 
 
 # sha256 of `qcss qcss --n 5` output in both formats, with the exponential
-# sums taken from one FFT of the shift set
+# sums taken from one FFT of the shift set, E(0) exact, and each mirror pair
+# of shifts computed once
 QCSS_N5_SHA256 = {
-    "json": "c0a84885eb6ceee0d875ca61988edc771db0d21bdffd4ed07e9fb74aed689fe5",
-    "csv": "83dee740d64b2e97afae2cec7bd0f6bd07ded5063f574cae14339f0530c211ba",
+    "json": "68b25bbe0ff3f39ddf47494eed841fa2f1e1bbd1dde2c8f9d3f868ba49f33383",
+    "csv": "f195b90a2850508ecd629f6f075895a01ada631819ba7ab5812e0d4c485f5050",
 }
 
 
@@ -233,8 +234,9 @@ def test_sweep_command(tmp_path):
 
 
 # sha256 of `qcss sweep --n-range 4,5,6 --x-range 2,3,4 --empirical` output,
-# with the exponential sums taken from one FFT of the shift set
-SWEEP_EMPIRICAL_SHA256 = "0a555c6073bc1f42586c0d2dcd75d651cb05d7d367bf35366d29afcfaa86fc27"
+# with the exponential sums taken from one FFT of the shift set, E(0) exact,
+# and each mirror pair of shifts computed once
+SWEEP_EMPIRICAL_SHA256 = "5d0fd8c87eef8ff49be24454dd073803398cd7c4343777b666c32114053ef699"
 
 
 def test_empirical_sweep_keeps_its_bytes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,14 +218,15 @@ def test_report_matches_direct_sums_on_random_sets(block_entries, monkeypatch):
 
 def test_report_matches_direct_sums_n7(monkeypatch):
     # degree 7 is the last in int8 planes: the in-phase code's in-range sum at
-    # tau = 0 is N = 127, the int8 maximum; blocks of 40 shifts do not divide 127
+    # tau = 0 is N = 127, the int8 maximum; the census streams tau < 64, and
+    # blocks of 40 shifts do not divide 64
     monkeypatch.setattr(correlation, "_BLOCK_ENTRIES", 128 * 40)
     rng = np.random.default_rng(15)
     q = int(rng.integers(5, 13))
     shifts = diffsets.CyclicSubset(q, tuple(sorted(set(rng.integers(0, q, size=3).tolist()))))
     qset = build_qcss(qcss.build_family_a(7), shifts)
     blocks = list(correlation.correlation_tensor(qset))
-    assert [start for start, _, _ in blocks] == [0, 40, 80, 120]
+    assert [(start, len(w)) for start, w, _ in blocks] == [(0, 40), (40, 24)]
     assert blocks[0][1][0, 0] == 127
     report = tolerances(qset)
     delta_a, delta_c, per_shift, gap = direct_report_fields(qset)
@@ -241,6 +243,25 @@ def test_plane_dtype_holds_every_census_value():
         dtype = correlation._plane_dtype(N)
         assert dtype == (np.int8 if N <= 127 else np.int16 if n <= 15 else np.int32), n
         assert np.iinfo(dtype).min <= -N and N <= np.iinfo(dtype).max
+
+
+@pytest.mark.parametrize("n, dtype", [(5, np.int8), (8, np.int16)])
+def test_census_transforms_one_shift_per_mirror_pair(n, dtype, monkeypatch):
+    # tau and N - tau come from one block, so the Walsh planes hold the
+    # shifts 0..(N - 1)/2 and no other
+    transformed, walsh_hadamard = [], correlation._walsh_hadamard
+
+    def record(planes):
+        transformed.append((planes.shape, planes.dtype))
+        walsh_hadamard(planes)
+
+    monkeypatch.setattr(correlation, "_walsh_hadamard", record)
+    K, N = 1 << n, (1 << n) - 1
+    report = tolerances(build_qcss(qcss.build_family_a(n), diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - 2))))
+    assert len(report.per_shift_max) == N
+    assert {shape[:2] for shape, _ in transformed} == {(K, 4)}
+    assert {planes_dtype for _, planes_dtype in transformed} == {np.dtype(dtype)}
+    assert sum(shape[2] for shape, _ in transformed) == (N + 1) // 2
 
 
 @pytest.mark.parametrize("n", [7, 15])
@@ -276,14 +297,14 @@ def cell_reports():
 
 def test_per_shift_maxima_are_mirror_symmetric(qcss5, cell_reports):
     # R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau), so the maxima at tau and
-    # N - tau agree, though the census sums them from other Walsh planes
+    # N - tau agree, and the census reads both off the block at tau
     tensor = direct_tensor(qcss5)
     n = qcss5.period
     for tau in (1, 5, 28):
         assert np.allclose(tensor[tau], np.conj(tensor[(n - tau) % n]).T, atol=1e-9)
     for cell, report in cell_reports.items():
         per_shift = report.per_shift_max
-        assert np.abs(per_shift[1:] - per_shift[:0:-1]).max() <= 1e-9, cell
+        assert np.array_equal(per_shift[1:], per_shift[:0:-1]), cell
 
 
 def test_census_meets_the_floor_at_the_shift_q(cell_reports):
@@ -386,6 +407,23 @@ def test_welch_bound_single_row_reduction():
     assert welch_lower_bound(K, 1, N) == pytest.approx(
         N * math.sqrt((K - 1) / (K * N - 1)), abs=1e-12
     )
+
+
+def test_welch_bound_is_bit_identical_to_a_fraction_oracle():
+    # int / int division rounds correctly, as Fraction's float conversion does
+    def oracle(K, M, N):
+        return M * N * math.sqrt(Fraction(K - M, M * (K * N - 1)))
+
+    for n in range(2, 17):
+        N = (1 << n) - 1
+        for M in (1, 2, 3, 5, 13, 61, 2 * N - 1):
+            for K in range(M + 1, M + 300):
+                assert welch_lower_bound(K, M, N) == oracle(K, M, N), (K, M, N)
+    for n in range(4, 40):  # the construction's K = 2^n, N = 2^n - 1, M = 2^(n-x+1) - 3
+        K, N = 1 << n, (1 << n) - 1
+        for x in range(2, n - 1):
+            M = (1 << (n - x + 1)) - 3
+            assert welch_lower_bound(K, M, N) == oracle(K, M, N), (n, x)
 
 
 def test_welch_bound_vacuous_and_guards():
@@ -533,10 +571,8 @@ def test_pairs_cover_the_coset(coeffs):
 
 
 def test_delta_a_equals_delta_c_and_zero_shift_is_m(cell_reports):
-    # observed for every construction cell with n = 4..10 and x = 2..4; the
-    # zero-shift maximum is M exactly up to n = 8, and within ulps above
+    # observed for every construction cell with n = 4..10 and x = 2..4; at
+    # tau = 0 every pair k != l gives W = -1 and E(0) = M is exact
     for (n, x), report in cell_reports.items():
         assert report.delta_a == report.delta_c, (n, x)
-        assert report.per_shift_max[0] == pytest.approx(report.num_rows, rel=1e-12, abs=0), (n, x)
-        if n <= 8:
-            assert report.per_shift_max[0] == report.num_rows, (n, x)
+        assert report.per_shift_max[0] == report.num_rows, (n, x)
