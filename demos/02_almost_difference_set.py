@@ -12,6 +12,7 @@ import numpy as np
 from qcss import (
     CANONICAL_PATTERN,
     classify_set,
+    exp_sum_bound,
     exp_sum_profile,
     find_canonical_pattern,
     legendre_ds,
@@ -39,12 +40,12 @@ print(f"census: ({c.p}, {c.m}, {c.lam}, {c.t}) almost difference set")
 print(f"  difference function takes {c.lam} exactly {c.t} times and {c.lam + 1} the other {c.p - 1 - c.t} times")
 print()
 
-profile = exp_sum_profile(U)
+profile = np.abs(exp_sum_profile(U))
 print("exponential-sum profile Delta(tau) = |sum_d exp(2 pi i tau d / q)|:")
 with np.printoptions(precision=3, suppress=True):
-    print(" ", profile.values)
-print(f"max over nontrivial shifts: {profile.max_nontrivial():.6f}")
-print(f"two-level census bound sqrt(q + M - lambda - t - 1) = {profile.bound:.6f}")
+    print(" ", profile)
+print(f"max over nontrivial shifts: {profile[1:].max():.6f}")
+print(f"two-level census bound sqrt(q + M - lambda - t - 1) = {exp_sum_bound(c):.6f}")
 print()
 print("The strict gap between the profile and its bound is what keeps the")
 print("assembled matrices below the advertised correlation ceiling in the")

@@ -17,7 +17,6 @@ from .binpoly import (
     PRIMITIVE_POLYS,
     is_irreducible_binary,
     is_primitive_binary,
-    m_sequence,
     primitive_polynomial,
 )
 from .correlation import (
@@ -42,7 +41,6 @@ from .diffsets import (
     CANONICAL_PATTERN,
     CosetPattern,
     CyclicSubset,
-    ExpSumProfile,
     SetClassification,
     classify_set,
     coset_union,

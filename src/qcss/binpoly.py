@@ -1,4 +1,5 @@
-"""Polynomial arithmetic over GF(2), primitivity testing, and m-sequences.
+"""Polynomial arithmetic over GF(2), primitivity testing, and a table of
+primitive polynomials.
 
 A binary polynomial is a coefficient tuple, constant term first, with a
 leading 1 (monic).  Internally coefficients are packed into a Python int,
@@ -6,8 +7,6 @@ bit i holding the coefficient of x^i, so ring operations are bit fiddling.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # Verified primitive polynomials, one per degree.  Each entry was checked by
 # is_primitive_binary itself (irreducible and root of full multiplicative
@@ -136,35 +135,3 @@ def primitive_polynomial(n: int) -> tuple[int, ...]:
         )
     return PRIMITIVE_POLYS[n]
 
-
-def m_sequence(coeffs, init) -> np.ndarray:
-    """One full period of the maximal-length LFSR sequence for a primitive
-    polynomial.
-
-    Parameters
-    ----------
-    coeffs : binary coefficients of h(x), constant term first, monic.
-    init : n starting bits, not all zero.
-
-    Returns
-    -------
-    np.ndarray of 2^n - 1 bits satisfying s(t+n) = sum_j h_j s(t+j) mod 2.
-    """
-    n = poly_degree(coeffs)
-    if not is_primitive_binary(coeffs):
-        raise ValueError("m-sequence generation requires a primitive polynomial")
-    init = [int(b) & 1 for b in init]
-    if len(init) != n:
-        raise ValueError(f"initial state must have {n} bits")
-    if not any(init):
-        raise ValueError("initial state must be nonzero")
-    period = (1 << n) - 1
-    s = np.zeros(period, dtype=np.int8)
-    s[:n] = init
-    taps = [j for j in range(n) if coeffs[j]]
-    for t in range(period - n):
-        v = 0
-        for j in taps:
-            v ^= int(s[t + j])
-        s[t + n] = v
-    return s

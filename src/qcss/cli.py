@@ -4,7 +4,8 @@ Every command is deterministic (identical inputs give byte-identical output
 files) and reports through exit codes:
 
     0  success
-    2  configuration error (bad arguments, unsupported sizes)
+    2  configuration error (bad arguments, unsupported sizes, values
+       beyond float range)
     3  an expected construction property was falsified on concrete data
     4  out of memory
 """
@@ -295,7 +296,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

@@ -353,12 +353,12 @@ class _Tally:
 
     def __init__(self, qcss: QcssSet):
         N, q = qcss.period, qcss.q
-        profile = exp_sum_profile(CyclicSubset(modulus=q, elements=qcss.shifts))
-        E, tau = profile.sums, np.arange((N + 1) // 2)  # E(x) depends on x mod q
+        E = exp_sum_profile(CyclicSubset(modulus=q, elements=qcss.shifts))
+        tau, magnitudes = np.arange((N + 1) // 2), np.abs(E)  # E(x) depends on x mod q
         self.e_in = E[-tau % q][:, None]  # E(-tau)
         self.e_wrap = E[(N - tau) % q][:, None]  # E(N - tau)
         self.mirror = -tau % N  # N - tau, and 0 at tau = 0
-        self.ramp_sums = [profile.values[x % q][:, None] for x in (tau, self.mirror)]  # |E(tau)|, |E(N - tau)|
+        self.ramp_sums = [magnitudes[x % q][:, None] for x in (tau, self.mirror)]  # |E(tau)|, |E(N - tau)|
         self.qcss = qcss
         self.per_shift = np.zeros(N)
         self.gap = 0.0

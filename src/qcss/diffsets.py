@@ -1,7 +1,8 @@
-"""Difference sets and almost difference sets in cyclic groups, the
-four-coset lift into Z_{4f}, and exponential-sum profiles with their
-classification-based upper bound.  A set's exponential sums and difference
-counts both come from one FFT of its indicator, ``_spectrum``.
+"""Difference sets and almost difference sets in cyclic groups (Singer sets
+from the Z4 recurrence, Legendre sets), the four-coset lift into Z_{4f},
+and exponential sums with the classification-based upper bound.  A set's
+exponential sums and difference counts both come from one FFT of its
+indicator, ``_spectrum``.
 """
 
 from __future__ import annotations
@@ -9,11 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from . import binpoly
+from . import binpoly, z4
 from .errors import ConstructionError
 
 DIFFERENCE_SET = "DifferenceSet"
@@ -103,30 +103,27 @@ def classify_set(subset: CyclicSubset) -> SetClassification:
 
 def singer_ds(k: int, coeffs=None) -> CyclicSubset:
     """Zero positions of a full-period m-sequence of degree k: a
-    (2^k - 1, 2^(k-1) - 1, 2^(k-2) - 1) difference set."""
+    (2^k - 1, 2^(k-1) - 1, 2^(k-2) - 1) difference set.
+
+    The m-sequence of the primitive h is the Z4 recurrence with h's
+    coefficients, run from (1, 0, ..., 0) and read mod 2: reduction mod 2 is
+    a ring homomorphism Z4 -> GF(2), so it solves h over GF(2).  A
+    polynomial of another degree, or one that is not primitive, raises
+    ValueError.
+    """
     if k < 2:
         raise ValueError("degree must be at least 2")
     h = tuple(coeffs) if coeffs is not None else binpoly.primitive_polynomial(k)
-    seq = binpoly.m_sequence(h, [1] + [0] * (k - 1))
-    zeros = tuple(int(t) for t in np.flatnonzero(seq == 0))
-    return CyclicSubset(modulus=(1 << k) - 1, elements=zeros)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+    if binpoly.poly_degree(h) != k or not binpoly.is_primitive_binary(h):
+        raise ValueError(f"a Singer set of degree {k} needs a primitive polynomial of degree {k}, got {h}")
+    run = z4.run_z4_recurrence(h, (1,) + (0,) * (k - 1))
+    return CyclicSubset(modulus=(1 << k) - 1, elements=tuple(t for t, s in enumerate(run) if s % 2 == 0))
 
 
 def legendre_ds(f: int) -> CyclicSubset:
     """Quadratic residues mod a prime f with f = 3 mod 4: an
     (f, (f-1)/2, (f-3)/4) difference set."""
-    if not _is_prime(f):
+    if binpoly._prime_factors(f) != [f]:
         raise ValueError(f"{f} is not prime")
     if f % 4 != 3:
         raise ValueError(f"{f} = {f % 4} mod 4; need 3 mod 4")
@@ -250,26 +247,6 @@ def find_canonical_pattern(W: CyclicSubset) -> CosetPattern:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ExpSumProfile:
-    """The sums E(tau) = sum_{d in D} exp(2 pi i tau d / q) of a subset D of
-    Z_q for all tau, their magnitudes Delta(tau) = |E(tau)|, and the
-    classification-based upper bound when D is an ADS, classified on first
-    read."""
-
-    subset: CyclicSubset
-    sums: np.ndarray
-    values: np.ndarray
-
-    @cached_property
-    def bound(self) -> float | None:
-        c = classify_set(self.subset)
-        return exp_sum_bound(c) if c.kind == ALMOST_DIFFERENCE_SET else None
-
-    def max_nontrivial(self) -> float:
-        return float(self.values[1:].max())
-
-
 def exp_sum_bound(c: SetClassification) -> float:
     """Upper bound sqrt(P + M - lam - t - 1) on the nontrivial exponential
     sum of an almost difference set."""
@@ -278,16 +255,17 @@ def exp_sum_bound(c: SetClassification) -> float:
     return math.sqrt(c.p + c.m - c.lam - c.t - 1)
 
 
-def exp_sum_profile(subset: CyclicSubset) -> ExpSumProfile:
-    """Exponential sums at every shift, the conjugate of ``_spectrum``: one
-    length-q FFT in double precision, within 1e-13 of a long-double sum at
-    q = 4092 (far below the 1e-9 comparisons used downstream).  E(0) = M is
-    set exactly, as ``roots_table`` patches its quadrant values."""
+def exp_sum_profile(subset: CyclicSubset) -> np.ndarray:
+    """The complex length-q array E(tau) = sum_{d in D} exp(2 pi i tau d / q)
+    of a subset D of Z_q, the conjugate of ``_spectrum``: one length-q FFT
+    in double precision, within 1e-13 of a long-double sum at q = 4092 (far
+    below the 1e-9 comparisons used downstream).  E(0) = M is set exactly,
+    as ``roots_table`` patches its quadrant values."""
     if subset.size < 1:
         raise ValueError("subset must be nonempty")
     sums = _spectrum(subset).conj()
     sums[0] = subset.size
-    return ExpSumProfile(subset, sums, np.abs(sums))
+    return sums
 
 
 def ads_to_json(U: CyclicSubset, pattern: CosetPattern | None = None) -> dict:

@@ -316,27 +316,24 @@ def family_alpha_max(family: FamilyA) -> float:
     so C_ij(tau) = S_k = sum_t i^(m_k(t)).  And for i != k, s_i - m_k is a
     rotation s_j(. + tau) of a member, so every S_k occurs: the result is
     max_k |S_k|, with S_k = (c0 - c2) + (c1 - c3)i from row k's symbol
-    counts c_v.  The witness takes i = 0 (1 if k = 0), tau = 0 and the
-    member j whose first window is that of s_i - m_k, and is certified by
+    counts c_v.  The maximum is at a unit member k >= 1: |S_0| = 1, while the
+    unit members' |S_k|^2 average N >= 3.  Member 0 is 2m and m_k = m mod 2,
+    so 2m - m_k = m_k, and the witness (0, k, 0, S_k) is certified by
     ``z4_correlation``.
 
     Raises ConstructionError as ``subset_l`` does if the family is not the
-    build, or with (i, j, tau, S_k) if the certificate fails.
+    build, or with (0, k, 0, S_k) if the certificate fails.
     """
-    A, n = family.array, family.n
+    A = family.array
     _certified(family)
     c = np.stack([np.count_nonzero(A == v, axis=1) for v in range(4)])
     re, im = c[0] - c[2], c[1] - c[3]
     k = int(np.argmax(re * re + im * im))
-    value, i, tau = complex(int(re[k]), int(im[k])), int(k == 0), 0
-    # s_i - m_k is a unit member in phase: -s_1 = s_1 + 2m makes it s_1 + 2 gamma
-    # with gamma in B, so its window is one row's first (big-endian base 4)
-    powers = 4 ** np.arange(n - 1, -1, -1)
-    j = int(np.flatnonzero(A[:, :n] @ powers == ((A[i, :n] - A[k, :n]) % 4) @ powers)[0])
-    if z4_correlation(A[i], A[j], tau) != value:
+    value = complex(int(re[k]), int(im[k]))
+    if z4_correlation(A[0], A[k], 0) != value:
         raise ConstructionError(
-            f"correlation of members {i}, {j} at shift {tau} is not member {k}'s symbol sum {value}",
-            witness=(i, j, tau, value),
+            f"correlation of members 0, {k} at shift 0 is not member {k}'s symbol sum {value}",
+            witness=(0, k, 0, value),
         )
     return abs(value)  # the square root of the exact norm re^2 + im^2
 

@@ -116,10 +116,10 @@ def test_c06_exp_sum_bound_and_identity():
     details = []
     for f, base in ((7, diffsets.singer_ds(3)), (11, diffsets.legendre_ds(11)), (15, diffsets.singer_ds(4))):
         U = diffsets.lift_ads_to_z4f(base)
-        profile = diffsets.exp_sum_profile(U)
+        peak = float(np.abs(diffsets.exp_sum_profile(U))[1:].max())
         bound = math.sqrt(4 * f + 1)
-        ok &= profile.max_nontrivial() < bound
-        details.append(f"f={f}: {profile.max_nontrivial():.4f} < sqrt({4 * f + 1})")
+        ok &= peak < bound and diffsets.exp_sum_bound(diffsets.classify_set(U)) == bound
+        details.append(f"f={f}: {peak:.4f} < sqrt({4 * f + 1})")
         ok &= _identity_holds(U)
     rng = np.random.default_rng(606)
     checked = 0
@@ -136,7 +136,7 @@ def test_c06_exp_sum_bound_and_identity():
 
 def _identity_holds(D):
     q = D.modulus
-    values = diffsets.exp_sum_profile(D).values
+    values = np.abs(diffsets.exp_sum_profile(D))
     counts = [difference_function(D, x) for x in range(q)]
     for tau in range(q):
         rhs = D.size + sum(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcss import binpoly
+from qcss import binpoly, diffsets, z4
 
 X3_X_1 = (1, 1, 0, 1)  # x^3 + x + 1
 
@@ -39,15 +39,20 @@ def test_primitive_polynomial_lookup_guard():
         binpoly.primitive_polynomial(13)
 
 
+# The m-sequence of a primitive h is the Z4 recurrence with h's coefficients
+# read mod 2, the run singer_ds takes the zeros of.
+
+
 def test_m_sequence_known_run():
-    seq = binpoly.m_sequence(X3_X_1, [1, 0, 0])
+    seq = np.array(z4.run_z4_recurrence(X3_X_1, [1, 0, 0])) & 1
     assert seq.tolist() == [1, 0, 0, 1, 0, 1, 1]
     assert int(seq.sum()) == 4  # balanced: 2^(n-1) ones, one fewer zero
+    assert diffsets.singer_ds(3, X3_X_1).elements == (1, 2, 4)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_m_sequence_balance_and_pacf(n):
-    seq = binpoly.m_sequence(binpoly.primitive_polynomial(n), [1] + [0] * (n - 1))
+    seq = np.array(z4.run_z4_recurrence(binpoly.primitive_polynomial(n), [1] + [0] * (n - 1))) & 1
     period = (1 << n) - 1
     assert len(seq) == period
     assert int(seq.sum()) == 1 << (n - 1)
@@ -59,8 +64,12 @@ def test_m_sequence_balance_and_pacf(n):
 
 def test_m_sequence_guards():
     with pytest.raises(ValueError):
-        binpoly.m_sequence(X3_X_1, [0, 0, 0])
+        z4.run_z4_recurrence(X3_X_1, [0, 0, 0])
     with pytest.raises(ValueError):
-        binpoly.m_sequence((1, 0, 1), [1, 0])  # reducible
-    with pytest.raises(ValueError):
-        binpoly.m_sequence(X3_X_1, [1, 0])  # wrong state width
+        z4.run_z4_recurrence(X3_X_1, [1, 0])  # wrong state width
+    with pytest.raises(ValueError, match="primitive"):
+        diffsets.singer_ds(2, (1, 0, 1))  # reducible
+    with pytest.raises(ValueError, match="primitive"):
+        diffsets.singer_ds(4, (1, 1, 1, 1, 1))  # irreducible, root of order 5
+    with pytest.raises(ValueError, match="degree"):
+        diffsets.singer_ds(4, X3_X_1)  # wrong degree

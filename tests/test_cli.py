@@ -264,6 +264,18 @@ def test_sweep_cap_skips_degrees_without_cells(tmp_path):
     assert json.loads(out.read_text()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["tables", "--table", "1", "--x-max", "1100"],  # math.sqrt(2**x - 1)
+    ["sweep", "--n-range", "2100", "--x-range", "2"],  # 2 ** (n / 2)
+], ids=["tables", "sweep"])
+def test_a_value_beyond_float_range_is_a_configuration_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.out"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_census_of_a_base_that_is_not_subset_l_is_falsified(tmp_path, monkeypatch, capsys):
     real = cli._build_family
 

@@ -124,8 +124,9 @@ def test_legendre_values():
 def test_legendre_guards():
     with pytest.raises(ValueError):
         legendre_ds(13)  # 1 mod 4
-    with pytest.raises(ValueError):
-        legendre_ds(15)  # composite
+    for f in (1, 15, 27):  # a unit, composite, a prime power
+        with pytest.raises(ValueError, match="not prime"):
+            legendre_ds(f)
 
 
 # ------------------------------------------------------- the Z_{4f} lift
@@ -213,11 +214,12 @@ def test_coset_union_piece_structure():
 @pytest.mark.parametrize("f", [7, 11, 15])
 def test_profile_of_lifted_ads(f):
     U = lift_ads_to_z4f(base_set(f))
-    profile = exp_sum_profile(U)
-    assert abs(profile.values[0] - U.size) <= 1e-9
-    assert profile.bound == pytest.approx(math.sqrt(4 * f + 1), abs=1e-12)
+    values = np.abs(exp_sum_profile(U))
+    bound = exp_sum_bound(classify_set(U))
+    assert abs(values[0] - U.size) <= 1e-9
+    assert bound == pytest.approx(math.sqrt(4 * f + 1), abs=1e-12)
     # strict inequality at every nontrivial shift
-    assert profile.max_nontrivial() < profile.bound
+    assert values[1:].max() < bound
 
 
 def test_bound_values():
@@ -236,17 +238,17 @@ def test_profile_symmetry_and_identity_on_random_subsets():
     for _ in range(40):
         D = random_subset(rng, max_modulus=40)
         q = D.modulus
-        profile = exp_sum_profile(D)
-        assert profile.values[0] == pytest.approx(D.size, abs=1e-9)
+        values = np.abs(exp_sum_profile(D))
+        assert values[0] == pytest.approx(D.size, abs=1e-9)
         for tau in range(1, q):
-            assert profile.values[tau] == pytest.approx(profile.values[q - tau], abs=1e-9)
+            assert values[tau] == pytest.approx(values[q - tau], abs=1e-9)
         # |sum|^2 expands into the difference-function census
         for tau in range(q):
             rhs = D.size + sum(
                 difference_function(D, x) * math.cos(2 * math.pi * tau * x / q)
                 for x in range(1, q)
             )
-            assert profile.values[tau] ** 2 == pytest.approx(rhs, abs=1e-9)
+            assert values[tau] ** 2 == pytest.approx(rhs, abs=1e-9)
 
 
 def test_json_roundtrip():
@@ -278,7 +280,7 @@ def gathered_sums(D):
 def test_spectrum_gives_the_definitions_on_random_subsets(D):
     counts = diffsets._difference_counts(D)
     assert counts.tolist() == [difference_function(D, x) for x in range(D.modulus)]
-    assert np.abs(exp_sum_profile(D).sums - gathered_sums(D)).max() <= 1e-12 * D.size
+    assert np.abs(exp_sum_profile(D) - gathered_sums(D)).max() <= 1e-12 * D.size
 
 
 @pytest.mark.parametrize(
@@ -301,7 +303,7 @@ def test_difference_counts_of_the_base_sets_and_their_lifts(kind, arg):
         xs = range(q) if q <= 4095 else [*range(64), *range(q - 64, q)]
         assert [counts[x] for x in xs] == [difference_function(S, x) for x in xs]
         if q <= 1023:
-            assert np.abs(exp_sum_profile(S).sums - gathered_sums(S)).max() <= 1e-12 * S.size
+            assert np.abs(exp_sum_profile(S) - gathered_sums(S)).max() <= 1e-12 * S.size
 
 
 def test_a_non_integral_difference_count_is_refused(monkeypatch):
@@ -333,10 +335,10 @@ def test_degree_13_lift_is_classified_and_summed_in_little_memory():
     try:
         U = lift_ads_to_z4f(W)
         c = classify_set(U)
-        profile = exp_sum_profile(U)
+        values = np.abs(exp_sum_profile(U))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20, f"peaked at {peak / 2**20:.1f} MB"
     assert c == expected_ads_classification(8191)
-    assert profile.max_nontrivial() < profile.bound
+    assert values[1:].max() < exp_sum_bound(c)

@@ -258,6 +258,8 @@ def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request
     assert (i != j or tau) and 0 <= tau < family.period  # not in phase
     assert oracle(family.members[i], family.members[j], tau) == value
     assert abs(value) == alpha and i == 0 and tau == 0
+    sums = [abs(sum(1j**v for v in m)) for m in family.members]
+    assert j == int(np.argmax(sums)) and j != 0  # member j's own symbol sum, at a unit member
 
 
 @pytest.mark.parametrize(
