@@ -22,12 +22,10 @@ from .binpoly import (
 from .correlation import (
     CorrelationReport,
     PhaseSequence,
-    QcssMatrix,
     QcssSet,
     build_qcss,
     classify_tightness,
     correlation_tensor,
-    matrix_correlation,
     periodic_correlation,
     phase_transform,
     report_per_shift_csv,

@@ -180,6 +180,8 @@ def cmd_qcss(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.digits < 0:
+        raise ValueError(f"--digits must be non-negative, got {args.digits}")
     rows = analysis.table_rows(args.table, args.x_max)
     if args.format == "json":
         doc = [

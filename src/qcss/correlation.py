@@ -4,15 +4,17 @@ report.
 
 Entries of every sequence here are roots of unity stored as integer phases
 modulo a common root order L, so building blocks stay exact; complex values
-only appear when a correlation sum is evaluated.  An assembled set stores
-its family and shift set, not its K*M*N entries.  The census of subset L
+only appear when a correlation sum is evaluated.  One ``PhaseSequence``
+holds a row, an (M, N) matrix or a whole (K, M, N) set, and one
+``phase_transform`` ramps by one shift or by all of D.  An assembled set
+stores its family and shift set, not its K*M*N entries.  The census of subset L
 of a certified family takes one Walsh-Hadamard transform per mirror pair
 of shifts {tau, N - tau}, O(n 4^n) additions in the least integer dtype
 that holds +-N, so nothing is rounded, and each shift set's exponential
 sums at the wrap point; since R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau),
 the shifts tau <= (N - 1)/2 give every maximum.  Sets over one family share
-one census pass.  ``periodic_correlation`` is the scalar reference it is
-tested against.
+one census pass.  ``periodic_correlation``, a scalar loop summing every
+row, is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ def roots_table(root_order: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PhaseSequence:
-    """A unimodular sequence: entry t is the root_order-th root of unity with
-    integer phase phases[t]."""
+    """Unimodular sequences of period N, phases of shape (..., N): entry
+    [..., t] is the root_order-th root of unity with integer phase
+    phases[..., t].  One sequence is (N,), one matrix of M rows (M, N), a
+    whole set (K, M, N)."""
 
     root_order: int
     phases: np.ndarray
@@ -58,9 +62,6 @@ class PhaseSequence:
         p = np.asarray(self.phases, dtype=np.int64) % self.root_order
         p.setflags(write=False)
         object.__setattr__(self, "phases", p)
-
-    def __len__(self) -> int:
-        return len(self.phases)
 
     def complex_values(self) -> np.ndarray:
         return roots_table(self.root_order)[self.phases]
@@ -72,67 +73,46 @@ def _root_order(q: int) -> int:
     return math.lcm(4, q)
 
 
-def phase_transform(symbols, d: int, q: int) -> PhaseSequence:
-    """Multiply a Z4 sequence entrywise by the phase ramp exp(2 pi i t d / q).
+def phase_transform(symbols, d, q: int) -> PhaseSequence:
+    """Multiply Z4 sequences (..., N) entrywise by the phase ramp
+    exp(2 pi i t d / q): an int d gives (..., N), a sequence of M shifts
+    gives (..., M, N), one row per shift.
 
-    The common root order is lcm(4, q), so both the quaternary symbols and
-    the ramp embed with integer phases; d = 0 reproduces the sequence itself.
+    The common root order is L = lcm(4, q), so both the quaternary symbols
+    and the ramp embed with integer phases a (L/4) + t d (L/q); d = 0
+    reproduces the sequence itself.
     """
     if q < 1:
         raise ValueError("ramp modulus must be positive")
     a = np.asarray(symbols, dtype=np.int64) % 4
     L = _root_order(q)
-    t = np.arange(len(a), dtype=np.int64)
-    return PhaseSequence(root_order=L, phases=(a * (L // 4) + t * d * (L // q)) % L)
+    if np.ndim(d):
+        a = a[..., None, :]
+    ramp = np.multiply.outer(np.asarray(d, dtype=np.int64), np.arange(a.shape[-1]))
+    return PhaseSequence(root_order=L, phases=a * (L // 4) + ramp * (L // q))
 
 
 def periodic_correlation(a: PhaseSequence, b: PhaseSequence, tau: int) -> complex:
-    """R(a, b; tau) = sum_t a_t * conj(b_(t+tau)), index wrapped mod N.
+    """R(a, b; tau) = sum over every row m and every t of
+    a[m, t] * conj(b[m, (t + tau) mod N]): a sequence's periodic
+    correlation, or a matrix's, the sum of its rows' correlations.
 
-    Deliberately a scalar loop over the definition; the sweep paths are
-    checked against this.
+    Deliberately a scalar loop over the definition; the census is checked
+    against this.
     """
     if a.root_order != b.root_order:
         raise ValueError("root orders differ")
-    n = len(a)
-    if n != len(b):
-        raise ValueError("lengths differ")
+    if a.phases.shape != b.phases.shape:
+        raise ValueError(f"shapes differ: {a.phases.shape} and {b.phases.shape}")
+    n = a.phases.shape[-1]
     if not 0 <= tau < n:
         raise ValueError("shift out of range")
-    table = roots_table(a.root_order)
-    L = a.root_order
+    table, L = roots_table(a.root_order), a.root_order
     acc = 0j
-    for t in range(n):
-        acc += table[(int(a.phases[t]) - int(b.phases[(t + tau) % n])) % L]
+    for x, y in zip(a.phases.reshape(-1, n).tolist(), b.phases.reshape(-1, n).tolist()):
+        for t in range(n):
+            acc += table[(x[t] - y[(t + tau) % n]) % L]
     return acc
-
-
-@dataclass(frozen=True, eq=False)
-class QcssMatrix:
-    """One element of the set: M rows of common length and root order."""
-
-    root_order: int
-    phases: np.ndarray  # shape (M, N)
-    user_index: int = 0
-
-    def __post_init__(self):
-        p = np.asarray(self.phases, dtype=np.int64) % self.root_order
-        if p.ndim != 2:
-            raise ValueError("matrix phases must be 2-D")
-        p.setflags(write=False)
-        object.__setattr__(self, "phases", p)
-
-    def row(self, m: int) -> PhaseSequence:
-        return PhaseSequence(root_order=self.root_order, phases=self.phases[m])
-
-
-def matrix_correlation(c1: QcssMatrix, c2: QcssMatrix, tau: int) -> complex:
-    """Sum of row correlations at one shift (scalar reference path)."""
-    if c1.root_order != c2.root_order or c1.phases.shape != c2.phases.shape:
-        raise ValueError("matrices must share shape and root order")
-    return sum(
-        periodic_correlation(c1.row(m), c2.row(m), tau) for m in range(c1.phases.shape[0])
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,22 +153,14 @@ class QcssSet:
     def period(self) -> int:
         return self.base.shape[1]
 
-    def _phases(self, base: np.ndarray) -> np.ndarray:
-        """Phases of base symbols (..., N) under every ramp: (..., M, N),
-        unreduced; ``phase_transform``'s formula for all d in D at once."""
-        L = self.root_order
-        ramp = np.outer(self.shifts, np.arange(self.period, dtype=np.int64)) * (L // self.q)
-        return base[..., None, :].astype(np.int64) * (L // 4) + ramp
-
-    def matrix(self, k: int) -> QcssMatrix:
-        return QcssMatrix(root_order=self.root_order, phases=self._phases(self.base[k]), user_index=k)
+    def matrix(self, k: int) -> PhaseSequence:
+        """Matrix k, rows phase_transform(v_k, d, q) for d in D: (M, N)."""
+        return phase_transform(self.base[k], self.shifts, self.q)
 
     @property
     def phases(self) -> np.ndarray:
         """The full (K, M, N) phase tensor, K*M*N int64 values, for tests."""
-        p = self._phases(self.base) % self.root_order
-        p.setflags(write=False)
-        return p
+        return phase_transform(self.base, self.shifts, self.q).phases
 
 
 def build_qcss(family: FamilyA, shift_set: CyclicSubset, provenance: dict | None = None) -> QcssSet:

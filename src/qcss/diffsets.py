@@ -122,7 +122,10 @@ def singer_ds(k: int, coeffs=None) -> CyclicSubset:
 
 def legendre_ds(f: int) -> CyclicSubset:
     """Quadratic residues mod a prime f with f = 3 mod 4: an
-    (f, (f-1)/2, (f-3)/4) difference set."""
+    (f, (f-1)/2, (f-3)/4) difference set.  f may not exceed
+    2^MAX_FAMILY_DEGREE - 1, the largest Singer modulus."""
+    if f > (1 << z4.MAX_FAMILY_DEGREE) - 1:
+        raise ValueError(f"f = {f} exceeds {(1 << z4.MAX_FAMILY_DEGREE) - 1}, the largest Singer modulus")
     if binpoly._prime_factors(f) != [f]:
         raise ValueError(f"{f} is not prime")
     if f % 4 != 3:

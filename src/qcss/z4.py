@@ -89,8 +89,9 @@ def run_z4_recurrence(coeffs, init, length: int | None = None) -> tuple[int, ...
     while filled < length:
         grow = min(filled, length - filled)
         states[filled : filled + grow] = states[:grow] @ step % 4
-        step = step @ step % 4
         filled += grow
+        if filled < length:  # another round follows
+            step = step @ step % 4
     return tuple(states[:length, 0].tolist())
 
 

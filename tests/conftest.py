@@ -6,7 +6,7 @@ import pytest
 
 import qcss
 from qcss import binpoly, z4
-from qcss.correlation import matrix_correlation, roots_table
+from qcss.correlation import periodic_correlation, roots_table
 
 
 @pytest.fixture(scope="session")
@@ -126,7 +126,7 @@ def direct_report_fields(qset):
 
 
 def oracle_tensor(qset) -> np.ndarray:
-    """G[tau, k, l] from the scalar loop ``matrix_correlation``."""
+    """G[tau, k, l] from the scalar loop ``periodic_correlation``."""
     K, N = qset.num_sets, qset.period
-    return np.array([[[matrix_correlation(qset.matrix(k), qset.matrix(l), tau)
+    return np.array([[[periodic_correlation(qset.matrix(k), qset.matrix(l), tau)
                        for l in range(K)] for k in range(K)] for tau in range(N)])

@@ -116,6 +116,9 @@ def test_ads_legendre(tmp_path):
 def test_ads_rejects_bad_modulus(tmp_path):
     assert run(["ads", "--f", "13", "--ds", "legendre", "--out", str(tmp_path / "x.json")]) == 2
     assert run(["ads", "--f", "9", "--ds", "singer", "--out", str(tmp_path / "y.json")]) == 2
+    out = tmp_path / "z.json"
+    assert run(["ads", "--f", "100003", "--ds", "legendre", "--out", str(out)]) == 2  # beyond 2^12 - 1
+    assert not out.exists()
 
 
 def test_qcss_command(tmp_path, capsys):
@@ -210,6 +213,15 @@ def test_tables_command(tmp_path):
     assert lines[0] == "f_or_q,K,M,K_over_M,rho"
     rhos = [line.split(",")[-1] for line in lines[1:]]
     assert rhos == ["2.000", "1.633", "1.512", "1.461", "1.437", "1.425"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_tables_refuses_negative_digits(fmt, tmp_path, capsys):
+    out = tmp_path / f"t.{fmt}"
+    assert run(["tables", "--table", "2", "--format", fmt, "--digits", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --digits must be non-negative, got -1\n"  # one line, no traceback
+    assert not out.exists()
 
 
 def test_tables_large_row(tmp_path):

@@ -11,7 +11,6 @@ from qcss.correlation import (
     PhaseSequence,
     build_qcss,
     classify_tightness,
-    matrix_correlation,
     periodic_correlation,
     phase_transform,
     roots_table,
@@ -96,6 +95,15 @@ def test_periodic_correlation_guards():
         periodic_correlation(a, PhaseSequence(root_order=12, phases=[0, 1]), 0)
     with pytest.raises(ValueError):
         periodic_correlation(a, a, 3)
+    # matrices: a different root order, row count or period, and tau = N
+    m = PhaseSequence(root_order=12, phases=np.arange(12).reshape(3, 4))
+    with pytest.raises(ValueError, match="root orders differ"):
+        periodic_correlation(m, PhaseSequence(root_order=24, phases=m.phases), 0)
+    for other in (m.phases[:2], m.phases[:, :3]):
+        with pytest.raises(ValueError, match="shapes differ"):
+            periodic_correlation(m, PhaseSequence(root_order=12, phases=other), 0)
+    with pytest.raises(ValueError, match="shift out of range"):
+        periodic_correlation(m, m, 4)
 
 
 def test_conjugate_symmetry_random_sequences():
@@ -168,12 +176,12 @@ def test_build_guards(family4):
 
 def test_matrix_correlation_in_phase(qcss5):
     c0 = qcss5.matrix(0)
-    assert matrix_correlation(c0, c0, 0) == pytest.approx(13 * 31, abs=1e-9)
+    assert periodic_correlation(c0, c0, 0) == pytest.approx(13 * 31, abs=1e-9)
 
 
 def test_matrix_correlation_cross_at_zero_shift(qcss5):
     # each row pair contributes exactly -1, so the sum has magnitude M
-    value = matrix_correlation(qcss5.matrix(0), qcss5.matrix(1), 0)
+    value = periodic_correlation(qcss5.matrix(0), qcss5.matrix(1), 0)
     assert abs(value) == pytest.approx(13.0, abs=1e-9)
 
 
@@ -184,7 +192,7 @@ def test_tensor_matches_scalar_path(qcss5):
     for _ in range(12):
         k1, k2 = rng.integers(0, 32, size=2)
         tau = int(rng.integers(0, 31))
-        scalar = matrix_correlation(qcss5.matrix(int(k1)), qcss5.matrix(int(k2)), tau)
+        scalar = periodic_correlation(qcss5.matrix(int(k1)), qcss5.matrix(int(k2)), tau)
         assert tensor[tau, k1, k2] == pytest.approx(scalar, abs=1e-9)
 
 
@@ -373,7 +381,7 @@ def test_report_recomputed_maxima_scalar_loop(qcss5, report5):
             m = mags[tau]
         k1, k2 = np.unravel_index(np.argmax(m), m.shape)
         if m[k1, k2] == pytest.approx(report5.delta_max, abs=1e-9):
-            scalar = matrix_correlation(qcss5.matrix(int(k1)), qcss5.matrix(int(k2)), tau)
+            scalar = periodic_correlation(qcss5.matrix(int(k1)), qcss5.matrix(int(k2)), tau)
             assert abs(scalar) == pytest.approx(report5.delta_max, abs=1e-9)
             return
     pytest.fail("argmax of the sweep never matched the reported maximum")

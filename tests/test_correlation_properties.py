@@ -1,5 +1,5 @@
 """Property tests: the coset census against the scalar reference
-(``periodic_correlation`` / ``matrix_correlation``) and the direct sums on
+(``periodic_correlation``, over rows and matrices) and the direct sums on
 subset L of the primitive polynomials of degree 2..6 under arbitrary shift
 sets, the assembly on those families, and the wrap split on random
 sequences."""
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from conftest import ALL_PRIMITIVE_POLYS, direct_tensor, family_a, oracle_tensor
 from qcss import binpoly, correlation, z4
 from qcss.correlation import (
+    PhaseSequence,
     build_qcss,
-    matrix_correlation,
     periodic_correlation,
     phase_transform,
     tolerances,
@@ -107,7 +107,7 @@ def test_reported_maxima_reproduced_at_argmax(qset, block_entries):
 
     def oracle_at(index):
         k, l, tau = (int(v) for v in index)
-        return abs(matrix_correlation(qset.matrix(k), qset.matrix(l), tau))
+        return abs(periodic_correlation(qset.matrix(k), qset.matrix(l), tau))
 
     auto = mags[np.arange(K), np.arange(K), 1:]  # [k, tau - 1]
     k, tau = np.unravel_index(np.argmax(auto), auto.shape)
@@ -123,6 +123,19 @@ def test_reported_maxima_reproduced_at_argmax(qset, block_entries):
 
 
 @SETTINGS
+@given(st.integers(1, 5), st.integers(1, 9), st.integers(1, 30), st.data())
+def test_matrix_correlation_is_the_sum_of_row_correlations(M, N, L, data):
+    rows = st.lists(st.lists(st.integers(0, L - 1), min_size=N, max_size=N), min_size=M, max_size=M)
+    a, b = np.array(data.draw(rows)), np.array(data.draw(rows))
+    tau = data.draw(st.integers(0, N - 1))
+    value = periodic_correlation(PhaseSequence(L, a), PhaseSequence(L, b), tau)
+    per_row = [periodic_correlation(PhaseSequence(L, x), PhaseSequence(L, y), tau) for x, y in zip(a, b)]
+    assert abs(value - sum(per_row)) <= 1e-9
+    if M == 1:
+        assert value == per_row[0]  # one accumulator, the same terms in the same order
+
+
+@SETTINGS
 @given(st.sampled_from(ALL_PRIMITIVE_POLYS), shift_sets(), st.data())
 def test_matrix_matches_per_row_assembly(coeffs, shift_set, data):
     family = family_a(coeffs)
@@ -134,11 +147,13 @@ def test_matrix_matches_per_row_assembly(coeffs, shift_set, data):
     assert (qset.num_sets, qset.num_rows, qset.period) == (len(base), shift_set.size, family.period)
     k = data.draw(st.integers(0, len(base) - 1))
     # the assembly build_qcss used to run: one phase_transform per (k, d)
-    rows = np.stack([phase_transform(base[k], d, qset.q).phases for d in shift_set.elements])
+    tensor = np.stack([[phase_transform(v, d, qset.q).phases for d in shift_set.elements] for v in base])
     matrix = qset.matrix(k)
-    assert (matrix.root_order, matrix.user_index) == (qset.root_order, k)
-    np.testing.assert_array_equal(matrix.phases, rows)
-    np.testing.assert_array_equal(qset.phases[k], rows)
+    assert matrix.root_order == qset.root_order
+    np.testing.assert_array_equal(matrix.phases, tensor[k])
+    phases = qset.phases
+    assert phases.dtype == np.int64 and not phases.flags.writeable
+    np.testing.assert_array_equal(phases, tensor)
 
 
 @SETTINGS

@@ -129,6 +129,16 @@ def test_legendre_guards():
             legendre_ds(f)
 
 
+def test_legendre_size_bound():
+    # f is bounded by the largest Singer modulus, 2^MAX_FAMILY_DEGREE - 1 = 4095
+    with pytest.raises(ValueError, match="exceeds 4095"):
+        legendre_ds(4099)  # a prime, 3 mod 4
+    W = legendre_ds(4091)
+    assert (W.modulus, W.size) == (4091, 2045)
+    U = lift_ads_to_z4f(W)
+    assert (U.modulus, U.size) == (4 * 4091, 3 * 2045 + 2046)
+
+
 # ------------------------------------------------------- the Z_{4f} lift
 
 

@@ -12,6 +12,12 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcss"
 # re-exports them all
 RANK = {"binpoly": 0, "errors": 0, "z4": 1, "diffsets": 2, "correlation": 3, "analysis": 4, "cli": 5,
         "__init__": 6}
+# (module, source, name): every private name a module takes from another one
+PRIVATE_REACHES = {
+    ("correlation", "z4", "_m_sequence_codes"),
+    ("correlation", "z4", "_rotations"),
+    ("diffsets", "binpoly", "_prime_factors"),
+}
 
 
 def imported(tree):
@@ -43,3 +49,26 @@ def test_imports_are_declared_and_point_down(module):
         else:
             assert name in sys.stdlib_module_names or name == "numpy", \
                 f"{module} imports {name}, which is neither the standard library nor numpy"
+
+
+def private_reaches(module, tree):
+    """(module, source, name) for every _-prefixed name ``module`` takes from
+    another module of the package, by ``from .m import _x`` or by ``m._x``
+    after ``from . import m``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            source = node.module.partition(".")[0]
+            yield from ((module, source, a.name) for a in node.names if a.name.startswith("_"))
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")):
+            yield module, aliases[node.value.id], node.attr
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = {reach for module in RANK
+             for reach in private_reaches(module, ast.parse((PACKAGE / f"{module}.py").read_text()))}
+    assert found == PRIVATE_REACHES
