@@ -24,14 +24,12 @@ from .correlation import (
     PhaseSequence,
     QcssSet,
     build_qcss,
-    classify_tightness,
     correlation_tensor,
     periodic_correlation,
     phase_transform,
     report_per_shift_csv,
     report_to_json,
     roots_table,
-    tightness,
     tolerances,
     welch_lower_bound,
 )

@@ -8,7 +8,8 @@ only appear when a correlation sum is evaluated.  One ``PhaseSequence``
 holds a row, an (M, N) matrix or a whole (K, M, N) set, and one
 ``phase_transform`` ramps by one shift or by all of D.  An assembled set
 stores its family and shift set, not its K*M*N entries.  The census of subset L
-of a certified family takes one Walsh-Hadamard transform per mirror pair
+reads only the family's s_1 and the window codes of m = s_1 mod 2, never
+its K*N member array, and takes one Walsh-Hadamard transform per mirror pair
 of shifts {tau, N - tau}, O(n 4^n) additions in the least integer dtype
 that holds +-N, so nothing is rounded, and each shift set's exponential
 sums at the wrap point; since R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau),
@@ -27,10 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .diffsets import CyclicSubset, exp_sum_profile
-from .z4 import FamilyA, _m_sequence_codes, _rotations, subset_l
+from .z4 import FamilyA, _rotations
 
 MAGNITUDE_TOL = 1e-6  # distinct algebraic magnitudes at desk scale differ by far more
-EXACT_TOL = 1e-9
 _BLOCK_ENTRIES = 1 << 18  # Walsh plane entries (shifts x 2^n) the census transforms at once
 
 
@@ -133,8 +133,8 @@ class QcssSet:
 
     @property
     def base(self) -> np.ndarray:
-        """The (K, N) base v_k, the read-only int8 view ``family.array[1:]``
-        (unchecked; the census reads it through ``subset_l``)."""
+        """The (K, N) base v_k, the read-only int8 view ``family.array[1:]``,
+        for the oracle; the census never reads it."""
         return self.family.array[1:]
 
     @property
@@ -143,7 +143,7 @@ class QcssSet:
 
     @property
     def num_sets(self) -> int:
-        return self.base.shape[0]
+        return self.family.size - 1
 
     @property
     def num_rows(self) -> int:
@@ -151,7 +151,7 @@ class QcssSet:
 
     @property
     def period(self) -> int:
-        return self.base.shape[1]
+        return self.family.period
 
     def matrix(self, k: int) -> PhaseSequence:
         """Matrix k, rows phase_transform(v_k, d, q) for d in D: (M, N)."""
@@ -165,8 +165,8 @@ class QcssSet:
 
 def build_qcss(family: FamilyA, shift_set: CyclicSubset, provenance: dict | None = None) -> QcssSet:
     """Assemble the 2^n matrices over subset L of ``family`` and the shift
-    set.  Nothing is copied or checked here: the census certifies the
-    family through ``subset_l``.  Raises TypeError unless ``family`` is a
+    set.  Nothing is copied or checked here: the family was certified when
+    it was made.  Raises TypeError unless ``family`` is a
     FamilyA, and ValueError for an empty shift set.
     """
     if not isinstance(family, FamilyA):
@@ -208,7 +208,7 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     """Stream the coset census of the family's subset L in blocks of the
     shifts tau = 0..(N - 1)/2, one of each mirror pair {tau, N - tau}.
 
-    For rows v_k = v_0 + 2 beta_k (certified first, by ``subset_l``), a
+    For rows v_k = v_0 + 2 beta_k (v_0 = s_1, certified with the family), a
     pair (k, l) at shift tau has u = v_k - v_l(. + tau) = c_tau + 2 gamma
     with c_tau = v_0 - v_0(. + tau) and gamma(t) = popcount(a & code[t])
     mod 2 for one code a, code[t] the window code of m = v_0 mod 2 at t.
@@ -230,10 +230,9 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     for tau >= 1 the shifts tau and N - tau never coincide; ``_Tally.fold``
     reads the shift N - tau off the block at tau.
     """
-    base = subset_l(qcss.family)
-    K, N = base.shape
-    v0, t = base[0], np.arange(N)
-    code = _m_sequence_codes(_rotations(v0 & 1)[: qcss.family.n])  # bit j of code[t] is m(t + j)
+    family = qcss.family
+    K, N = family.size - 1, family.period
+    v0, code, t = family.s1, family.codes, np.arange(N)  # bit j of code[t] is m(t + j)
     rotations = _rotations(v0)  # row s: v0(. + s)
     dtype = _plane_dtype(N)
     step, half = max(1, _BLOCK_ENTRIES // K), (N + 1) // 2
@@ -269,22 +268,6 @@ def welch_lower_bound(K: int, M: int, N: int) -> float:
     if K <= M:
         return 0.0
     return M * N * math.sqrt((K - M) / (M * (K * N - 1)))  # int / int rounds correctly
-
-
-def tightness(delta_max: float, K: int, M: int, N: int) -> float:
-    """Ratio of an achieved tolerance to the correlation floor."""
-    bound = welch_lower_bound(K, M, N)
-    if bound <= 0.0:
-        raise ValueError("tightness undefined: lower bound is vacuous for K <= M")
-    return delta_max / bound
-
-
-def classify_tightness(rho: float) -> str:
-    if abs(rho - 1.0) <= EXACT_TOL:
-        return "optimal"
-    if 1.0 < rho <= 2.0:
-        return "near-optimal"
-    return "loose"
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,8 +397,7 @@ def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
 def tolerances(qcss: QcssSet) -> CorrelationReport:
     """The tolerance report of one set: every ordered pair of matrices at
     every shift, reduced block by block as ``correlation_tensor`` streams
-    subset L of its family, which ``subset_l`` certifies (else
-    ConstructionError)."""
+    subset L of its family."""
     return _census([qcss])[0]
 
 

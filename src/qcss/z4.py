@@ -1,25 +1,26 @@
 """Quaternary sequence machinery: the even/odd-split lift of a binary
 primitive polynomial into Z4, linear recurrences over Z4, and the optimal
 family of 2^n + 1 cyclically inequivalent sequences it generates (Family A
-of Boztas, Hammons and Kumar), built from one recurrence run and stored as
-one int8 (K, N) array.
+of Boztas, Hammons and Kumar), built from one recurrence run, with its int8
+(K, N) member array formed on first access.
 
 Sequences are tuples or int8 arrays of residues mod 4.  Correlations of raw
 Z4 sequences are Gaussian integers, counted exactly (no FFT, no rounding),
 so equality checks like "this value is -1" carry no floating-point slack.
-No check of the family sums a correlation census.  The build certifies its
-rows in the aligned layout once, in O(n N), from s_1 alone: s_1 closes its
-period and s_1 mod 2 is an m-sequence.  alpha_max then follows from their
-symbol sums and subset L's -1 at shift zero from their shared reduction
-mod 2, both in O(K N).  For a primitive h there is exactly one family in
-the build's canonical layout, so any other family is checked by comparing
-it with the build for its polynomial mod 2.
+No check of the family sums a correlation census.  A ``FamilyA`` is made
+from (n, h) alone and certifies its rows in the aligned layout once, when
+it is made, in O(n N), from s_1 alone: s_1 closes its period and s_1 mod 2
+is an m-sequence.  alpha_max then follows from their symbol sums and
+subset L's -1 at shift zero from their shared reduction mod 2, both in
+O(K N).  For a primitive h there is exactly one family in that canonical
+layout, so only a family document, read from outside the program, is
+compared with the build for its polynomial mod 2.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -27,10 +28,11 @@ import numpy as np
 from . import binpoly
 from .errors import ConstructionError
 
-# The build takes ~1.4-1.9 ms at n = 10 and ~21 ms at n = 12 (2-core VM, in
-# process, best of 15 and 5), of which its two checks take ~0.1 ms and ~0.3 ms;
-# family_alpha_max adds ~2-3 ms and ~37-39 ms, family_json_bytes ~1.0 ms and
-# ~15-18 ms.  Its 34 MB buffer is part of the ~95 MB peak of `qcss family --n 12`.
+# Making the family, its two checks included, takes ~0.4 ms at n = 10 and
+# ~1.3 ms at n = 12, and forming its array ~1.5 ms and ~10-15 ms more (2-core
+# VM, in process, best of 30); family_alpha_max adds ~2-3 ms and ~37-39 ms,
+# family_json_bytes ~1.0 ms and ~15-18 ms.  Its 34 MB buffer is part of the
+# ~95 MB peak of `qcss family --n 12`.
 MAX_FAMILY_DEGREE = 12
 _BLOCK_CODES = 1 << 18  # window codes the build forms at once to order its members (1 MB)
 
@@ -107,63 +109,6 @@ def z4_correlation(a, b, tau: int = 0) -> complex:
     return complex(int(c[0]) - int(c[2]), int(c[1]) - int(c[3]))
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyA:
-    """The set of 2^n + 1 canonical representatives of the cyclic classes of
-    nonzero solutions of the Z4 recurrence, stored once as the read-only int8
-    (K, N) array ``array`` of residues mod 4, one member per row.
-
-    The aligned layout of subset L: row 0 is the binary-valued class 2m
-    (symbols in {0, 2}), and rows 1.. are s_1 + 2 beta for the 2^n distinct
-    beta in the binary recurrence space of m = s_1 mod 2, so every pair of
-    them correlates to exactly -1 at shift zero.  The constructor
-    takes any 2-D integer array-like and copies it; ragged rows, another
-    number of dimensions or non-integer symbols raise ValueError.  Two
-    families are equal when n, the polynomial and every symbol agree.
-    Neither changes, so the refusal is computed once: None for a family
-    ``build_family_a`` made, else the first difference from the build for
-    the polynomial mod 2.  Rows in another order or rotation are refused.
-    """
-
-    n: int
-    polynomial: tuple[int, ...]  # Z4 coefficients, constant term first
-    array: np.ndarray
-
-    def __post_init__(self):
-        try:
-            A = np.asarray(self.array)
-        except ValueError as exc:  # nested sequences of unequal length
-            raise ValueError("family members must be rows of equal length") from exc
-        if A.ndim != 2 or A.dtype.kind not in "iu":
-            raise ValueError(f"family members must be a 2-D integer array, got shape {A.shape} of {A.dtype}")
-        A = A.astype(np.int8)  # always a copy, so no caller keeps a writable alias
-        A.setflags(write=False)
-        object.__setattr__(self, "array", A)
-        object.__setattr__(self, "polynomial", tuple(self.polynomial))
-
-    def __eq__(self, other):
-        if not isinstance(other, FamilyA):
-            return NotImplemented
-        return (self.n, self.polynomial) == (other.n, other.polynomial) and np.array_equal(self.array, other.array)
-
-    @cached_property
-    def _refusal(self) -> tuple[str, object] | None:
-        return _compare_with_build(self.n, self.polynomial, self.array)[1]
-
-    @property
-    def period(self) -> int:
-        return (1 << self.n) - 1
-
-    @property
-    def size(self) -> int:
-        return len(self.array)
-
-    @property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """The members as a tuple of symbol tuples, built on each access."""
-        return tuple(map(tuple, self.array.tolist()))
-
-
 def _rotations(row: np.ndarray) -> np.ndarray:
     """The read-only (N, N) view whose row s is row(. + s), indices mod N."""
     return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row[:-1]]), len(row))
@@ -185,39 +130,6 @@ def _m_sequence_codes(windows: np.ndarray) -> np.ndarray:
     return code
 
 
-def _compare_with_build(n: int, polynomial: tuple, A: np.ndarray) -> tuple[FamilyA | None, tuple | None]:
-    """The family ``build_family_a`` makes for h = polynomial mod 2, and the
-    refusal (message, witness) of the family (n, polynomial, A) against it,
-    or None if the two are equal.
-
-    For a primitive h the build is the one family in the canonical layout,
-    so the first difference names the refusal: h builds no family (witness
-    h), the polynomial is not the lift of h (which refuses a non-monic one),
-    the shape differs, or the first (member, t) whose symbol differs.
-    """
-    h = tuple(c % 2 for c in polynomial)
-    try:
-        built = build_family_a(n, h)
-    except ValueError as exc:
-        return None, (f"the polynomial mod 2 {h} builds no family: {exc}", h)
-    if polynomial != built.polynomial:
-        return built, (f"polynomial {polynomial} is not {built.polynomial}, the lift of its reduction mod 2",
-                       polynomial)
-    if A.shape != built.array.shape:
-        return built, (f"shape {A.shape} is not the build's {built.array.shape}", A.shape)
-    if not np.array_equal(A, built.array):
-        k, t = np.argwhere(A != built.array)[0].tolist()
-        return built, (f"member {k} differs from the build at t = {t}", (k, t))
-    return built, None
-
-
-def _certified(family: FamilyA) -> None:
-    """Raise ConstructionError with the family's refusal, if it has one."""
-    if family._refusal is not None:
-        message, witness = family._refusal
-        raise ConstructionError(message, witness=witness)
-
-
 def check_family_degree(n: int) -> None:
     """Refuse a degree outside [2, MAX_FAMILY_DEGREE]: the one degree bound
     of the family and of every census run on it."""
@@ -225,85 +137,117 @@ def check_family_degree(n: int) -> None:
         raise ValueError(f"degree must be in [2, {MAX_FAMILY_DEGREE}], got {n}")
 
 
-def build_family_a(n: int, coeffs=None) -> FamilyA:
-    """Build one canonical, aligned representative per cyclic class from
-    s_1, the recurrence run from the state (0, ..., 0, 1).
+@dataclass(frozen=True)
+class FamilyA:
+    """Family A of the binary primitive polynomial h of degree n: one
+    canonical, aligned representative of each of the 2^n + 1 cyclic classes
+    of nonzero solutions of the Z4 recurrence with f = ``polynomial``, the
+    lift of h.  Two families are equal when n and h are.
 
-    Code 1 is the least unit state, so s_1 is member 1 at its least
-    rotation.  Member 0 is 2m, m = s_1 mod 2, which starts at the least
-    binary-valued state (0, ..., 0, 2), and members 2.. are s_1 + 2m(. + j),
-    j < N, by least window code.  Only a wrong lift f can make these rows
-    other than the cyclic classes, and two checks on s_1 alone certify them,
-    in O(n N): s_1 closes its period (f acting on it is zero at every t mod
-    N), and m's n-bit windows are every nonzero state once.  Then m, a
+    It is made from (n, h) alone and certified once, when it is made, in
+    O(n N), from s_1, the recurrence run from the state (0, ..., 0, 1): s_1
+    closes its period (f acting on it is zero at every t mod N), and m's
+    n-bit windows are every nonzero state once.  Then m = s_1 mod 2, a
     solution of f mod 2, is an m-sequence, so B, the 2^n binary solutions,
     is 0 and the N distinct rotations of m; 2 beta solves the Z4 recurrence
     for every beta in B, so the rows s_1 + 2 beta are the 2^n unit classes,
     apart since their first windows differ and a rotation moves their
-    reduction mod 2, and 2m is the even class.  Because (s + 2b) mod 4 = s
-    XOR 2b, member s_1 + 2m(. + j) has the window codes c1 XOR high(. + j),
-    c1 and high those of s_1 and of 2m.
+    reduction mod 2, and 2m is the even class.  Only a wrong lift f can make
+    these rows other than the cyclic classes.
 
-    Parameters
-    ----------
-    n : recurrence degree, 2 <= n <= MAX_FAMILY_DEGREE.
-    coeffs : optional binary primitive polynomial overriding the built-in
-        table entry for degree n.
+    It holds, read-only, the int8 ``s1`` and ``codes``, the int64 window
+    codes of m (bit j of codes[t] is m(t + j)).  The read-only int8 (K, N)
+    member array ``array`` is formed on first access, in the aligned layout
+    of subset L: row 0 is 2m, and rows 1.. are s_1 + 2 beta for the 2^n
+    distinct beta in B, so every pair of them correlates to exactly -1 at
+    shift zero.
 
-    Raises
-    ------
-    ConstructionError
-        with witness (1, t) for the first t at which s_1 breaks the
-        recurrence, or (code, shifts) from the m-sequence check, which the
-        census also runs to read m's window codes (the falsification path,
-        never silently patched).
+    Raises ValueError for a degree outside [2, MAX_FAMILY_DEGREE], an h of
+    another degree or one that is not primitive, and ConstructionError with
+    witness (1, t) for the first t at which s_1 breaks the recurrence, or
+    (code, shifts) from the m-sequence check (the falsification path, never
+    silently patched).
     """
+
+    n: int
+    h: tuple[int, ...]  # binary coefficients, constant term first
+    polynomial: tuple[int, ...] = field(init=False, repr=False, compare=False)  # the lift f, over Z4
+    s1: np.ndarray = field(init=False, repr=False, compare=False)
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, h = self.n, tuple(self.h)
+        check_family_degree(n)
+        if binpoly.poly_degree(h) != n:
+            raise ValueError("polynomial degree does not match n")
+        f = graeffe_lift(h)
+        s1 = np.array(run_z4_recurrence(f, (0,) * (n - 1) + (1,)), dtype=np.int8)
+        rotations = _rotations(s1)  # row j: s_1(. + j)
+        broken = np.flatnonzero(np.array(f) @ rotations[: n + 1] & 3)
+        if broken.size:
+            t = int(broken[0])
+            raise ConstructionError(f"row 1 does not satisfy the recurrence: it breaks at t = {t}", witness=(1, t))
+        codes = _m_sequence_codes(rotations[:n] & 1)
+        s1.setflags(write=False)
+        codes.setflags(write=False)
+        for name, value in (("h", h), ("polynomial", f), ("s1", s1), ("codes", codes)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The members: 2m, starting at the least binary-valued state (0,
+        ..., 0, 2); s_1, at its least rotation, since code 1 is the least
+        unit state; then s_1 + 2m(. + j), j < N, by least window code.
+        Because (s + 2b) mod 4 = s XOR 2b, member s_1 + 2m(. + j) has the
+        window codes c1 XOR high(. + j), c1 and high those of s_1 and of 2m."""
+        n, s1, N = self.n, self.s1, self.period
+        shifts = _rotations(2 * (s1 & 1))  # row j: 2m(. + j)
+        powers = 4 ** np.arange(n - 1, -1, -1, dtype=np.int32)  # big-endian base-4 window codes
+        c1, high = powers @ _rotations(s1)[:n], _rotations(powers @ shifts[:n])  # high row j: 2m(. + j)'s codes
+        least = np.empty(N, dtype=np.int32)
+        step = max(1, _BLOCK_CODES // N)
+        for start in range(0, N, step):  # the codes of a cache-sized block of members
+            least[start : start + step] = (high[start : start + step] ^ c1).min(axis=1)
+        rows = np.empty((N + 2, N), dtype=np.int8)
+        rows[0], rows[1] = shifts[0], s1
+        np.bitwise_xor(shifts[np.argsort(least)], s1, out=rows[2:])
+        rows.setflags(write=False)
+        return rows
+
+    @property
+    def period(self) -> int:
+        return (1 << self.n) - 1
+
+    @property
+    def size(self) -> int:
+        return (1 << self.n) + 1
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """The members as a tuple of symbol tuples, built on each access."""
+        return tuple(map(tuple, self.array.tolist()))
+
+
+def build_family_a(n: int, coeffs=None) -> FamilyA:
+    """The family of degree n, 2 <= n <= MAX_FAMILY_DEGREE, for the binary
+    primitive polynomial ``coeffs``, or else for the built-in table entry
+    for degree n; raises as ``FamilyA`` does."""
     check_family_degree(n)
-    h = tuple(coeffs) if coeffs is not None else binpoly.primitive_polynomial(n)
-    if binpoly.poly_degree(h) != n:
-        raise ValueError("polynomial degree does not match n")
-    f = graeffe_lift(h)
-    s1 = np.array(run_z4_recurrence(f, (0,) * (n - 1) + (1,)), dtype=np.int8)
-    rotations = _rotations(s1)  # row j: s_1(. + j)
-    broken = np.flatnonzero(np.array(f) @ rotations[: n + 1] & 3)
-    if broken.size:
-        t = int(broken[0])
-        raise ConstructionError(f"row 1 does not satisfy the recurrence: it breaks at t = {t}", witness=(1, t))
-    shifts = _rotations(2 * (s1 & 1))  # row j: 2m(. + j)
-    _m_sequence_codes(shifts[:n] >> 1)
-    powers = 4 ** np.arange(n - 1, -1, -1, dtype=np.int32)  # big-endian base-4 window codes
-    c1, high = powers @ rotations[:n], _rotations(powers @ shifts[:n])  # high row j: 2m(. + j)'s codes
-    N = len(s1)
-    least = np.empty(N, dtype=np.int32)
-    step = max(1, _BLOCK_CODES // N)
-    for start in range(0, N, step):  # the codes of a cache-sized block of members
-        codes = high[start : start + step] ^ c1
-        least[start : start + step] = codes.min(axis=1)
-    rows = np.vstack([shifts[0], s1, s1 ^ shifts[np.argsort(least)]])
-    family = FamilyA(n=n, polynomial=f, array=rows)
-    vars(family)["_refusal"] = None
-    return family
+    return FamilyA(n, tuple(coeffs) if coeffs is not None else binpoly.primitive_polynomial(n))
 
 
 def subset_l(family: FamilyA, verify: bool = True) -> np.ndarray:
     """The 2^n aligned members excluding the binary-valued one, as the
     read-only int8 (2^n, N) view ``family.array[1:]``.
 
-    With ``verify`` (default) the family must be ``build_family_a``'s, whose
-    checks prove that every pair correlates to exactly -1 + 0i at
-    shift zero: members 1.. are s_1 + 2 beta for distinct beta in B, the
-    binary recurrence space of m = s_1 mod 2, an m-sequence.  For two of
-    them u = s_i - s_j is twice the nonzero beta_i - beta_j in B, a rotation
-    of m, so u has 2^(n-1) twos and 2^(n-1) - 1 zeros, and sum_t i^(u_t) =
-    -1.  A family made otherwise is compared, once, with the build for its
-    polynomial mod 2.
-
-    Raises ConstructionError with the first difference from that build: the
-    (member, t) of the first differing symbol, or else the shape, the
-    polynomial, or its reduction mod 2 if that builds no family.
+    Every pair correlates to exactly -1 + 0i at shift zero, as the checks
+    made with the family prove: members 1.. are s_1 + 2 beta for distinct
+    beta in B, the binary recurrence space of m = s_1 mod 2, an m-sequence.
+    For two of them u = s_i - s_j is twice the nonzero beta_i - beta_j in B,
+    a rotation of m, so u has 2^(n-1) twos and 2^(n-1) - 1 zeros, and
+    sum_t i^(u_t) = -1.  ``verify`` selects nothing, since every FamilyA is
+    certified when it is made; it is kept for callers that still pass it.
     """
-    if verify:
-        _certified(family)
     return family.array[1:]
 
 
@@ -311,7 +255,6 @@ def family_alpha_max(family: FamilyA) -> float:
     """Maximum correlation magnitude over all member pairs and shifts,
     excluding only the in-phase autocorrelation, without summing one.
 
-    The family must be ``build_family_a``'s (checked as by ``subset_l``).
     The recurrence is linear, so u = s_i - s_j(. + tau) is a solution: zero
     only in phase, else a rotation of the member m_k whose window it shares,
     so C_ij(tau) = S_k = sum_t i^(m_k(t)).  And for i != k, s_i - m_k is a
@@ -322,11 +265,9 @@ def family_alpha_max(family: FamilyA) -> float:
     so 2m - m_k = m_k, and the witness (0, k, 0, S_k) is certified by
     ``z4_correlation``.
 
-    Raises ConstructionError as ``subset_l`` does if the family is not the
-    build, or with (0, k, 0, S_k) if the certificate fails.
+    Raises ConstructionError with (0, k, 0, S_k) if the certificate fails.
     """
     A = family.array
-    _certified(family)
     c = np.stack([np.count_nonzero(A == v, axis=1) for v in range(4)])
     re, im = c[0] - c[2], c[1] - c[3]
     k = int(np.argmax(re * re + im * im))
@@ -375,10 +316,15 @@ def family_json_bytes(family: FamilyA) -> memoryview:
 
 
 def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
-    """Rebuild a family from its export form.  With ``verify`` (default) the
-    document must hold exactly what ``build_family_a`` writes for its
-    polynomial mod 2, and the build is returned; a document that differs
-    raises ValueError with the first difference, as ``subset_l`` names it.
+    """Rebuild a family from its export form: the document must hold
+    exactly what ``family_to_json`` writes for the build of its polynomial
+    mod 2, and that build is returned.  For a primitive h the build is the
+    one family in the canonical layout, so a document that differs raises
+    ValueError with the first difference: h builds no family, the
+    polynomial is not the lift of h (which refuses a non-monic one), the
+    shape differs, or the first (member, t) whose symbol differs.
+    ``verify`` selects nothing: a document is always compared with the
+    build; it is kept for callers that still pass it.
 
     A document that lacks a key, holds a value of the wrong type, or has a
     symbol outside 0-3 (the byte join reads JSON true and false as 1 and 0)
@@ -401,9 +347,18 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     if A is None or np.any(A > 3):
         raise ValueError("family symbols must be the integers 0-3")
     polynomial = tuple(c % 4 for c in poly)
-    if not verify:
-        return FamilyA(n=n, polynomial=polynomial, array=A)
-    built, refusal = _compare_with_build(n, polynomial, A.view(np.int8))  # the build's dtype, same bytes
-    if refusal is not None:
-        raise ValueError(refusal[0])
+    h = tuple(c % 2 for c in polynomial)
+    try:
+        built = FamilyA(n, h)
+    except ValueError as exc:
+        raise ValueError(f"the polynomial mod 2 {h} builds no family: {exc}") from None
+    if polynomial != built.polynomial:
+        raise ValueError(f"polynomial {polynomial} is not {built.polynomial}, the lift of its reduction mod 2")
+    shape = (built.size, built.period)
+    if A.shape != shape:
+        raise ValueError(f"shape {A.shape} is not the build's {shape}")
+    A = A.view(np.int8)  # the build's dtype, same bytes
+    if not np.array_equal(A, built.array):
+        k, t = np.argwhere(A != built.array)[0].tolist()
+        raise ValueError(f"member {k} differs from the build at t = {t}")
     return built

@@ -67,6 +67,16 @@ def family_a(coeffs) -> z4.FamilyA:
     return qcss.build_family_a(len(coeffs) - 1, coeffs)
 
 
+def document_refusal(family, members) -> str:
+    """The message with which ``family_from_json`` refuses the document of
+    ``family`` with ``members`` in place of its own: a document is the one
+    way to offer a family that is not the build."""
+    doc = dict(z4.family_to_json(family), members=np.asarray(members).tolist())
+    with pytest.raises(ValueError) as info:
+        z4.family_from_json(doc)
+    return str(info.value)
+
+
 def first_edit(A, B):
     """The first (member, t), in row-major order, at which A and B differ."""
     return tuple(np.argwhere(np.asarray(A) != np.asarray(B))[0].tolist())

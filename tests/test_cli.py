@@ -289,19 +289,15 @@ def test_a_value_beyond_float_range_is_a_configuration_error(argv, tmp_path, cap
 
 
 def test_census_of_a_base_that_is_not_subset_l_is_falsified(tmp_path, monkeypatch, capsys):
-    real = cli._build_family
-
-    def tampered(n, args):
-        family, text = real(n, args)
-        A = family.array.copy()
-        A[4, 7] ^= 1
-        return z4.FamilyA(n=n, polynomial=family.polynomial, array=A), text
-
-    monkeypatch.setattr(cli, "_build_family", tampered)
-    out = tmp_path / "r.json"
-    assert run(["qcss", "--n", "4", "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "construction falsified: member 4 differs from the build at t = 7\n"
-    assert not out.exists()
+    # a wrong lift, x^4 + x^3 + x^2 + x + 1, which divides x^5 - 1: the family
+    # refuses to be made, so neither command writes its output
+    monkeypatch.setattr(z4, "graeffe_lift", lambda h: (1, 1, 1, 1, 1))
+    for command in ("qcss", "family"):
+        out = tmp_path / f"{command}.json"
+        assert run([command, "--n", "4", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "construction falsified: row 0 mod 2 is not an m-sequence: window code 1 sits at shifts (4, 9)\n")
+        assert not out.exists()
 
 
 def test_unknown_command_is_config_error():

@@ -5,20 +5,17 @@ import numpy as np
 import pytest
 
 import qcss
-from conftest import ALL_PRIMITIVE_POLYS, direct_report_fields, direct_tensor, family_a, first_edit
-from qcss import correlation, diffsets, z4
+from conftest import ALL_PRIMITIVE_POLYS, direct_report_fields, direct_tensor, document_refusal, family_a, first_edit
+from qcss import analysis, correlation, diffsets, z4
 from qcss.correlation import (
     PhaseSequence,
     build_qcss,
-    classify_tightness,
     periodic_correlation,
     phase_transform,
     roots_table,
-    tightness,
     tolerances,
     welch_lower_bound,
 )
-from qcss.errors import ConstructionError
 
 WELCH_32_13_31 = 15.476521067056753  # sqrt(169 * 961 * (19/13) / 991)
 
@@ -172,6 +169,19 @@ def test_build_guards(family4):
     assert qset.family is family4
     assert np.shares_memory(qset.base, family4.array) and not qset.base.flags.writeable  # no copy
     np.testing.assert_array_equal(qset.base, family4.array[1:])
+
+
+def test_census_never_forms_the_member_array(monkeypatch):
+    # the census reads s_1 and m's window codes; only the oracle, alpha_max
+    # and the exports form the K x N array
+    family = z4.build_family_a(5)
+    tolerances(build_qcss(family, diffsets.lift_ads_to_z4f(diffsets.singer_ds(3))))
+    assert "array" not in vars(family)
+    inner, made = z4.build_family_a, []
+    monkeypatch.setattr(z4, "build_family_a", lambda n: made.append(inner(n)) or made[-1])
+    analysis.sweep([5, 6], [2, 3], empirical=True)
+    assert [family.n for family in made] == [5, 6]
+    assert not any("array" in vars(family) for family in made)
 
 
 def test_matrix_correlation_in_phase(qcss5):
@@ -443,16 +453,6 @@ def test_welch_bound_vacuous_and_guards():
         welch_lower_bound(13, 1, 1)
 
 
-def test_tightness_values():
-    bound = welch_lower_bound(32, 13, 31)
-    assert tightness(bound, 32, 13, 31) == pytest.approx(1.0, abs=1e-12)
-    assert classify_tightness(tightness(bound, 32, 13, 31)) == "optimal"
-    assert classify_tightness(1.5) == "near-optimal"
-    assert classify_tightness(2.316) == "loose"
-    with pytest.raises(ValueError):
-        tightness(10.0, 13, 13, 31)
-
-
 # ------------------------------------------------------- export forms
 
 
@@ -486,29 +486,16 @@ def test_report_csv_layout(report5):
 
 # ------------------------------------------------------- subset-L certificate
 #
-# Each base the former array certificate refused, made into a family: member
-# k + 1 is base row k, as member 0 is 2m.  The census's only certificate is
-# subset_l's, so each refusal names the first (member, t) that differs from
-# the build, or the shape.
-
-
-def census_failure(family4, A) -> ConstructionError:
-    """The census's refusal of family4's polynomial with rows A, which must
-    be subset_l's refusal of that family."""
-    tampered = z4.FamilyA(n=4, polynomial=family4.polynomial, array=A)
-    with pytest.raises(ConstructionError) as info:
-        tolerances(build_qcss(tampered, diffsets.CyclicSubset(3, (0, 1))))
-    with pytest.raises(ConstructionError) as again:
-        qcss.subset_l(tampered)
-    assert (str(info.value), info.value.witness) == (str(again.value), again.value.witness)
-    return info.value
+# Each base the former array certificate refused, made into a family
+# document: member k + 1 is base row k, as member 0 is 2m.  A census takes
+# only a FamilyA, certified when it was made, so a family that is not the
+# build can be offered only as a document, and the reader names the first
+# (member, t) that differs from the build, or the shape.
 
 
 @pytest.mark.parametrize("shape", [(2, 15), (4, 3), (3, 1), (9, 3), (17, 16), (17, 14)])
 def test_census_refuses_a_base_of_another_shape(family4, shape):
-    error = census_failure(family4, np.zeros(shape, dtype=np.int8))
-    assert error.witness == shape
-    assert str(error) == f"shape {shape} is not the build's (17, 15)"
+    assert document_refusal(family4, np.zeros(shape, dtype=np.int8)) == f"shape {shape} is not the build's (17, 15)"
 
 
 @pytest.mark.parametrize("row0, witness", [
@@ -518,22 +505,20 @@ def test_census_refuses_a_base_of_another_shape(family4, shape):
 def test_certificate_needs_row0_mod_2_to_be_an_m_sequence(family4, row0, witness):
     A = family4.array.copy()
     A[1] = row0
-    assert census_failure(family4, A).witness == witness
+    assert document_refusal(family4, A) == "member {} differs from the build at t = {}".format(*witness)
 
 
 def test_certificate_needs_one_parity(family4):
     A = family4.array.copy()
     A[6, 9] ^= 1
-    error = census_failure(family4, A)
-    assert error.witness == (6, 9)
-    assert str(error) == "member 6 differs from the build at t = 9"
+    assert document_refusal(family4, A) == "member 6 differs from the build at t = 9"
 
 
 def test_certificate_needs_each_row_in_the_coset(family4):
     # one symbol moved by 2: beta gains one bit, and no sum of windows has weight 1 more
     A = family4.array.copy()
     A[8, 4] ^= 2
-    assert census_failure(family4, A).witness == (8, 4)
+    assert document_refusal(family4, A) == "member 8 differs from the build at t = 4"
 
 
 def test_certificate_needs_a_linear_m_sequence(family4):
@@ -543,15 +528,15 @@ def test_certificate_needs_a_linear_m_sequence(family4):
     windows = np.stack([np.roll(m, -j) for j in range(4)])
     coeffs = (np.arange(16)[:, None] >> np.arange(4)) & 1
     A = np.vstack([family4.array[:1], m + 2 * ((coeffs @ windows) % 2)])
-    error = census_failure(family4, A)
-    assert error.witness == first_edit(A, family4.array) and error.witness[0] >= 1
+    k, t = first_edit(A, family4.array)
+    assert document_refusal(family4, A) == f"member {k} differs from the build at t = {t}" and k >= 1
 
 
 def test_certificate_needs_distinct_rows(family4):
     A = family4.array.copy()
     A[12] = A[4]
-    error = census_failure(family4, A)
-    assert error.witness == (12, first_edit(A[4], family4.array[12])[0])
+    t = first_edit(A[4], family4.array[12])[0]
+    assert document_refusal(family4, A) == f"member 12 differs from the build at t = {t}"
 
 
 # ------------------------------------------------------- reduction shortcuts

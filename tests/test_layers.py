@@ -14,7 +14,6 @@ RANK = {"binpoly": 0, "errors": 0, "z4": 1, "diffsets": 2, "correlation": 3, "an
         "__init__": 6}
 # (module, source, name): every private name a module takes from another one
 PRIVATE_REACHES = {
-    ("correlation", "z4", "_m_sequence_codes"),
     ("correlation", "z4", "_rotations"),
     ("diffsets", "binpoly", "_prime_factors"),
 }

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcss
-from conftest import ALL_PRIMITIVE_POLYS, first_edit, seeded_family_members, z4_poly_divides
+from conftest import ALL_PRIMITIVE_POLYS, document_refusal, first_edit, seeded_family_members, z4_poly_divides
 from qcss import binpoly, z4
 from qcss.errors import ConstructionError
 
@@ -218,21 +219,16 @@ def test_alpha_max_every_primitive_polynomial(n, coeffs):
 
 
 def test_alpha_max_rejects_a_non_family(family4):
-    # each family is refused with its first difference from the build
+    # only a document can offer a non-family to alpha_max, and the reader
+    # refuses each with its first difference from the build
     members = list(family4.members)
     copied = members[:3] + [members[2]] + members[4:]
     t = first_edit(members[2], members[3])[0]
-    with pytest.raises(ConstructionError, match=rf"^member 3 differs from the build at t = {t}$") as err:
-        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, array=copied))
-    assert err.value.witness == (3, t)
+    assert document_refusal(family4, copied) == f"member 3 differs from the build at t = {t}"
     broken = members[5][:7] + ((members[5][7] + 1) % 4,) + members[5][8:]
     tampered = members[:5] + [broken] + members[6:]
-    with pytest.raises(ConstructionError, match="^member 5 differs from the build at t = 7$") as err:
-        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, array=tampered))
-    assert err.value.witness == (5, 7)
-    with pytest.raises(ConstructionError, match=r"^shape \(16, 15\) is not the build's \(17, 15\)$") as err:
-        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=family4.polynomial, array=members[:-1]))
-    assert err.value.witness == (16, 15)
+    assert document_refusal(family4, tampered) == "member 5 differs from the build at t = 7"
+    assert document_refusal(family4, members[:-1]) == "shape (16, 15) is not the build's (17, 15)"
 
 
 @pytest.mark.parametrize("largest_first", [False, True])
@@ -246,9 +242,8 @@ def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request
     alpha = z4.family_alpha_max(family)
     if largest_first:
         members = sorted(family.members, key=lambda m: -abs(sum(1j**v for v in m)))
-        with pytest.raises(ConstructionError, match="differs from the build") as err:
-            z4.family_alpha_max(z4.FamilyA(n=family.n, polynomial=family.polynomial, array=members))
-        assert err.value.witness == first_edit(members, family.members)
+        k, t = first_edit(members, family.members)
+        assert document_refusal(family, members) == f"member {k} differs from the build at t = {t}"
         return
     oracle = z4.z4_correlation
     monkeypatch.setattr(z4, "z4_correlation", lambda a, b, tau: oracle(a, b, tau) + 1)
@@ -267,7 +262,7 @@ def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request
 )
 def test_subset_l_zero_shift_property(fixture_name, request):
     family = request.getfixturevalue(fixture_name)
-    L = qcss.subset_l(family)  # verify=True checks every pair exactly
+    L = qcss.subset_l(family)
     assert len(L) == family.size - 1
     for a, b in itertools.combinations(L[:6], 2):
         assert z4.z4_correlation(a, b, 0) == complex(-1, 0)
@@ -279,14 +274,12 @@ def test_subset_l_flags_misaligned_member(family3):
     # first symbol that differs from the build
     members = list(family3.members)
     broken = members[2][1:] + members[2][:1]
-    tampered = z4.FamilyA(n=family3.n, polynomial=family3.polynomial, array=members[:2] + [broken] + members[3:])
-    with pytest.raises(ConstructionError, match="^member 2 differs from the build") as err:
-        qcss.subset_l(tampered)
-    assert err.value.witness == (2, first_edit(broken, members[2])[0])
-    copied = z4.FamilyA(n=family3.n, polynomial=family3.polynomial, array=members[:3] + [members[2]] + members[4:])
-    with pytest.raises(ConstructionError, match="^member 3 differs from the build") as err:
-        qcss.subset_l(copied)
-    assert err.value.witness == (3, first_edit(members[2], members[3])[0])
+    t = first_edit(broken, members[2])[0]
+    message = document_refusal(family3, members[:2] + [broken] + members[3:])
+    assert message == f"member 2 differs from the build at t = {t}"
+    t = first_edit(members[2], members[3])[0]
+    message = document_refusal(family3, members[:3] + [members[2]] + members[4:])
+    assert message == f"member 3 differs from the build at t = {t}"
 
 
 def gram_oracle(rows):
@@ -321,13 +314,11 @@ def test_subset_l_certificate_catches_a_rotated_member(case, data):
     r = data.draw(st.integers(1, N - 1), label="rotation")
     A = family.array.copy()
     A[j] = np.roll(A[j], -r)
-    tampered = z4.FamilyA(n=n, polynomial=family.polynomial, array=A)
     G = gram_oracle(A[1:])
     assert np.any(G[~np.eye(K - 1, dtype=bool)] != -1)
-    with pytest.raises(ConstructionError, match=f"^member {j} differs from the build") as err:
-        z4.subset_l(tampered, verify=True)
-    assert err.value.witness == first_edit(A, family.array)
-    assert err.value.witness[0] == j
+    k, t = first_edit(A, family.array)
+    assert k == j
+    assert document_refusal(family, A) == f"member {j} differs from the build at t = {t}"
 
 
 def test_build_falsifies_a_wrong_lift(monkeypatch):
@@ -456,24 +447,24 @@ def test_build_matches_the_seeded_oracle(coeffs):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_family_certificate_runs_once_per_family(n, monkeypatch):
-    # the build is the one certificate: a built family runs it once, and so
-    # does a family read back, since the reader compares the document with
-    # the build and returns that build
-    inner = z4.build_family_a
+    # making the family is the one certificate: a built family runs it once,
+    # and so does a family read back, since the reader compares the document
+    # with the build and returns that build; verify selects nothing
+    inner = z4._m_sequence_codes
     calls = []
-    monkeypatch.setattr(z4, "build_family_a", lambda *args: calls.append(args) or inner(*args))
+    monkeypatch.setattr(z4, "_m_sequence_codes", lambda windows: calls.append(len(windows)) or inner(windows))
     family = z4.build_family_a(n)
     z4.family_alpha_max(family)
     z4.subset_l(family, verify=True)
-    assert len(calls) == 1
+    assert calls == [n]
     assert not family.array.flags.writeable
     for verify in (True, False):
         calls.clear()
         rebuilt = z4.family_from_json(z4.family_to_json(family), verify=verify)
         z4.subset_l(rebuilt, verify=True)
         z4.family_alpha_max(rebuilt)
-        z4.subset_l(rebuilt, verify=True)
-        assert len(calls) == 1
+        z4.subset_l(rebuilt, verify=verify)
+        assert calls == [n]
         assert rebuilt == family and not rebuilt.array.flags.writeable
 
 
@@ -577,9 +568,6 @@ def test_non_canonical_family_document_is_rejected(edit, family4):
     k, t = first_edit(doc["members"], family4.members)
     with pytest.raises(ValueError, match=f"^member {k} differs from the build at t = {t}$"):
         z4.family_from_json(doc)
-    with pytest.raises(ConstructionError) as err:  # the same family handed over is refused alike
-        z4.subset_l(z4.FamilyA(n=4, polynomial=family4.polynomial, array=doc["members"]))
-    assert err.value.witness == (k, t)
 
 
 @pytest.mark.parametrize("leading", [2, 3, 4, 5])
@@ -592,16 +580,15 @@ def test_non_monic_polynomial_is_refused(leading, family4):
     if leading % 4 == 1:
         assert z4.family_from_json(doc, verify=True) == family4
         return
-    with pytest.raises(ValueError, match="^(the polynomial mod 2|polynomial )"):
-        z4.family_from_json(doc, verify=True)
-    polynomial = tuple(doc["polynomial"])
-    with pytest.raises(ConstructionError) as err:
-        z4.subset_l(z4.FamilyA(n=4, polynomial=polynomial, array=family4.array))
     # an even leading coefficient reduces to a polynomial of lower degree,
     # which builds no family; leading 3 reduces to h, whose lift ends in 1
-    assert err.value.witness == (tuple(c % 2 for c in polynomial) if leading % 2 == 0 else polynomial)
-    with pytest.raises(ConstructionError):
-        z4.family_alpha_max(z4.FamilyA(n=4, polynomial=polynomial, array=family4.array))
+    polynomial = tuple(c % 4 for c in doc["polynomial"])
+    if leading % 2 == 0:
+        message = f"the polynomial mod 2 {tuple(c % 2 for c in polynomial)} builds no family: "
+    else:
+        message = f"polynomial {polynomial} is not {family4.polynomial}, the lift of its reduction mod 2"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        z4.family_from_json(doc, verify=True)
 
 
 WRONG_TYPES = ["4", 4.0, None, [1], {"n": 4}]
@@ -721,22 +708,23 @@ def test_family_certificate_decides_as_the_window_check(edit, polynomial):
         polynomial[edit[1]] = (polynomial[edit[1]] + edit[2]) % 4
     else:
         corrupt(doc, edit)
-    polynomial = tuple(polynomial)
-    edited = z4.FamilyA(n=4, polynomial=polynomial, array=members)
-    A = edited.array
+    doc["polynomial"], polynomial = polynomial, tuple(polynomial)
+    A = np.asarray(members)  # every edit leaves 17 rows of 15 integers
     accepted = oracle_accepts(A, polynomial, 4)
     try:
-        z4.subset_l(edited, verify=True)
-    except ConstructionError as exc:
+        z4.family_from_json(doc)
+    except ValueError as exc:
         assert not accepted
         h = tuple(c % 2 for c in polynomial)
-        if h not in POLYS_4:  # a lower degree or not primitive
-            assert exc.witness == h
+        if A.min() < 0 or A.max() > 3:
+            assert str(exc) == "family symbols must be the integers 0-3"
+        elif h not in POLYS_4:  # a lower degree or not primitive
+            assert str(exc).startswith(f"the polynomial mod 2 {h} builds no family: ")
         elif polynomial not in LIFTS_4:
-            assert exc.witness == polynomial
+            assert str(exc) == f"polynomial {polynomial} is not {z4.graeffe_lift(h)}, the lift of its reduction mod 2"
         else:
-            assert exc.witness == first_edit(A, z4.build_family_a(4, coeffs=h).array)
-            assert str(exc) == "member {} differs from the build at t = {}".format(*exc.witness)
+            assert str(exc) == "member {} differs from the build at t = {}".format(
+                *first_edit(A, z4.build_family_a(4, coeffs=h).array))
     else:
         assert accepted
 
@@ -751,11 +739,7 @@ def test_family_text_roundtrip(case):
     family = z4.build_family_a(n, coeffs=coeffs)
     rebuilt = z4.family_from_json(json.loads(bytes(z4.family_json_bytes(family))))
     assert rebuilt == family
-    # a family built from its members as tuples, as the tampered-family
-    # tests build them, gets the same array and gives the same results
-    plain = z4.FamilyA(n=n, polynomial=family.polynomial, array=family.members)
-    assert plain == family
-    for fam in (family, rebuilt, plain):
+    for fam in (family, rebuilt):
         assert fam.array.dtype == np.int8 and not fam.array.flags.writeable
         np.testing.assert_array_equal(fam.array, np.array(family.members, dtype=np.int8))
         assert fam.members == family.members
@@ -791,29 +775,22 @@ def test_family_text_length_is_fixed_by_the_shape():
     assert len(z4.family_json_bytes(family)) == len(head) + K * (2 * N + 7) - 2 + len(tail)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[0, 2, 2], [1, 3]],  # ragged
-        [0, 2, 2, 0, 2, 0, 0],  # one row, 1-D
-        np.zeros((2, 3, 7), dtype=np.int8),
-        np.zeros((9, 7)),  # float symbols
-        [[0, "2"], [1, 3]],
-    ],
-    ids=["ragged", "1-D", "3-D", "float", "string"],
-)
-def test_family_array_must_be_a_2d_integer_array(rows):
-    with pytest.raises(ValueError, match="family members must be"):
-        z4.FamilyA(n=3, polynomial=(3, 1, 2, 1), array=rows)
-
-
-def test_family_owns_its_array(family3):
-    rows = family3.array.copy()
-    family = z4.FamilyA(n=3, polynomial=family3.polynomial, array=rows)
-    rows[0, 0] = 1  # the caller's array is not the family's store
-    assert family == family3
-    assert family != z4.FamilyA(n=3, polynomial=family3.polynomial, array=rows)
-    assert family != z4.FamilyA(n=3, polynomial=(1, 2, 1, 3), array=family3.array)
+def test_family_owns_its_array():
+    # a family is its (n, h): made twice it is equal, with one hash, and
+    # another h or another n makes another family; what it holds is read-only
+    family = z4.build_family_a(3, X3_X_1)
+    same = z4.FamilyA(3, X3_X_1)
+    assert family == same and hash(family) == hash(same) and family is not same
+    assert family.polynomial == same.polynomial == (3, 1, 2, 1)
+    assert family != z4.FamilyA(3, (1, 0, 1, 1))
+    assert family != z4.FamilyA(4, (1, 1, 0, 0, 1))
+    assert family != z4.FamilyA(2, (1, 1, 1))
+    for name in ("s1", "codes", "array"):
+        held = getattr(family, name)
+        assert not held.flags.writeable, name
+        with pytest.raises(ValueError):
+            held[0] = 0
+    assert family.array is family.array  # formed once
 
 
 @pytest.mark.parametrize(
