@@ -204,10 +204,13 @@ def cmd_tables(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",")]
+    """The integers of "lo:hi", both included, or of "a,b,..."; ValueError
+    if there are none or one repeats."""
+    lo, colon, hi = text.partition(":")
+    values = list(range(int(lo), int(hi) + 1)) if colon else [int(tok) for tok in text.split(",")]
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"range {text!r} {'repeats a value' if values else 'is empty'}")
+    return values
 
 
 SWEEP_COLUMNS = (

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diffsets import CyclicSubset, exp_sum_profile
-from .z4 import FamilyA, _rotations
+from .z4 import FamilyA, _rotations, _walsh_hadamard, subset_l
 
 MAGNITUDE_TOL = 1e-6  # distinct algebraic magnitudes at desk scale differ by far more
 _BLOCK_ENTRIES = 1 << 18  # Walsh plane entries (shifts x 2^n) the census transforms at once
@@ -117,9 +117,9 @@ def periodic_correlation(a: PhaseSequence, b: PhaseSequence, tau: int) -> comple
 
 @dataclass(frozen=True, eq=False)
 class QcssSet:
-    """K matrices assembled from subset L of a family, v_k = member k + 1,
-    and a shift set D: matrix k has rows phase_transform(v_k, d, q) for d
-    in D, sorted.
+    """K matrices assembled from subset L of a family, v_k =
+    ``subset_l(family)[k]``, and a shift set D: matrix k has rows
+    phase_transform(v_k, d, q) for d in D, sorted.
 
     Only the family and the shifts are stored.  ``matrix(k)`` builds one
     (M, N) matrix on demand for the scalar oracle; ``phases`` builds the
@@ -130,12 +130,6 @@ class QcssSet:
     q: int
     shifts: tuple[int, ...]
     provenance: dict = field(default_factory=dict)
-
-    @property
-    def base(self) -> np.ndarray:
-        """The (K, N) base v_k, the read-only int8 view ``family.array[1:]``,
-        for the oracle; the census never reads it."""
-        return self.family.array[1:]
 
     @property
     def root_order(self) -> int:
@@ -155,12 +149,12 @@ class QcssSet:
 
     def matrix(self, k: int) -> PhaseSequence:
         """Matrix k, rows phase_transform(v_k, d, q) for d in D: (M, N)."""
-        return phase_transform(self.base[k], self.shifts, self.q)
+        return phase_transform(subset_l(self.family)[k], self.shifts, self.q)
 
     @property
     def phases(self) -> np.ndarray:
         """The full (K, M, N) phase tensor, K*M*N int64 values, for tests."""
-        return phase_transform(self.base, self.shifts, self.q).phases
+        return phase_transform(subset_l(self.family), self.shifts, self.q).phases
 
 
 def build_qcss(family: FamilyA, shift_set: CyclicSubset, provenance: dict | None = None) -> QcssSet:
@@ -185,23 +179,6 @@ def _plane_dtype(N: int) -> np.dtype:
     """The least signed integer dtype that holds -N..N, the range of every
     census plane entry at period N: int8 up to N = 127, int16 up to 32767."""
     return np.min_scalar_type(-N)
-
-
-def _walsh_hadamard(planes: np.ndarray) -> None:
-    """Walsh-Hadamard transform of integer planes over their first axis,
-    whose length is a power of two, in place.
-
-    A butterfly is x += y, y *= -2, y += x, with no temporary.  Integer
-    arrays add and multiply modulo 2^bits, so every result is right modulo
-    2^bits, even where -2y leaves the dtype's range (y = -64 in int8), and
-    exact wherever the true output fits the dtype.
-    """
-    inner = planes[0].size
-    for j in range(len(planes).bit_length() - 1):
-        x, y = np.moveaxis(planes.reshape(-1, 2, inner << j), 1, 0)
-        x += y
-        y *= -2
-        y += x
 
 
 def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

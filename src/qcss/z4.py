@@ -1,20 +1,20 @@
 """Quaternary sequence machinery: the even/odd-split lift of a binary
-primitive polynomial into Z4, linear recurrences over Z4, and the optimal
+primitive polynomial into Z4, linear recurrences over Z4, the optimal
 family of 2^n + 1 cyclically inequivalent sequences it generates (Family A
-of Boztas, Hammons and Kumar), built from one recurrence run, with its int8
-(K, N) member array formed on first access.
+of Boztas, Hammons and Kumar), built from one recurrence run, and the
+integer Walsh-Hadamard transform that reads its sums off m's window codes.
 
 Sequences are tuples or int8 arrays of residues mod 4.  Correlations of raw
 Z4 sequences are Gaussian integers, counted exactly (no FFT, no rounding),
 so equality checks like "this value is -1" carry no floating-point slack.
-No check of the family sums a correlation census.  A ``FamilyA`` is made
-from (n, h) alone and certifies its rows in the aligned layout once, when
-it is made, in O(n N), from s_1 alone: s_1 closes its period and s_1 mod 2
-is an m-sequence.  alpha_max then follows from their symbol sums and
-subset L's -1 at shift zero from their shared reduction mod 2, both in
-O(K N).  For a primitive h there is exactly one family in that canonical
-layout, so only a family document, read from outside the program, is
-compared with the build for its polynomial mod 2.
+A ``FamilyA`` is made from (n, h) alone and certified once, in O(n N), from
+s_1 alone: s_1 closes its period and m = s_1 mod 2 is an m-sequence.  Its
+int8 (K, N) member array is formed on first access, and only subset L and
+the exports read it: subset L's -1 at shift zero follows from the members'
+shared reduction mod 2, and alpha_max from one transform of i^(s_1) placed
+at m's window codes, in O(n 2^n).  For a primitive h there is exactly one
+family in that canonical layout, so only a family document, read from
+outside the program, is compared with the build for its polynomial mod 2.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .errors import ConstructionError
 
 # Making the family, its two checks included, takes ~0.4 ms at n = 10 and
 # ~1.3 ms at n = 12, and forming its array ~1.5 ms and ~10-15 ms more (2-core
-# VM, in process, best of 30); family_alpha_max adds ~2-3 ms and ~37-39 ms,
-# family_json_bytes ~1.0 ms and ~15-18 ms.  Its 34 MB buffer is part of the
-# ~95 MB peak of `qcss family --n 12`.
+# VM, in process, best of 30); family_alpha_max, which never forms it, adds
+# ~0.3 ms and ~0.7 ms, family_json_bytes ~1.0 ms and ~15-18 ms.  Its 34 MB
+# buffer is part of the ~95 MB peak of `qcss family --n 12`.
 MAX_FAMILY_DEGREE = 12
 _BLOCK_CODES = 1 << 18  # window codes the build forms at once to order its members (1 MB)
 
@@ -58,13 +58,13 @@ def graeffe_lift(coeffs) -> tuple[int, ...]:
     return f
 
 
-def run_z4_recurrence(coeffs, init, length: int | None = None) -> tuple[int, ...]:
+def run_z4_recurrence(coeffs, init) -> tuple[int, ...]:
     """Run the order-n linear recurrence over Z4 with characteristic
     polynomial f(x) = x^n + c_{n-1} x^{n-1} + ... + c_0:
 
         s(t+n) = -(c_{n-1} s(t+n-1) + ... + c_0 s(t)) mod 4
 
-    and return the first 2^n - 1 symbols (or ``length`` symbols).
+    and return the first 2^n - 1 symbols.
 
     The states (s(t), ..., s(t+n-1)) grow by doubling: with C the companion
     matrix of f, state t + L is state t times C^L, so the first L states
@@ -79,13 +79,10 @@ def run_z4_recurrence(coeffs, init, length: int | None = None) -> tuple[int, ...
         raise ValueError(f"initial state must have {n} symbols")
     if not any(init):
         raise ValueError("initial state must be nonzero (zero solution excluded)")
-    if length is None:
-        length = (1 << n) - 1
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
+    length = (1 << n) - 1
     step = np.eye(n, k=-1, dtype=np.int64)  # C: state @ C is the next state
     step[:, -1] = [-c % 4 for c in f[:n]]
-    states = np.empty((max(length, 1), n), dtype=np.int64)
+    states = np.empty((length, n), dtype=np.int64)
     states[0] = init
     filled = 1
     while filled < length:
@@ -94,7 +91,7 @@ def run_z4_recurrence(coeffs, init, length: int | None = None) -> tuple[int, ...
         filled += grow
         if filled < length:  # another round follows
             step = step @ step % 4
-    return tuple(states[:length, 0].tolist())
+    return tuple(states[:, 0].tolist())
 
 
 def z4_correlation(a, b, tau: int = 0) -> complex:
@@ -112,6 +109,23 @@ def z4_correlation(a, b, tau: int = 0) -> complex:
 def _rotations(row: np.ndarray) -> np.ndarray:
     """The read-only (N, N) view whose row s is row(. + s), indices mod N."""
     return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row[:-1]]), len(row))
+
+
+def _walsh_hadamard(planes: np.ndarray) -> None:
+    """Walsh-Hadamard transform of integer planes over their first axis,
+    whose length is a power of two, in place.
+
+    A butterfly is x += y, y *= -2, y += x, with no temporary.  Integer
+    arrays add and multiply modulo 2^bits, so every result is right modulo
+    2^bits, even where -2y leaves the dtype's range (y = -64 in int8), and
+    exact wherever the true output fits the dtype.
+    """
+    inner = planes[0].size
+    for j in range(len(planes).bit_length() - 1):
+        x, y = np.moveaxis(planes.reshape(-1, 2, inner << j), 1, 0)
+        x += y
+        y *= -2
+        y += x
 
 
 def _m_sequence_codes(windows: np.ndarray) -> np.ndarray:
@@ -259,24 +273,25 @@ def family_alpha_max(family: FamilyA) -> float:
     only in phase, else a rotation of the member m_k whose window it shares,
     so C_ij(tau) = S_k = sum_t i^(m_k(t)).  And for i != k, s_i - m_k is a
     rotation s_j(. + tau) of a member, so every S_k occurs: the result is
-    max_k |S_k|, with S_k = (c0 - c2) + (c1 - c3)i from row k's symbol
-    counts c_v.  The maximum is at a unit member k >= 1: |S_0| = 1, while the
-    unit members' |S_k|^2 average N >= 3.  Member 0 is 2m and m_k = m mod 2,
-    so 2m - m_k = m_k, and the witness (0, k, 0, S_k) is certified by
-    ``z4_correlation``.
-
-    Raises ConstructionError with (0, k, 0, S_k) if the certificate fails.
+    max_k |S_k|.  The unit members are s_1 + 2 beta_a, beta_a(t) = a . code[t]
+    mod 2, one for each of the 2^n codes a, so one Walsh-Hadamard transform
+    of i^(s_1(t)) placed at code[t] gives every S_a.  Member 0, 2m, sums to
+    -1, while by Parseval the |S_a|^2 average N >= 3, so alpha is |S_a| at
+    the first argmax a.  As s_1 + 2 beta_a reduces to m mod 2, 2m minus it is
+    itself mod 4: ``z4_correlation`` of 2m and s_1 XOR 2 beta_a at shift
+    zero certifies the witness (a, S_a), else ConstructionError with it.
     """
-    A = family.array
-    c = np.stack([np.count_nonzero(A == v, axis=1) for v in range(4)])
-    re, im = c[0] - c[2], c[1] - c[3]
-    k = int(np.argmax(re * re + im * im))
-    value = complex(int(re[k]), int(im[k]))
-    if z4_correlation(A[0], A[k], 0) != value:
-        raise ConstructionError(
-            f"correlation of members 0, {k} at shift 0 is not member {k}'s symbol sum {value}",
-            witness=(0, k, 0, value),
-        )
+    s1, n = family.s1, family.n
+    planes = np.zeros((1 << n, 2), dtype=np.int64)  # real, imaginary
+    planes[family.codes, s1 & 1] = 1 - (s1 & 2)  # i^(s_1(t)) at code[t]
+    _walsh_hadamard(planes)
+    re, im = planes.T
+    a = int(np.argmax(re * re + im * im))
+    value = complex(int(re[a]), int(im[a]))
+    beta = (a >> np.arange(n) & 1) @ _rotations(s1 & 1)[:n] & 1  # a . code[t] mod 2
+    if z4_correlation(2 * (s1 & 1), s1 ^ 2 * beta, 0) != value:
+        raise ConstructionError(f"correlation of 2m and s_1 + 2 beta_{a} at shift 0 is not its symbol sum {value}",
+                                witness=(a, value))
     return abs(value)  # the square root of the exact norm re^2 + im^2
 
 

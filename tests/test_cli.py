@@ -276,6 +276,22 @@ def test_sweep_cap_skips_degrees_without_cells(tmp_path):
     assert json.loads(out.read_text()) == []
 
 
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--n-range", "6:4", "is empty"),
+    ("--x-range", "3:2", "is empty"),
+    ("--x-range", "2,2", "repeats a value"),
+    ("--n-range", "4,5,4", "repeats a value"),
+])
+def test_sweep_refuses_an_empty_or_repeated_range(flag, value, reason, tmp_path, capsys):
+    # refused before any cell is built, so a repeated n never builds its family twice
+    ranges = {"--n-range": "4:5", "--x-range": "2:3", flag: value}
+    out = tmp_path / "x.json"
+    argv = ["sweep", *(token for pair in ranges.items() for token in pair), "--empirical", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: range {value!r} {reason}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["tables", "--table", "1", "--x-max", "1100"],  # math.sqrt(2**x - 1)
     ["sweep", "--n-range", "2100", "--x-range", "2"],  # 2 ** (n / 2)

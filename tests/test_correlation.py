@@ -167,13 +167,11 @@ def test_build_guards(family4):
         build_qcss(family4, diffsets.CyclicSubset(7, ()))
     qset = build_qcss(family4, shifts)
     assert qset.family is family4
-    assert np.shares_memory(qset.base, family4.array) and not qset.base.flags.writeable  # no copy
-    np.testing.assert_array_equal(qset.base, family4.array[1:])
 
 
 def test_census_never_forms_the_member_array(monkeypatch):
-    # the census reads s_1 and m's window codes; only the oracle, alpha_max
-    # and the exports form the K x N array
+    # the census reads s_1 and m's window codes; only the oracle and the
+    # exports form the K x N array
     family = z4.build_family_a(5)
     tolerances(build_qcss(family, diffsets.lift_ads_to_z4f(diffsets.singer_ds(3))))
     assert "array" not in vars(family)
@@ -291,7 +289,7 @@ def test_walsh_hadamard_is_exact_at_the_dtype_edge(n):
     edge = np.r_[0, np.ones(K // 2 - 1), -np.ones(K // 2)]
     cols = np.stack([edge, -edge, np.r_[0, rng.choice([-1, 0, 1], size=N)]], axis=1)
     planes = cols.astype(correlation._plane_dtype(N))
-    correlation._walsh_hadamard(planes)
+    z4._walsh_hadamard(planes)
     want = cols.astype(np.int64)
     for j in range(n):  # reference butterflies out of place, in int64
         x, y = np.moveaxis(want.reshape(-1, 2, 3 << j), 1, 0)

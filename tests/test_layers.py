@@ -15,6 +15,7 @@ RANK = {"binpoly": 0, "errors": 0, "z4": 1, "diffsets": 2, "correlation": 3, "an
 # (module, source, name): every private name a module takes from another one
 PRIVATE_REACHES = {
     ("correlation", "z4", "_rotations"),
+    ("correlation", "z4", "_walsh_hadamard"),
     ("diffsets", "binpoly", "_prime_factors"),
 }
 

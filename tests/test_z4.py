@@ -78,8 +78,6 @@ def test_recurrence_guards():
         z4.run_z4_recurrence(f, [0, 0, 0])
     with pytest.raises(ValueError):
         z4.run_z4_recurrence((2, 1, 1), [1])  # not monic
-    with pytest.raises(ValueError, match="non-negative"):
-        z4.run_z4_recurrence(f, [1, 0, 0], length=-1)
 
 
 def test_recurrence_classes_n3_brute_force():
@@ -96,16 +94,15 @@ def test_recurrence_classes_n3_brute_force():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_recurrence_period_divides_full_order(n):
-    # running 2*(2^n - 1) symbols must tile the first period exactly
+    # the second period of a 2*(2^n - 1)-symbol scalar run is the first
     f = z4.graeffe_lift(binpoly.primitive_polynomial(n))
     period = (1 << n) - 1
     rng = np.random.default_rng(7 + n)
     for _ in range(10):
-        init = rng.integers(0, 4, size=n)
-        if not init.any():
+        init = rng.integers(0, 4, size=n).tolist()
+        if not any(init):
             init[0] = 1
-        long_run = z4.run_z4_recurrence(f, init, length=2 * period)
-        assert long_run[period:] == long_run[:period]
+        assert recurrence_oracle(f, init, 2 * period)[period:] == z4.run_z4_recurrence(f, init)
 
 
 def recurrence_oracle(f, init, length):
@@ -123,8 +120,6 @@ def test_recurrence_matches_the_scalar_loop(case, data):
     n, coeffs = case
     f = z4.graeffe_lift(coeffs)
     init = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
-    length = data.draw(st.integers(0, 3 * ((1 << n) - 1)))
-    assert z4.run_z4_recurrence(f, init, length=length) == recurrence_oracle(f, init, length)
     assert z4.run_z4_recurrence(f, init) == recurrence_oracle(f, init, (1 << n) - 1)
 
 
@@ -159,22 +154,49 @@ def test_l0_has_ideal_autocorrelation(family5):
     assert z4.z4_correlation(family5.array[0], family5.array[0], 0) == complex(period, 0)
 
 
-ALPHA_MAX_SQUARED = {3: 13, 4: 25, 5: 41, 6: 81}  # brute-force sweep oracle
+ALPHA_MAX_SQUARED = {2: 5, 3: 13, 4: 25, 5: 41, 6: 81}  # brute-force sweep oracle
+
+
+def closed_form_alpha_squared(n):
+    """Family A's alpha_max^2 at n >= 3 (Boztas, Hammons and Kumar):
+    (1 + 2^(n/2))^2 at even n, (1 + 2^((n-1)/2))^2 + 2^(n-1) at odd n,
+    below (1 + 2^(n/2))^2 there."""
+    if n % 2 == 0:
+        return (1 + 2 ** (n // 2)) ** 2
+    return (1 + 2 ** ((n - 1) // 2)) ** 2 + 2 ** (n - 1)
+
+
+PRIMITIVE_3_TO_9 = [
+    (n, (1,) + mid + (1,))
+    for n in range(3, 10)
+    for mid in itertools.product((0, 1), repeat=n - 1)
+    if binpoly.is_primitive_binary((1,) + mid + (1,))
+]
 
 
 @pytest.mark.parametrize(
-    "fixture_name,n", [("family3", 3), ("family4", 4), ("family5", 5), ("family6", 6)]
+    "fixture_name,n",
+    [("family3", 3), ("family4", 4), ("family5", 5), ("family6", 6)] + [("table", n) for n in (2, *range(7, 13))],
 )
 def test_family_alpha_max(fixture_name, n, request):
-    family = request.getfixturevalue(fixture_name)
-    measured = z4.family_alpha_max(family)
-    assert abs(measured - math.sqrt(ALPHA_MAX_SQUARED[n])) <= 1e-6
-    # even degrees meet 1 + 2^(n/2) exactly; odd degrees stay below it
-    bound = 1 + 2 ** (n / 2)
-    if n % 2 == 0:
-        assert abs(measured - bound) <= 1e-6
-    else:
-        assert measured <= bound + 1e-6
+    # the table polynomial's family, and at n <= 9 every primitive one's
+    family = z4.build_family_a(n) if fixture_name == "table" else request.getfixturevalue(fixture_name)
+    if n == 2:  # below the closed form's range: 1 + 2^(n/2) = 3 exceeds alpha
+        assert abs(z4.family_alpha_max(family) - math.sqrt(ALPHA_MAX_SQUARED[2])) <= 1e-9
+        return
+    squared = closed_form_alpha_squared(n)
+    assert ALPHA_MAX_SQUARED.get(n, squared) == squared
+    families = [family] + [z4.build_family_a(n, coeffs=coeffs) for degree, coeffs in PRIMITIVE_3_TO_9 if degree == n]
+    for fam in families:
+        assert abs(z4.family_alpha_max(fam) - math.sqrt(squared)) <= 1e-9, fam.h
+
+
+def test_alpha_max_never_forms_the_member_array():
+    # alpha reads s_1 and m's window codes, as the census does
+    for n in (2, 5, 12):
+        family = z4.build_family_a(n)
+        z4.family_alpha_max(family)
+        assert "array" not in vars(family)
 
 
 def brute_force_alpha(family):
@@ -203,12 +225,7 @@ def test_alpha_max_matches_oracle(family3, family4):
         assert abs(z4.family_alpha_max(family) - oracle) <= 1e-9
 
 
-PRIMITIVE_3_TO_6 = [
-    (n, (1,) + mid + (1,))
-    for n in range(3, 7)
-    for mid in itertools.product((0, 1), repeat=n - 1)
-    if binpoly.is_primitive_binary((1,) + mid + (1,))
-]
+PRIMITIVE_3_TO_6 = [(n, coeffs) for n, coeffs in PRIMITIVE_3_TO_9 if n <= 6]
 
 
 @pytest.mark.parametrize("n,coeffs", PRIMITIVE_3_TO_6)
@@ -235,9 +252,11 @@ def test_alpha_max_rejects_a_non_family(family4):
 @pytest.mark.parametrize("fixture_name", ["family3", "family4", "family5", "family6"])
 def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request, monkeypatch):
     # an oracle that disagrees makes the certificate fail and expose its
-    # witness, which the real oracle must reproduce; with the largest symbol
-    # sum moved to member 0 the members leave the build's layout, and the
-    # family is refused with the first symbol the reordering moved
+    # witness (a, S_a), which the real oracle must reproduce from member 0,
+    # 2m, and the member s_1 + 2 beta_a, beta_a(t) = a . code[t] mod 2; with
+    # the largest symbol sum moved to member 0 the members leave the build's
+    # layout, and the family is refused with the first symbol the reordering
+    # moved
     family = request.getfixturevalue(fixture_name)
     alpha = z4.family_alpha_max(family)
     if largest_first:
@@ -249,12 +268,12 @@ def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request
     monkeypatch.setattr(z4, "z4_correlation", lambda a, b, tau: oracle(a, b, tau) + 1)
     with pytest.raises(ConstructionError) as err:
         z4.family_alpha_max(family)
-    i, j, tau, value = err.value.witness
-    assert (i != j or tau) and 0 <= tau < family.period  # not in phase
-    assert oracle(family.members[i], family.members[j], tau) == value
-    assert abs(value) == alpha and i == 0 and tau == 0
-    sums = [abs(sum(1j**v for v in m)) for m in family.members]
-    assert j == int(np.argmax(sums)) and j != 0  # member j's own symbol sum, at a unit member
+    a, value = err.value.witness
+    beta = np.array([bin(a & code).count("1") % 2 for code in family.codes.tolist()])
+    row = family.s1 ^ 2 * beta
+    assert oracle(family.array[0], row, 0) == value
+    assert any(np.array_equal(row, member) for member in family.array)
+    assert abs(value) == alpha
 
 
 @pytest.mark.parametrize(
