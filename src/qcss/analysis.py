@@ -163,8 +163,12 @@ def sweep(n_values, x_values, empirical: bool = False):
     census; the analytic sweep has no degree bound.  It builds the family
     once per n and measures all of that n's cells in one ``tolerances_many``
     pass: the census of about n 4^n additions depends on the base, not on x,
-    plus a 4^n reduction per cell.
+    plus a 4^n reduction per cell.  A repeated n or x raises ValueError,
+    naming it, before any build.
     """
+    for name, values in (("n", list(n_values)), ("x", list(x_values))):
+        if len(set(values)) < len(values):
+            raise ValueError(f"sweep {name} value {max(values, key=values.count)} repeats")
     with_cells = [n for n in n_values if any(n - x >= 2 for x in x_values)]
     if empirical and with_cells:
         z4.check_family_degree(max(with_cells))

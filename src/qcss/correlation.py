@@ -202,10 +202,11 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     most N and ``_plane_dtype(N)`` holds it (``_walsh_hadamard``).
 
     Yields (start, w, wr), complex (T, K) arrays with w[b, a] = W and
-    wr[b, a] = Wr at tau = start + b, in blocks of about _BLOCK_ENTRIES // K
-    shifts, at least one, that cover [0, (N + 1)/2).  N = 2^n - 1 is odd, so
-    for tau >= 1 the shifts tau and N - tau never coincide; ``_Tally.fold``
-    reads the shift N - tau off the block at tau.
+    wr[b, a] = Wr of the pair (a, 0) at tau = start + b (beta_a is the gamma
+    of code a), in blocks of about _BLOCK_ENTRIES // K shifts, at least one,
+    that cover [0, (N + 1)/2).  N = 2^n - 1 is odd, so for tau >= 1 the
+    shifts tau and N - tau never coincide; ``_Tally.fold`` reads the shift
+    N - tau off the block at tau.
     """
     family = qcss.family
     K, N = family.size - 1, family.period

@@ -12,9 +12,9 @@ s_1 alone: s_1 closes its period and m = s_1 mod 2 is an m-sequence.  Its
 int8 (K, N) member array is formed on first access, and only subset L and
 the exports read it: subset L's -1 at shift zero follows from the members'
 shared reduction mod 2, and alpha_max from one transform of i^(s_1) placed
-at m's window codes, in O(n 2^n).  For a primitive h there is exactly one
-family in that canonical layout, so only a family document, read from
-outside the program, is compared with the build for its polynomial mod 2.
+at m's window codes, in O(n 2^n).  Member 1 + a is s_1 + 2 beta_a for code
+a, the one such family for a primitive h, so only a family document, read
+from outside the program, is compared with the build for its polynomial mod 2.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ import numpy as np
 from . import binpoly
 from .errors import ConstructionError
 
-# Making the family, its two checks included, takes ~0.4 ms at n = 10 and
-# ~1.3 ms at n = 12, and forming its array ~1.5 ms and ~10-15 ms more (2-core
-# VM, in process, best of 30); family_alpha_max, which never forms it, adds
-# ~0.3 ms and ~0.7 ms, family_json_bytes ~1.0 ms and ~15-18 ms.  Its 34 MB
-# buffer is part of the ~95 MB peak of `qcss family --n 12`.
+# Making the family, its two checks included, takes ~0.3-0.5 ms at n = 10
+# and ~1.0 ms at n = 12, and forming its array ~0.2-0.3 ms and ~1.6 ms more
+# (2-core VM, in process, best of 30 and 15); family_alpha_max, which never
+# forms it, adds ~0.2-0.4 ms and ~0.5 ms, family_json_bytes ~0.9 ms and
+# ~12 ms.  Its 34 MB buffer is part of the ~78 MB peak of `qcss family --n 12`.
 MAX_FAMILY_DEGREE = 12
-_BLOCK_CODES = 1 << 18  # window codes the build forms at once to order its members (1 MB)
 
 
 def graeffe_lift(coeffs) -> tuple[int, ...]:
@@ -154,9 +153,9 @@ def check_family_degree(n: int) -> None:
 @dataclass(frozen=True)
 class FamilyA:
     """Family A of the binary primitive polynomial h of degree n: one
-    canonical, aligned representative of each of the 2^n + 1 cyclic classes
-    of nonzero solutions of the Z4 recurrence with f = ``polynomial``, the
-    lift of h.  Two families are equal when n and h are.
+    representative of each of the 2^n + 1 cyclic classes of nonzero
+    solutions of the Z4 recurrence with f = ``polynomial``, the lift of h,
+    in code order.  Two families are equal when n and h are.
 
     It is made from (n, h) alone and certified once, when it is made, in
     O(n N), from s_1, the recurrence run from the state (0, ..., 0, 1): s_1
@@ -171,10 +170,10 @@ class FamilyA:
 
     It holds, read-only, the int8 ``s1`` and ``codes``, the int64 window
     codes of m (bit j of codes[t] is m(t + j)).  The read-only int8 (K, N)
-    member array ``array`` is formed on first access, in the aligned layout
-    of subset L: row 0 is 2m, and rows 1.. are s_1 + 2 beta for the 2^n
-    distinct beta in B, so every pair of them correlates to exactly -1 at
-    shift zero.
+    member array ``array`` is formed on first access, in code order: row 0
+    is 2m, and row 1 + a is s_1 + 2 beta_a for the code a, as in
+    ``family_alpha_max`` and the census; the 2^n beta_a are B, so every
+    pair of rows 1.. correlates to exactly -1 at shift zero.
 
     Raises ValueError for a degree outside [2, MAX_FAMILY_DEGREE], an h of
     another degree or one that is not primitive, and ConstructionError with
@@ -209,22 +208,15 @@ class FamilyA:
 
     @cached_property
     def array(self) -> np.ndarray:
-        """The members: 2m, starting at the least binary-valued state (0,
-        ..., 0, 2); s_1, at its least rotation, since code 1 is the least
-        unit state; then s_1 + 2m(. + j), j < N, by least window code.
-        Because (s + 2b) mod 4 = s XOR 2b, member s_1 + 2m(. + j) has the
-        window codes c1 XOR high(. + j), c1 and high those of s_1 and of 2m."""
-        n, s1, N = self.n, self.s1, self.period
-        shifts = _rotations(2 * (s1 & 1))  # row j: 2m(. + j)
-        powers = 4 ** np.arange(n - 1, -1, -1, dtype=np.int32)  # big-endian base-4 window codes
-        c1, high = powers @ _rotations(s1)[:n], _rotations(powers @ shifts[:n])  # high row j: 2m(. + j)'s codes
-        least = np.empty(N, dtype=np.int32)
-        step = max(1, _BLOCK_CODES // N)
-        for start in range(0, N, step):  # the codes of a cache-sized block of members
-            least[start : start + step] = (high[start : start + step] ^ c1).min(axis=1)
-        rows = np.empty((N + 2, N), dtype=np.int8)
-        rows[0], rows[1] = shifts[0], s1
-        np.bitwise_xor(shifts[np.argsort(least)], s1, out=rows[2:])
+        """The members in code order: row 0 is 2m, and row 1 + a is s_1 XOR
+        2 beta_a, beta_a(t) = a . code[t] mod 2, for a = 0..2^n - 1, so row
+        1 is s_1.  As beta_(a + 2^j) = beta_a XOR m(. + j) for a < 2^j, the
+        rows 1 + 2^j.. are the rows 1.. XOR 2m(. + j): n doubling XORs."""
+        shifts = _rotations(2 * (self.s1 & 1))  # row j: 2m(. + j)
+        rows = np.empty((self.size, self.period), dtype=np.int8)
+        rows[0], rows[1] = shifts[0], self.s1
+        for j in range(self.n):
+            np.bitwise_xor(rows[1 : 1 + (1 << j)], shifts[j], out=rows[1 + (1 << j) : 1 + (2 << j)])
         rows.setflags(write=False)
         return rows
 
@@ -273,13 +265,14 @@ def family_alpha_max(family: FamilyA) -> float:
     only in phase, else a rotation of the member m_k whose window it shares,
     so C_ij(tau) = S_k = sum_t i^(m_k(t)).  And for i != k, s_i - m_k is a
     rotation s_j(. + tau) of a member, so every S_k occurs: the result is
-    max_k |S_k|.  The unit members are s_1 + 2 beta_a, beta_a(t) = a . code[t]
-    mod 2, one for each of the 2^n codes a, so one Walsh-Hadamard transform
-    of i^(s_1(t)) placed at code[t] gives every S_a.  Member 0, 2m, sums to
-    -1, while by Parseval the |S_a|^2 average N >= 3, so alpha is |S_a| at
-    the first argmax a.  As s_1 + 2 beta_a reduces to m mod 2, 2m minus it is
-    itself mod 4: ``z4_correlation`` of 2m and s_1 XOR 2 beta_a at shift
-    zero certifies the witness (a, S_a), else ConstructionError with it.
+    max_k |S_k|.  The unit member 1 + a is s_1 + 2 beta_a, beta_a(t) =
+    a . code[t] mod 2, for each of the 2^n codes a, so one Walsh-Hadamard
+    transform of i^(s_1(t)) placed at code[t] gives every S_a.  Member 0,
+    2m, sums to -1, while by Parseval the |S_a|^2 average N >= 3, so alpha
+    is |S_a| at the first argmax a.  As s_1 + 2 beta_a reduces to m mod 2,
+    2m minus it is itself mod 4: ``z4_correlation`` of 2m and s_1 XOR
+    2 beta_a at shift zero certifies the witness (a, S_a), else
+    ConstructionError with it.
     """
     s1, n = family.s1, family.n
     planes = np.zeros((1 << n, 2), dtype=np.int64)  # real, imaginary
@@ -334,10 +327,10 @@ def family_from_json(doc: dict, verify: bool = True) -> FamilyA:
     """Rebuild a family from its export form: the document must hold
     exactly what ``family_to_json`` writes for the build of its polynomial
     mod 2, and that build is returned.  For a primitive h the build is the
-    one family in the canonical layout, so a document that differs raises
-    ValueError with the first difference: h builds no family, the
-    polynomial is not the lift of h (which refuses a non-monic one), the
-    shape differs, or the first (member, t) whose symbol differs.
+    one family in code order, so a document that differs raises ValueError
+    with the first difference: h builds no family, the polynomial is not
+    the lift of h (which refuses a non-monic one), the shape differs, or the
+    first (member, t) whose symbol differs.
     ``verify`` selects nothing: a document is always compared with the
     build; it is kept for callers that still pass it.
 

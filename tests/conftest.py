@@ -39,26 +39,22 @@ ALL_PRIMITIVE_POLYS = [
 
 
 def seeded_family_members(coeffs) -> list[tuple[int, ...]]:
-    """Family A's members in canonical form, from one recurrence run per
-    cyclic class: the binary class from 2*e0 and the 2^n unit classes from
-    e0 + 2y, y in GF(2)^n.  Member 0 is the binary row at its least
-    rotation; the unit rows, which all reduce mod 2 to the m-sequence from
-    e0 and so are aligned, are ordered by their least rotation and all
-    rotated by the shift that puts the first of them at its least one."""
+    """Family A's members in code order, from one recurrence run per cyclic
+    class: member 0 from the state (0, ..., 0, 2), and member 1 + a, for
+    a < 2^n, from the state (0, ..., 0, 1) + 2 beta_a(0..n-1), where
+    beta_a = sum_j a_j m(. + j) mod 2 and m is the run from (0, ..., 0, 1)
+    read mod 2."""
     n = len(coeffs) - 1
     f = z4.graeffe_lift(coeffs)
+    e = (0,) * (n - 1) + (1,)
+    m = [v % 2 for v in z4.run_z4_recurrence(f, e)]
 
-    def rotate(row, r):
-        return row[r:] + row[:r]
+    def beta(a, t):
+        return sum(m[(t + j) % len(m)] for j in range(n) if a >> j & 1) % 2
 
-    def least_shift(row):
-        return min(range(len(row)), key=lambda r: rotate(row, r))
-
-    binary = z4.run_z4_recurrence(f, (2,) + (0,) * (n - 1))
-    units = [z4.run_z4_recurrence(f, [int(i == 0) + 2 * (y >> i & 1) for i in range(n)]) for y in range(1 << n)]
-    units.sort(key=lambda row: rotate(row, least_shift(row)))
-    r = least_shift(units[0])
-    return [rotate(binary, least_shift(binary))] + [rotate(row, r) for row in units]
+    binary = z4.run_z4_recurrence(f, (0,) * (n - 1) + (2,))
+    units = [z4.run_z4_recurrence(f, [e[t] + 2 * beta(a, t) for t in range(n)]) for a in range(1 << n)]
+    return [binary] + units
 
 
 @cache

@@ -144,6 +144,19 @@ def test_sweep_empirical_n5():
     assert r["boundRho"] == pytest.approx(2.3162994496803653, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_values,x_values,message", [
+    ([5, 5], [2, 2], "sweep n value 5 repeats"),
+    ([4, 5], [3, 2, 3], "sweep x value 3 repeats"),
+], ids=["n", "x"])
+def test_sweep_refuses_a_repeated_value_before_any_build(n_values, x_values, message, monkeypatch):
+    builds = []
+    monkeypatch.setattr(analysis.z4, "build_family_a", lambda *args: builds.append(args))
+    for empirical in (False, True):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(n_values, x_values, empirical=empirical)
+    assert builds == []
+
+
 def test_sweep_empirical_cap():
     with pytest.raises(ValueError, match=r"degree must be in \[2, 12\], got 13"):
         sweep([13], [2], empirical=True)

@@ -347,7 +347,7 @@ def test_family_cache_roundtrip(tmp_path):
 
 
 # sha256 of `qcss family --n 5` output, one member per line
-FAMILY_N5_SHA256 = "8df4043507ba01a4e1ee7c39b3293c2ec7b4b48f78a8bd2dcd533559774471ee"
+FAMILY_N5_SHA256 = "1f2e1c9b0b6034e079bc6716b44d8bb83f295ba8b26fcb1c59c03d145b237615"
 
 
 def test_family_cache_entry_and_export_keep_their_bytes(tmp_path, capsys):

@@ -272,7 +272,7 @@ def test_alpha_max_witness_reproduces_value(fixture_name, largest_first, request
     beta = np.array([bin(a & code).count("1") % 2 for code in family.codes.tolist()])
     row = family.s1 ^ 2 * beta
     assert oracle(family.array[0], row, 0) == value
-    assert any(np.array_equal(row, member) for member in family.array)
+    assert np.array_equal(row, family.array[1 + a])
     assert abs(value) == alpha
 
 
@@ -393,20 +393,21 @@ def test_build_refuses_the_identity_lift(n, monkeypatch):
 
 
 # sha256 of json.dumps(family_to_json(build_family_a(n, coeffs))), computed
-# with the earlier 4^n state-walk construction: the build must give the same
-# members in the same order, byte for byte
+# from the document of seeded_family_members(coeffs), one recurrence run per
+# cyclic class in code order: the build must give the same members in the
+# same order, byte for byte
 FAMILY_DIGESTS = {
-    (2, None): "d49b1990119a0515679be776eb68de3f8fca5db13b495ad375252bedc60a7738",
-    (3, None): "789a58802ff1bb2887b2d2fbbb64e217a19520f48ffed0783ff8fca5c12df4b0",
-    (4, None): "1726334e6cc5a08a206eca9d9467ae405732dec2ce811da3ab31d59b33b59c66",
-    (5, None): "7926fdb323b1d747684c792d002d83970aacd5e55f5e1ea287b6f5c1b9af28e1",
-    (6, None): "fa935af4bd32ee6509355f3847ff300e5594f5d45cea8b1c224b3db64dd42707",
-    (7, None): "f28e4618ca0a8862a2839bf8f3fa95396a5532ae83843a507b1a32b3347fdb27",
-    (8, None): "b2a490039fc5b3ae155cb9ea2b00a506ce5e18672624b454597ad5547b5fc531",
-    (9, None): "a0c795aa141f0ea64658374b1a9ac00b38934ee310b5e11c34b2248b9f0d58fc",
-    (10, None): "6bc4ad0bd40aad65e85d64f9046753cb2b1d2abe97fc94b9343d1884bd789ccf",
+    (2, None): "655d610b3530c000f2e94b86b5d73c67fc890261f608f039974d0ae79b961440",
+    (3, None): "1f4203df975fba65eed85d08bdd8f3b5d9bb05f53144675eb79ef18d83a0e800",
+    (4, None): "5d810455b435c7e6adb6fbeb08d9cad406023a802af7c589e9b03e60d93d1518",
+    (5, None): "c37de808dac0503a645a78ca3d095029dcedc2b08882d5ea58e85d7ca1c0cc43",
+    (6, None): "cf9d901ae0473ab07ef259532d27e76a9a21599b81b3c90ba803512571b01281",
+    (7, None): "e567f99f7f4f9ddc0e794d0bb9381dfeb70ecc5031f7a3d67c4c2ed20a0f6e5e",
+    (8, None): "97ca4aab7582e468728df4e66981c74c039c8ab1298e721e6a31a06dbf06bfdc",
+    (9, None): "382fd8687b77dade0e36ca232e56a2f28e0ce205cf0226a5df2dd29f56ca46de",
+    (10, None): "e0c3b854c6ff59c6126a32b53327ebb1a6fadfbdea73b5df436baaf9c60ac288",
     # x^8 + x^5 + x^3 + x^2 + 1, not the table entry for degree 8
-    (8, (1, 0, 1, 1, 0, 1, 0, 0, 1)): "fe97ecc29de4c298ab1ddbc1c5415332be15b75e21cca3e25e3807ac6cdfa01b",
+    (8, (1, 0, 1, 1, 0, 1, 0, 0, 1)): "738dcbd2c3719575b8f9c955492b6482a7fa74e9f964c21d6870e5eb03568053",
 }
 
 
@@ -430,17 +431,17 @@ def family_text_oracle(doc) -> bytes:
 # sha256 of family_json_bytes(build_family_a(n)) for the table polynomials,
 # one member per line; the JSON value is the one FAMILY_DIGESTS pins
 FAMILY_TEXT_DIGESTS = {
-    2: "78312e394ce7f5f4027729118c1f7f39d1231cceb45c17d4e00731c8f742d9f2",
-    3: "50e7d2d88eb99709f11be2c59040dc8674f491bf70a4603e79dade14693b3a69",
-    4: "a56276a819744efa0f7a410eae149ff04deb6ec14e7e54cff8239e2d15f6ec1f",
-    5: "8df4043507ba01a4e1ee7c39b3293c2ec7b4b48f78a8bd2dcd533559774471ee",
-    6: "2712ba1b46aa3daf845d0c0070865ff02214de11a15a429abc5eaf20ed0ed847",
-    7: "d39eb45d495e1019552050f4a4f92b9e5c130ec5d0dc3dc7759a3236ddefce13",
-    8: "0ea619e167a0f7edb0ffe5ae8813200f9f0f9b943a5f1d8e82c58de72d98e20c",
-    9: "451ff39936cb42ec9eca52184e0db9f37edd03e8506971c8bdc8ca12f2815f5b",
-    10: "9cd008fbfe597c87440b63dcd9b829c8b7a8ccdb90a91d5ee05a730267240988",
-    11: "414a24f4a92d4174e871e983066572844d3ab73a5f9f07f4b981f6284e8767df",
-    12: "f718fb2e5389be3ffb8ef47f482e8a06ea5fc1ee5e11482b8630dd072d294824",
+    2: "38b823d2739a0b49b49d86c326efaef6780bfe8bbf298049d4a3e6702a1abd50",
+    3: "8f09e17f135d87ac947996a8f62564e522641e0c000c3d1ff6db681a485e1acb",
+    4: "4bc53f10ac02b64a42745b83619d1a2993c2f6f3c1c8724d86a903fb75822eb2",
+    5: "1f2e1c9b0b6034e079bc6716b44d8bb83f295ba8b26fcb1c59c03d145b237615",
+    6: "a0688c2b0fb0a97f4f774d71c697763dd939dbf42affd39830a36b7e88d8e94a",
+    7: "1fe8523f73c187aa727df5584082eee912c481dcef1385bda61772438856e9ca",
+    8: "71ee3a8612a9b321ae5a67405f21197ff304460a9862ac2310761f3dc8ab7b17",
+    9: "3bcc7eafc32220f5a464b923c5df05a6d130b90836033e3a3ab406a792a4daf0",
+    10: "e21c2cb44bc6e66cc4c5e960a0c42c5d82e7323ab3a9d9e7f8f7ea483ef81078",
+    11: "276cfda4e6dd9bfe92a969211e1eb45f83e1fac783ba0c76a27a65db519f0a0e",
+    12: "091f791700c6d6beafad5ea86eb09355d7c9a812c2c0d46eec76e93a52ca724e",
 }
 
 
@@ -451,7 +452,7 @@ def test_table_family_text_is_pinned(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_members_0_and_1_come_from_one_recurrence_run(n):
-    # s_1 from the state (0, ..., 0, 1), code 1, the least unit state
+    # s_1 from the state (0, ..., 0, 1), member 1 + a for a = 0
     s1 = np.array(z4.run_z4_recurrence(z4.graeffe_lift(binpoly.primitive_polynomial(n)), (0,) * (n - 1) + (1,)))
     family = z4.build_family_a(n)
     np.testing.assert_array_equal(family.array[1], s1)
@@ -497,12 +498,18 @@ def window_codes(A, n: int) -> np.ndarray:
     return codes
 
 
+# every primitive polynomial of degree 2..8, the table ones among them, and the
+# table polynomials of degree 9..12
 @pytest.mark.parametrize("n,coeffs", PRIMITIVE_2_TO_8 + [(n, None) for n in range(9, 13)])
 def test_aligned_certificate_gives_the_window_codes(n, coeffs):
-    # members 2.. go by least window code, and no two share it
+    # code order: window code a gives member 1 + a = s_1 XOR 2 beta_a, beta_a =
+    # sum_j a_j m(. + j) mod 2 with m = s_1 mod 2, for every a < 2^n
     family = z4.build_family_a(n, coeffs=coeffs)
-    least = window_codes(family.array, n).min(axis=1)[2:]
-    assert np.all(np.diff(least) > 0)
+    s1 = family.s1
+    windows = np.array([np.roll(s1 & 1, -j) for j in range(n)], dtype=np.int64)  # row j: m(. + j)
+    for a in range(1 << n):
+        beta = (a >> np.arange(n) & 1) @ windows & 1
+        np.testing.assert_array_equal(family.array[1 + a], s1 ^ 2 * beta, err_msg=f"a = {a}")
 
 
 def test_build_family_guards():
@@ -673,12 +680,12 @@ MEMBER_EDITS = st.one_of(
 
 
 def oracle_accepts(A, f, n: int) -> bool:
-    """Family A in build_family_a's canonical form, from its definition: f
-    is the monic lift of a primitive h, the one that divides x^N - 1; every
+    """Family A in build_family_a's code order, from its definition: f is
+    the monic lift of a primitive h, the one that divides x^N - 1; every
     symbol is a residue 0-3; every row satisfies the recurrence with f; the
-    window codes are every nonzero state once; rows 1.. share one reduction
-    mod 2; and members 0 and 1 start at their least window code, by which
-    members 1.. are ordered."""
+    window codes are every nonzero state once; row 1 starts at the state
+    (0, ..., 0, 1), row 0 is 2 (row 1 mod 2), and row 1 + a - row 1 is
+    2 beta_a mod 4, beta_a = sum_j a_j m(. + j) mod 2 with m = row 1 mod 2."""
     N = (1 << n) - 1
     if len(f) != n + 1 or f[-1] != 1 or not binpoly.is_primitive_binary(tuple(c % 2 for c in f)):
         return False
@@ -692,10 +699,9 @@ def oracle_accepts(A, f, n: int) -> bool:
     codes = window_codes(A, n)
     if not np.array_equal(np.sort(codes.ravel()), np.arange(1, 4**n)):
         return False
-    if np.any((A[2:] - A[1]) % 2):
-        return False
-    least = codes.min(axis=1)
-    return codes[0, 0] == least[0] and codes[1, 0] == least[1] and bool(np.all(np.diff(least[1:]) > 0))
+    m = A[1] % 2
+    beta = np.array([sum((np.roll(m, -j) for j in range(n) if a >> j & 1), 0 * m) % 2 for a in range(1 << n)])
+    return codes[1, 0] == 1 and np.array_equal(A[0], 2 * m) and np.array_equal((A[1:] - A[1]) % 4, 2 * beta)
 
 
 # the lifts of both primitive polynomials of degree 4: the family is built
