@@ -15,7 +15,6 @@ from .analysis import (
 )
 from .binpoly import (
     PRIMITIVE_POLYS,
-    is_irreducible_binary,
     is_primitive_binary,
     primitive_polynomial,
 )

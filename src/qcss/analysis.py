@@ -161,10 +161,10 @@ def sweep(n_values, x_values, empirical: bool = False):
     Cells with n - x < 2 are degenerate and skipped.  Empirical mode passes
     the largest n with a cell to ``z4.check_family_degree`` before any
     census; the analytic sweep has no degree bound.  It builds the family
-    once per n and measures all of that n's cells in one ``tolerances_many``
-    pass: the census of about n 4^n additions depends on the base, not on x,
-    plus a 4^n reduction per cell.  A repeated n or x raises ValueError,
-    naming it, before any build.
+    once per n and measures all of that n's cells in one
+    ``correlation.tolerances(*qsets)`` pass: the census of about n 4^n
+    additions depends on the base, not on x, plus a 4^n reduction per cell.
+    A repeated n or x raises ValueError, naming it, before any build.
     """
     for name, values in (("n", list(n_values)), ("x", list(x_values))):
         if len(set(values)) < len(values):
@@ -202,7 +202,7 @@ def sweep(n_values, x_values, empirical: bool = False):
                 )
                 for rec in cells
             ]
-            for rec, report in zip(cells, correlation.tolerances_many(qsets)):
+            for rec, report in zip(cells, correlation.tolerances(*qsets)):
                 rec["measuredDeltaMax"] = report.delta_max
                 rec["measuredRho"] = report.rho
                 rec["lowerBound"] = report.lower_bound

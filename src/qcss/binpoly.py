@@ -9,8 +9,8 @@ bit i holding the coefficient of x^i, so ring operations are bit fiddling.
 from __future__ import annotations
 
 # Verified primitive polynomials, one per degree.  Each entry was checked by
-# is_primitive_binary itself (irreducible and root of full multiplicative
-# order); the table exists so builds are reproducible without a search.
+# is_primitive_binary itself (x of multiplicative order 2^n - 1 modulo h);
+# the table exists so builds are reproducible without a search.
 PRIMITIVE_POLYS: dict[int, tuple[int, ...]] = {
     2: (1, 1, 1),
     3: (1, 1, 0, 1),
@@ -63,12 +63,6 @@ def _pmul(a: int, b: int) -> int:
     return r
 
 
-def _pgcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _pmod(a, b)
-    return a
-
-
 def _ppow_mod(x: int, e: int, m: int) -> int:
     r = 1
     while e:
@@ -92,39 +86,29 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def is_irreducible_binary(coeffs) -> bool:
-    """Rabin irreducibility test over GF(2)."""
-    n = poly_degree(coeffs)
-    h = _to_mask(coeffs)
-    if n < 1:
-        return False
-    x = 0b10
-    if _ppow_mod(x, 1 << n, h) != _pmod(x, h):
-        return False
-    for p in _prime_factors(n):
-        y = _ppow_mod(x, 1 << (n // p), h)
-        if _pgcd(y ^ x, h) != 1:
-            return False
-    return True
-
-
 def is_primitive_binary(coeffs) -> bool:
-    """True iff the polynomial is irreducible over GF(2) and its root has
-    multiplicative order 2^n - 1.
+    """True iff x has multiplicative order 2^n - 1 modulo h, n = deg h:
+    h(0) = 1, x^(2^n) = x mod h by n squarings, and x^((2^n - 1)/p) != 1
+    for each prime p dividing 2^n - 1.
 
-    Degree must be at least 2; degree-1 inputs are rejected as invalid.
+    That order makes h irreducible too: modulo a reducible h, a proper
+    factor is a nonzero non-unit, so fewer than 2^n - 1 residues are units
+    and no unit has order 2^n - 1.  Degree must be at least 2; degree-1
+    inputs are rejected as invalid.
     """
     n = poly_degree(coeffs)
     if n < 2:
         raise ValueError("primitivity test requires degree >= 2")
-    if not is_irreducible_binary(coeffs):
-        return False
     h = _to_mask(coeffs)
+    if not h & 1:
+        return False  # x divides h, so x is no unit
+    y = 0b10
+    for _ in range(n):
+        y = _pmod(_pmul(y, y), h)
+    if y != 0b10:
+        return False
     order = (1 << n) - 1
-    for p in set(_prime_factors(order)):
-        if _ppow_mod(0b10, order // p, h) == 1:
-            return False
-    return True
+    return all(_ppow_mod(0b10, order // p, h) != 1 for p in _prime_factors(order))
 
 
 def primitive_polynomial(n: int) -> tuple[int, ...]:

@@ -13,9 +13,10 @@ its K*N member array, and takes one Walsh-Hadamard transform per mirror pair
 of shifts {tau, N - tau}, O(n 4^n) additions in the least integer dtype
 that holds +-N, so nothing is rounded, and each shift set's exponential
 sums at the wrap point; since R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau),
-the shifts tau <= (N - 1)/2 give every maximum.  Sets over one family share
-one census pass.  ``periodic_correlation``, a scalar loop summing every
-row, is the reference it is tested against.
+the shifts tau <= (N - 1)/2 give every maximum.  ``tolerances(*qsets)`` is
+its one entry: the sets over one family share one pass.
+``periodic_correlation``, a scalar loop summing every row, is the reference
+it is tested against.
 """
 
 from __future__ import annotations
@@ -118,22 +119,21 @@ def periodic_correlation(a: PhaseSequence, b: PhaseSequence, tau: int) -> comple
 @dataclass(frozen=True, eq=False)
 class QcssSet:
     """K matrices assembled from subset L of a family, v_k =
-    ``subset_l(family)[k]``, and a shift set D: matrix k has rows
+    ``subset_l(family)[k]``, and a shift set D of Z_q: matrix k has rows
     phase_transform(v_k, d, q) for d in D, sorted.
 
-    Only the family and the shifts are stored.  ``matrix(k)`` builds one
+    Only the family and the shift set are stored.  ``matrix(k)`` builds one
     (M, N) matrix on demand for the scalar oracle; ``phases`` builds the
     whole (K, M, N) tensor on each access, and the census never reads it.
     """
 
     family: FamilyA
-    q: int
-    shifts: tuple[int, ...]
+    shift_set: CyclicSubset
     provenance: dict = field(default_factory=dict)
 
     @property
     def root_order(self) -> int:
-        return _root_order(self.q)
+        return _root_order(self.shift_set.modulus)
 
     @property
     def num_sets(self) -> int:
@@ -141,7 +141,7 @@ class QcssSet:
 
     @property
     def num_rows(self) -> int:
-        return len(self.shifts)
+        return self.shift_set.size
 
     @property
     def period(self) -> int:
@@ -149,12 +149,14 @@ class QcssSet:
 
     def matrix(self, k: int) -> PhaseSequence:
         """Matrix k, rows phase_transform(v_k, d, q) for d in D: (M, N)."""
-        return phase_transform(subset_l(self.family)[k], self.shifts, self.q)
+        D = self.shift_set
+        return phase_transform(subset_l(self.family)[k], D.elements, D.modulus)
 
     @property
     def phases(self) -> np.ndarray:
         """The full (K, M, N) phase tensor, K*M*N int64 values, for tests."""
-        return phase_transform(subset_l(self.family), self.shifts, self.q).phases
+        D = self.shift_set
+        return phase_transform(subset_l(self.family), D.elements, D.modulus).phases
 
 
 def build_qcss(family: FamilyA, shift_set: CyclicSubset, provenance: dict | None = None) -> QcssSet:
@@ -167,12 +169,7 @@ def build_qcss(family: FamilyA, shift_set: CyclicSubset, provenance: dict | None
         raise TypeError(f"build_qcss takes a FamilyA, got {type(family).__name__}")
     if shift_set.size == 0:
         raise ValueError("need a nonempty shift set")
-    return QcssSet(
-        family=family,
-        q=shift_set.modulus,
-        shifts=shift_set.elements,
-        provenance=dict(provenance or {}),
-    )
+    return QcssSet(family=family, shift_set=shift_set, provenance=dict(provenance or {}))
 
 
 def _plane_dtype(N: int) -> np.dtype:
@@ -285,8 +282,8 @@ class _Tally:
     """The running maxima of one set's report while blocks of shifts stream in."""
 
     def __init__(self, qcss: QcssSet):
-        N, q = qcss.period, qcss.q
-        E = exp_sum_profile(CyclicSubset(modulus=q, elements=qcss.shifts))
+        N, q = qcss.period, qcss.shift_set.modulus
+        E = exp_sum_profile(qcss.shift_set)
         tau, magnitudes = np.arange((N + 1) // 2), np.abs(E)  # E(x) depends on x mod q
         self.e_in = E[-tau % q][:, None]  # E(-tau)
         self.e_wrap = E[(N - tau) % q][:, None]  # E(N - tau)
@@ -321,12 +318,12 @@ class _Tally:
 
     def report(self) -> CorrelationReport:
         qcss, N, per_shift = self.qcss, self.qcss.period, self.per_shift
-        K, M = qcss.num_sets, qcss.num_rows
+        K, M, q = qcss.num_sets, qcss.num_rows, qcss.shift_set.modulus
         # the pairs (k, k) at tau != 0, and the pairs k != l at every tau, give
         # every code a (but a = 0 at tau = 0), so both maxima read off per_shift
         delta_a, delta_c = float(per_shift[1:].max()), float(per_shift.max())
         delta_max = max(delta_a, delta_c)
-        in_r2 = np.arange(1, N) % qcss.q == 0
+        in_r2 = np.arange(1, N) % q == 0
         bound = welch_lower_bound(K, M, N)
         return CorrelationReport(
             delta_a=delta_a,
@@ -338,7 +335,7 @@ class _Tally:
             r1_observed=float(per_shift[1:][~in_r2].max(initial=0.0)),
             r2_observed=float(per_shift[1:][in_r2].max(initial=0.0)),
             factorization_gap_max=self.gap,
-            q=qcss.q,
+            q=q,
             num_sets=K,
             num_rows=M,
             period=N,
@@ -346,9 +343,12 @@ class _Tally:
         )
 
 
-def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
-    """Reduce one ``correlation_tensor`` pass over the first set's family
-    into the report of every set; the sets must share an equal family.
+def tolerances(*qsets: QcssSet) -> list[CorrelationReport]:
+    """The tolerance reports of one or more sets over one family, in order,
+    from one ``correlation_tensor`` pass over subset L of the first set's
+    family: every ordered pair of matrices at every shift, reduced block by
+    block.  Raises ValueError for no set, or for sets that do not share an
+    equal family.
 
     Row d of matrix k is a_k = i^(v_k) ramped by exp(2 pi i d t / q), t in
     0..N-1, so splitting each periodic row sum at the wrap point gives
@@ -357,9 +357,12 @@ def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
 
     with E(x) = sum_{d in D} exp(2 pi i d x / q) and W, Wr the in-range and
     wrapped parts of R(a_k, a_l; tau), whose K^2 pairs take only the 2^n
-    values of the code a; the cost does not depend on M.  The stream covers
-    tau <= (N - 1)/2, and each block also gives the shifts N - tau.
+    values of the code a; the cost does not depend on M, and W and Wr do
+    not depend on the shift set, so one pass serves every set.  The stream
+    covers tau <= (N - 1)/2, and each block also gives the shifts N - tau.
     """
+    if not qsets:
+        raise ValueError("need at least one set")
     first = qsets[0]
     if any(qcss.family != first.family for qcss in qsets[1:]):
         raise ValueError("the sets of one census must share one family")
@@ -370,23 +373,6 @@ def _census(qsets: list[QcssSet]) -> list[CorrelationReport]:
         for tally in tallies:
             tally.fold(taus, w, wr, base_mags)
     return [tally.report() for tally in tallies]
-
-
-def tolerances(qcss: QcssSet) -> CorrelationReport:
-    """The tolerance report of one set: every ordered pair of matrices at
-    every shift, reduced block by block as ``correlation_tensor`` streams
-    subset L of its family."""
-    return _census([qcss])[0]
-
-
-def tolerances_many(qsets) -> list[CorrelationReport]:
-    """The reports of several sets over one family, from one census pass:
-    the base correlations do not depend on the shift set.  Raises
-    ValueError if the sets do not share an equal family."""
-    qsets = list(qsets)
-    if not qsets:
-        raise ValueError("need at least one set")
-    return _census(qsets)
 
 
 def report_to_json(report: CorrelationReport) -> dict:

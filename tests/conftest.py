@@ -120,7 +120,8 @@ def direct_report_fields(qset):
     mags = np.abs(direct_tensor(qset))  # [tau, k, l]
     a = roots_table(4)[z4.subset_l(qset.family)]
     base = np.abs(np.stack([a @ np.conj(np.roll(a, -tau, axis=1)).T for tau in range(N)]))
-    ramp = np.abs(np.exp(2j * np.pi * np.outer(np.arange(N), qset.shifts) / qset.q).sum(axis=1))
+    D = qset.shift_set
+    ramp = np.abs(np.exp(2j * np.pi * np.outer(np.arange(N), D.elements) / D.modulus).sum(axis=1))
     gap = np.abs(mags - base * ramp[:, None, None]).max()
     diag = np.arange(K), np.arange(K)
     auto = mags[:, diag[0], diag[1]]

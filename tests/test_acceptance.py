@@ -150,12 +150,12 @@ def _identity_holds(D):
 def test_c07_factorization_regimes():
     family4 = z4.build_family_a(4)
     synthetic = correlation.build_qcss(family4, diffsets.singer_ds(4))
-    synthetic_report = correlation.tolerances(synthetic)
+    [synthetic_report] = correlation.tolerances(synthetic)
     exact_ok = synthetic_report.factorization_gap_max <= 1e-9
 
     family5 = z4.build_family_a(5)
     built = correlation.build_qcss(family5, diffsets.lift_ads_to_z4f(diffsets.singer_ds(3)))
-    report = correlation.tolerances(built)
+    [report] = correlation.tolerances(built)
     measured_gap = report.factorization_gap_max
     report_line(
         "C7",
@@ -173,7 +173,7 @@ def test_c08_lower_bound_validity():
     for n in (5, 6):
         family = z4.build_family_a(n)
         ads = diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - 2))
-        report = correlation.tolerances(correlation.build_qcss(family, ads))
+        [report] = correlation.tolerances(correlation.build_qcss(family, ads))
         ok &= report.delta_max >= report.lower_bound - 1e-6
         details.append(f"n={n}: delta_max {report.delta_max:.4f} >= bound {report.lower_bound:.4f}")
     report_line("C8", ok, "; ".join(details))
@@ -186,7 +186,7 @@ def test_c09_construction_comparison_informational():
         t0 = time.perf_counter()
         family = z4.build_family_a(n)
         ads = diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - 2))
-        report = correlation.tolerances(correlation.build_qcss(family, ads))
+        [report] = correlation.tolerances(correlation.build_qcss(family, ads))
         elapsed = time.perf_counter() - t0
         claimed = (1 + 2 ** (n / 2)) * math.sqrt((1 << n) - 3)
         # informational: measured values are reported next to the claimed ones,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,34 @@ def test_reducible_is_not_primitive():
 def test_irreducible_with_short_order_is_not_primitive():
     # x^4 + x^3 + x^2 + x + 1 is irreducible but its root has order 5, not 15
     h = (1, 1, 1, 1, 1)
-    assert binpoly.is_irreducible_binary(h)
     assert not binpoly.is_primitive_binary(h)
+
+
+def order_of_x(coeffs):
+    """The multiplicative order of x modulo h by stepping x^k, or None if
+    no power of x is 1 (h(0) = 0)."""
+    n, h = len(coeffs) - 1, sum(c << i for i, c in enumerate(coeffs))
+    y = 1
+    for k in range(1, 1 << n):
+        y <<= 1
+        if y >> n:
+            y ^= h
+        if y == 1:
+            return k
+    return None
+
+
+def test_primitivity_is_the_order_of_x():
+    # every monic h of degree 2..8, h(0) = 0 included, against the order of
+    # x stepped one power at a time; then the count of primitive h at each
+    # degree n = 2..12 is phi(2^n - 1)/n
+    for n in range(2, 9):
+        for middle in itertools.product((0, 1), repeat=n):
+            h = middle + (1,)
+            assert binpoly.is_primitive_binary(h) == (order_of_x(h) == (1 << n) - 1), h
+    counts = [sum(binpoly.is_primitive_binary(middle + (1,)) for middle in itertools.product((0, 1), repeat=n))
+              for n in range(2, 13)]
+    assert counts == [1, 2, 2, 6, 6, 18, 16, 48, 60, 176, 144]
 
 
 def test_primitivity_rejects_degree_below_two():

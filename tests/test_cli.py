@@ -181,24 +181,18 @@ def test_census_and_verify_never_build_the_tensor(tmp_path, monkeypatch, capsys)
     assert "verify: ok" in capsys.readouterr().out
 
 
-def test_verify_flags_a_non_unimodular_root(tmp_path, monkeypatch, capsys):
-    # every entry of the n = 5 set is roots_table(28)[phase]
-    real = correlation.roots_table
-
-    def skewed(order):
-        table = real(order)
-        if order == 28:
-            table = table.copy()
-            table[5] *= 1.0 + 1e-9
-        return table
-
-    monkeypatch.setattr(correlation, "roots_table", skewed)
+def test_verify_flags_delta_max_below_the_lower_bound(tmp_path, monkeypatch, capsys):
+    # the Welch-type floor is the one check --verify makes; a floor above
+    # the measured delta_max (49.13 at n = 5) must fail it
+    monkeypatch.setattr(correlation, "welch_lower_bound", lambda K, M, N: 1e6)
     assert run(["qcss", "--n", "5", "--verify", "--out", str(tmp_path / "r.json")]) == 3
-    assert "verify: non-unimodular entry found" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"verify: delta_max \S+ below lower bound 1000000\.0\n", captured.err)
+    assert "verify: ok" not in captured.out
 
 
 def test_out_of_memory_is_a_resource_cap(tmp_path, monkeypatch, capsys):
-    def exhausted(qset):
+    def exhausted(*qsets):
         raise MemoryError("Unable to allocate 4.27 GiB")
 
     monkeypatch.setattr(correlation, "tolerances", exhausted)
@@ -259,10 +253,10 @@ def test_empirical_sweep_keeps_its_bytes(tmp_path):
 
 
 def test_sweep_fails_before_any_census_above_the_family_degree(tmp_path, monkeypatch, capsys):
-    def refuse(qsets):
+    def refuse(*qsets):
         raise AssertionError("a census ran")
 
-    monkeypatch.setattr(correlation, "tolerances_many", refuse)
+    monkeypatch.setattr(correlation, "tolerances", refuse)
     out = tmp_path / "x.json"
     assert run(["sweep", "--n-range", "4,13", "--x-range", "2", "--empirical", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: degree must be in [2, {z4.MAX_FAMILY_DEGREE}], got 13\n"

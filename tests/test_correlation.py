@@ -27,7 +27,8 @@ def qcss5(family5):
 
 @pytest.fixture(scope="module")
 def report5(qcss5):
-    return tolerances(qcss5)
+    [report] = tolerances(qcss5)
+    return report
 
 
 def random_phase_sequence(rng, root_order, length):
@@ -142,7 +143,7 @@ def test_synthetic_factorization_gap_is_zero(family4):
     # base period equals the shift modulus, so the separable form is exact
     shifts = diffsets.singer_ds(4)  # subset of Z_15, q = N = 15
     qset = build_qcss(family4, shifts)
-    report = tolerances(qset)
+    [report] = tolerances(qset)
     assert report.factorization_gap_max <= 1e-9
     assert report.r2_observed == 0.0  # no nontrivial multiple of q below N
 
@@ -152,7 +153,7 @@ def test_synthetic_factorization_gap_is_zero(family4):
 
 def test_build_shapes_n5(qcss5):
     assert (qcss5.num_sets, qcss5.num_rows, qcss5.period) == (32, 13, 31)
-    assert qcss5.q == 28 and qcss5.root_order == 28
+    assert qcss5.shift_set.modulus == 28 and qcss5.root_order == 28
     entries = roots_table(qcss5.root_order)[qcss5.phases]
     assert np.allclose(np.abs(entries), 1.0, atol=1e-12)
 
@@ -224,7 +225,7 @@ def test_report_matches_direct_sums_on_random_sets(block_entries, monkeypatch):
         q = int(rng.integers(1, 13))
         shifts = diffsets.CyclicSubset(q, tuple(sorted(set(rng.integers(0, q, size=3).tolist()))))
         qset = build_qcss(family_a(coeffs), shifts)
-        report = tolerances(qset)
+        [report] = tolerances(qset)
         delta_a, delta_c, per_shift, gap = direct_report_fields(qset)
         assert report.delta_a == pytest.approx(delta_a, abs=1e-9)
         assert report.delta_c == pytest.approx(delta_c, abs=1e-9)
@@ -244,7 +245,7 @@ def test_report_matches_direct_sums_n7(monkeypatch):
     blocks = list(correlation.correlation_tensor(qset))
     assert [(start, len(w)) for start, w, _ in blocks] == [(0, 40), (40, 24)]
     assert blocks[0][1][0, 0] == 127
-    report = tolerances(qset)
+    [report] = tolerances(qset)
     delta_a, delta_c, per_shift, gap = direct_report_fields(qset)
     assert report.delta_a == pytest.approx(delta_a, abs=1e-9)
     assert report.delta_c == pytest.approx(delta_c, abs=1e-9)
@@ -273,7 +274,7 @@ def test_census_transforms_one_shift_per_mirror_pair(n, dtype, monkeypatch):
 
     monkeypatch.setattr(correlation, "_walsh_hadamard", record)
     K, N = 1 << n, (1 << n) - 1
-    report = tolerances(build_qcss(qcss.build_family_a(n), diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - 2))))
+    [report] = tolerances(build_qcss(qcss.build_family_a(n), diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - 2))))
     assert len(report.per_shift_max) == N
     assert {shape[:2] for shape, _ in transformed} == {(K, 4)}
     assert {planes_dtype for _, planes_dtype in transformed} == {np.dtype(dtype)}
@@ -301,13 +302,13 @@ def test_walsh_hadamard_is_exact_at_the_dtype_edge(n):
 @pytest.fixture(scope="module")
 def cell_reports():
     """The report of every construction cell n = 4..10, x = 2..4, by
-    (n, x), from one ``tolerances_many`` per n."""
+    (n, x), from one ``tolerances(*qsets)`` per n."""
     reports = {}
     for n in range(4, 11):
         family = qcss.build_family_a(n)
         xs = [x for x in (2, 3, 4) if n - x >= 2]
         qsets = [build_qcss(family, diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - x))) for x in xs]
-        reports.update(zip([(n, x) for x in xs], correlation.tolerances_many(qsets)))
+        reports.update(zip([(n, x) for x in xs], correlation.tolerances(*qsets)))
     return reports
 
 
@@ -340,7 +341,7 @@ def test_census_reads_its_ramp_sums_from_one_table(qcss5, report5, monkeypatch):
         raise AssertionError("the census classified its shift set")
 
     monkeypatch.setattr(diffsets, "classify_set", refuse)
-    again = tolerances(qcss5)
+    [again] = tolerances(qcss5)
     np.testing.assert_array_equal(again.per_shift_max, report5.per_shift_max)
     assert again.factorization_gap_max == report5.factorization_gap_max
 
@@ -399,7 +400,7 @@ def test_single_row_toy_excludes_inphase_autocorrelation(family4):
     # M = 1 toy: delta_a ranges over nonzero shifts only
     base = qcss.subset_l(family4)
     qset = build_qcss(family4, diffsets.CyclicSubset(15, (0,)))
-    report = tolerances(qset)
+    [report] = tolerances(qset)
     expected_auto = max(
         abs(z4.z4_correlation(row, row, tau)) for row in base for tau in range(1, 15)
     )

@@ -60,7 +60,7 @@ def test_engine_matches_scalar_oracle(qset, block_entries):
     mags = np.abs(oracle_tensor(qset))  # [tau, k, l]
     with mock.patch.object(correlation, "_BLOCK_ENTRIES", block_entries):
         blocks = list(correlation.correlation_tensor(qset))
-        report = tolerances(qset)
+        [report] = tolerances(qset)
     half = (N + 1) // 2  # the census streams one shift of each mirror pair
     base = z4.subset_l(qset.family)
     assert [start for start, _, _ in blocks] == list(range(0, half, max(1, block_entries // K)))
@@ -103,7 +103,7 @@ def test_wrap_split_identity(pair, shift_set, data):
 def test_reported_maxima_reproduced_at_argmax(qset, block_entries):
     K, N = qset.num_sets, qset.period
     with mock.patch.object(correlation, "_BLOCK_ENTRIES", block_entries):
-        report = tolerances(qset)
+        [report] = tolerances(qset)
     mags = np.abs(direct_tensor(qset)).transpose(1, 2, 0)  # [k, l, tau]
 
     def oracle_at(index):
@@ -145,7 +145,7 @@ def test_matrix_matches_per_row_assembly(coeffs, shift_set, data):
     assert (qset.num_sets, qset.num_rows, qset.period) == (len(base), shift_set.size, family.period)
     k = data.draw(st.integers(0, len(base) - 1))
     # the assembly build_qcss used to run: one phase_transform per (k, d)
-    tensor = np.stack([[phase_transform(v, d, qset.q).phases for d in shift_set.elements] for v in base])
+    tensor = np.stack([[phase_transform(v, d, shift_set.modulus).phases for d in shift_set.elements] for v in base])
     matrix = qset.matrix(k)
     assert matrix.root_order == qset.root_order
     np.testing.assert_array_equal(matrix.phases, tensor[k])
@@ -160,8 +160,8 @@ def test_one_census_serves_every_shift_set(coeffs, shift_set_list, block_entries
     family = family_a(coeffs)
     qsets = [build_qcss(family, shift_set) for shift_set in shift_set_list]
     with mock.patch.object(correlation, "_BLOCK_ENTRIES", block_entries):
-        together = correlation.tolerances_many(qsets)
-        alone = [tolerances(qset) for qset in qsets]
+        together = tolerances(*qsets)
+        alone = [tolerances(qset)[0] for qset in qsets]
     assert len(together) == len(alone)
     for a, b in zip(together, alone):
         for name in ("delta_a", "delta_c", "delta_max", "lower_bound", "rho", "r1_observed",
@@ -182,14 +182,14 @@ def test_one_census_needs_one_base():
     ]
     for other in with_another:
         with pytest.raises(ValueError, match="share one family"):
-            correlation.tolerances_many([first, build_qcss(other, shifts)])
+            tolerances(first, build_qcss(other, shifts))
     with pytest.raises(ValueError, match="at least one set"):
-        correlation.tolerances_many([])
+        tolerances()
     # an equal family made apart from the first passes
     same = z4.FamilyA(3, family.h)
     assert same is not family
     other_shifts = CyclicSubset(modulus=5, elements=(0, 1))
-    assert len(correlation.tolerances_many([first, build_qcss(same, other_shifts)])) == 2
+    assert len(tolerances(first, build_qcss(same, other_shifts))) == 2
 
 
 def pairs_with_row_0(qset):
@@ -229,13 +229,13 @@ def test_census_matches_direct_sums_at_degree_8(shift_set):
     # K N^2 terms over the pairs (k, 0)
     qset = build_qcss(family_a(BASE_8), shift_set)
     N = qset.period
-    E = np.exp(2j * np.pi * np.outer(np.arange(-N, N), qset.shifts) / qset.q).sum(axis=1)  # E[x + N]
+    E = np.exp(2j * np.pi * np.outer(np.arange(-N, N), shift_set.elements) / shift_set.modulus).sum(axis=1)  # E[x + N]
     want = np.empty(N)
     for tau, products, lag in pairs_with_row_0(qset):
         G = np.abs(products @ E[lag + N])
         if tau == 0:
             G[0] = 0.0  # the in-phase autocorrelation
         want[tau] = G.max()
-    report = tolerances(qset)
+    [report] = tolerances(qset)
     np.testing.assert_allclose(report.per_shift_max, want, rtol=1e-9, atol=1e-9)
     assert report.delta_max == pytest.approx(want.max(), rel=1e-9)
