@@ -13,6 +13,7 @@ files) and reports through exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -221,7 +222,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process and shared by every ``main``
+    call: treat it as read-only.  ``parse_args`` returns a fresh Namespace on
+    each call, so no state passes from one call to the next.  A ``qcss``
+    process calls ``main`` once, so only a process that calls it again (a
+    library caller, the tests, the benchmark) saves the rebuild."""
     parser = argparse.ArgumentParser(
         prog="qcss",
         description="Construct and verify quasi-complementary sequence sets "
@@ -278,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 on bad usage; 2 is the config code
         return int(exc.code) if exc.code is not None else EXIT_CONFIG

@@ -121,7 +121,8 @@ def _walsh_hadamard(planes: np.ndarray) -> None:
     """
     inner = planes[0].size
     for j in range(len(planes).bit_length() - 1):
-        x, y = np.moveaxis(planes.reshape(-1, 2, inner << j), 1, 0)
+        pairs = planes.reshape(-1, 2, inner << j)
+        x, y = pairs[:, 0], pairs[:, 1]
         x += y
         y *= -2
         y += x

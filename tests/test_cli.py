@@ -560,3 +560,38 @@ def test_readme_flags_table_matches_the_parser():
         for name, p in commands.items()
     }
     assert documented == parsed
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    added = []
+    inner = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda self, *a, **k: added.append(a) or inner(self, *a, **k))
+    cli.build_parser.cache_clear()
+    argv = ["tables", "--table", "1", "--x-max", "2", "--out", str(tmp_path / "t.csv")]
+    assert run(argv) == 0
+    first = len(added)
+    assert first > 0
+    assert run(argv) == 0
+    assert len(added) == first
+
+
+@pytest.mark.parametrize("before, code", [
+    (["qcss"], 2),  # --n missing
+    (["qcss", "--n", "4", "--digits", "2"], 2),  # a flag of another command
+    (["--help"], 0),
+    (["qcss", "--help"], 0),
+    (["qcss", "--n", "4", "--format", "csv"], 0),
+    (["qcss", "--n", "4", "--verify"], 0),
+])
+def test_a_call_leaves_the_next_call_as_a_first_call(before, code, tmp_path, capsys):
+    def valid(out):
+        status = run(["qcss", "--n", "4", "--out", str(out)])
+        return status, out.read_bytes(), capsys.readouterr().out
+
+    cli.build_parser.cache_clear()
+    first = valid(tmp_path / "first.json")
+    cli.build_parser.cache_clear()
+    assert run(before) == code
+    capsys.readouterr()
+    assert valid(tmp_path / "after.json") == first

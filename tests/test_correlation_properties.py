@@ -239,3 +239,27 @@ def test_census_matches_direct_sums_at_degree_8(shift_set):
     [report] = tolerances(qset)
     np.testing.assert_allclose(report.per_shift_max, want, rtol=1e-9, atol=1e-9)
     assert report.delta_max == pytest.approx(want.max(), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_full_period_sums_are_alphas_spectrum(n):
+    # u = c_tau + 2 beta_a is a rotation of member 1 + b for a code b affine
+    # in a, so at tau != 0 the 2^n sums W + Wr are the spectrum S_b =
+    # sum_t i^(s_1(t)) (-1)^(b . code[t]) that family_alpha_max maximises;
+    # W and Wr read no shift set
+    family = z4.build_family_a(n)
+    N, codes = family.period, family.codes
+    masked = np.arange(1 << n)[:, None] & codes
+    parity = np.zeros_like(masked)
+    for k in range(n):
+        parity ^= (masked >> k) & 1
+    signs = 1 - 2 * parity
+    spectrum = signs @ np.array([1, 1j, -1, -1j])[family.s1]
+    assert max(map(abs, spectrum.tolist())) == z4.family_alpha_max(family)
+    qset = build_qcss(family, CyclicSubset(modulus=1, elements=(0,)))
+    for start, w, wr in correlation.correlation_tensor(qset):
+        for b, sums in enumerate(w + wr):
+            if start + b == 0:
+                np.testing.assert_array_equal(sums, [N] + [-1] * (len(sums) - 1))
+            else:
+                np.testing.assert_array_equal(np.sort(sums), np.sort(spectrum), err_msg=f"tau = {start + b}")
