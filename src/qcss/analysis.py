@@ -164,6 +164,9 @@ def sweep(n_values, x_values, empirical: bool = False):
     once per n and measures all of that n's cells in one
     ``correlation.tolerances(*qsets)`` pass: the census of about n 4^n
     additions depends on the base, not on x, plus a 4^n reduction per cell.
+    A cell's shift set depends only on its base degree k = n - x, so each
+    is lifted once per call, by the first cell with that k, and shared by
+    every later one: an a x b grid lifts at most a + b - 1 sets.
     A repeated n or x raises ValueError, naming it, before any build.
     """
     for name, values in (("n", list(n_values)), ("x", list(x_values))):
@@ -173,6 +176,7 @@ def sweep(n_values, x_values, empirical: bool = False):
     if empirical and with_cells:
         z4.check_family_degree(max(with_cells))
     records = []
+    shift_sets = {}  # base degree k = n - x -> its lifted ADS
     for n in n_values:
         cells = []
         for x in x_values:
@@ -194,10 +198,14 @@ def sweep(n_values, x_values, empirical: bool = False):
             })
         if empirical and cells:
             family = z4.build_family_a(n)
+            for rec in cells:
+                k = n - rec["x"]
+                if k not in shift_sets:
+                    shift_sets[k] = diffsets.lift_ads_to_z4f(diffsets.singer_ds(k))
             qsets = [
                 correlation.build_qcss(
                     family,
-                    diffsets.lift_ads_to_z4f(diffsets.singer_ds(n - rec["x"])),
+                    shift_sets[n - rec["x"]],
                     provenance={"n": n, "x": rec["x"]},
                 )
                 for rec in cells

@@ -106,8 +106,10 @@ def z4_correlation(a, b, tau: int = 0) -> complex:
 
 
 def _rotations(row: np.ndarray) -> np.ndarray:
-    """The read-only (N, N) view whose row s is row(. + s), indices mod N."""
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row[:-1]]), len(row))
+    """The read-only (N, N) view whose row s is row(. + s), indices mod N:
+    row s starts s items into row doubled."""
+    d = np.concatenate([row, row[:-1]])
+    return np.lib.stride_tricks.as_strided(d, (len(row), len(row)), d.strides * 2, writeable=False)
 
 
 def _walsh_hadamard(planes: np.ndarray) -> None:

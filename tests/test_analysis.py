@@ -144,6 +144,45 @@ def test_sweep_empirical_n5():
     assert r["boundRho"] == pytest.approx(2.3162994496803653, abs=1e-9)
 
 
+def count_lifts(monkeypatch):
+    """Patch the sweep's ADS lift to record each call's base degree k, read
+    off the base set's modulus 2^k - 1; return the list it appends to."""
+    lifts, lift = [], analysis.diffsets.lift_ads_to_z4f
+
+    def counting(base, *args):
+        lifts.append(base.modulus.bit_length())
+        return lift(base, *args)
+
+    monkeypatch.setattr(analysis.diffsets, "lift_ads_to_z4f", counting)
+    return lifts
+
+
+def test_sweep_lifts_each_base_degree_once(monkeypatch):
+    lifts = count_lifts(monkeypatch)
+    shift_sets, build = {}, analysis.correlation.build_qcss
+
+    def recording(family, shift_set, provenance):
+        shift_sets[provenance["n"], provenance["x"]] = shift_set
+        return build(family, shift_set, provenance)
+
+    monkeypatch.setattr(analysis.correlation, "build_qcss", recording)
+    records = sweep([4, 5, 6], [2, 3, 4], empirical=True)
+    assert len(records) == 6 and lifts == [2, 3, 4]
+    for k in (2, 3, 4):
+        assert len({id(d) for (n, x), d in shift_sets.items() if n - x == k}) == 1
+    # each cell measures as its own one-cell sweep, which lifts for itself
+    for r in records:
+        assert sweep([r["n"]], [r["x"]], empirical=True) == [r]
+
+
+def test_sweep_keeps_no_lift_between_calls(monkeypatch):
+    lifts = count_lifts(monkeypatch)
+    first = sweep([4, 5, 6], [2, 3, 4], empirical=True)
+    assert lifts == [2, 3, 4]
+    assert sweep([4, 5, 6], [2, 3, 4], empirical=True) == first
+    assert lifts == [2, 3, 4] * 2
+
+
 @pytest.mark.parametrize("n_values,x_values,message", [
     ([5, 5], [2, 2], "sweep n value 5 repeats"),
     ([4, 5], [3, 2, 3], "sweep x value 3 repeats"),

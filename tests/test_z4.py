@@ -123,6 +123,19 @@ def test_recurrence_matches_the_scalar_loop(case, data):
     assert z4.run_z4_recurrence(f, init) == recurrence_oracle(f, init, (1 << n) - 1)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("N", [1, 2, 15, 127])
+def test_rotations_is_a_read_only_view_of_every_shift(N, dtype):
+    row = np.random.default_rng(N).integers(-100, 100, size=N).astype(dtype)
+    rotations = z4._rotations(row)
+    assert rotations.shape == (N, N) and rotations.dtype == dtype
+    for s in range(N):
+        assert np.array_equal(rotations[s], np.roll(row, -s))
+    assert not rotations.flags.writeable
+    with pytest.raises(ValueError):
+        rotations[0, 0] = 1
+
+
 # ---------------------------------------------------------------- family
 
 
