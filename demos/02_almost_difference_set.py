@@ -47,6 +47,10 @@ with np.printoptions(precision=3, suppress=True):
 print(f"max over nontrivial shifts: {profile[1:].max():.6f}")
 print(f"two-level census bound sqrt(q + M - lambda - t - 1) = {exp_sum_bound(c):.6f}")
 print()
-print("The strict gap between the profile and its bound is what keeps the")
-print("assembled matrices below the advertised correlation ceiling in the")
-print("shift class where the ramp phases do not resonate.")
+print("The profile stays below its bound, but that does not keep the assembled")
+print("matrices below the claimed correlation ceiling (1 + 2^(n/2)) sqrt(4f + 1):")
+print("the claim assumes each correlation factors into a base correlation times")
+print("a ramp sum, which fails because q = 4f never divides the odd period N.")
+print("The census measures delta_max above the claim at every n = 8..12 for")
+print("x = 2 (1.51 to 1.94 times it), reached at shifts not divisible by q")
+print("(tau = 88 at n = 8), and far above it for x >= 3.")

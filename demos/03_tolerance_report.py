@@ -56,8 +56,8 @@ print()
 print("The measured delta_max exceeds the claimed ceiling.  The ceiling")
 print("assumes the correlation of transformed rows factors into the base")
 print("correlation times the ramp sum, which only holds when q divides N*d;")
-print("here q = 2^n - 4 and N = 2^n - 1 are coprime to that requirement, so")
-print("wrapping breaks the separable form.  The report measures that gap")
+print("here q = 2^n - 4 = 4f is even and N = 2^n - 1 is odd, so q never divides")
+print("N and wrapping breaks the separable form.  The report measures that gap")
 print(f"explicitly ({report.factorization_gap_max:.2f}) instead of assuming zero, and the")
 print("comparison with the claimed value is reported, not asserted.")
 print()

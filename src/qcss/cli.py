@@ -48,9 +48,13 @@ def _dump_text(text: str | memoryview, out: str | None) -> None:
         sys.stdout.write(text if isinstance(text, str) else str(text, "ascii"))
 
 
-def _write_cache(path: Path, text: str | memoryview) -> None:
-    """Write a cache entry atomically: a temporary file in the same directory,
-    then os.replace, so readers never see a partial entry."""
+def _save(args, entry: str, text: str | memoryview) -> None:
+    """Write a cache entry when --cache-dir is given, atomically: a temporary
+    file in the same directory, then os.replace, so readers never see a
+    partial entry."""
+    if not args.cache_dir:
+        return
+    path = Path(args.cache_dir) / entry
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -60,38 +64,15 @@ def _write_cache(path: Path, text: str | memoryview) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _cache_dir(args) -> Path | None:
-    return Path(args.cache_dir) if args.cache_dir else None
-
-
-def _build_family(n: int, args) -> tuple[z4.FamilyA, memoryview | None]:
-    """The family, and its JSON bytes when they were rendered for the cache entry."""
-    poly = getattr(args, "poly", None)  # custom polynomials are not cached
-    family = z4.build_family_a(n, coeffs=_parse_poly(poly) if poly else None)
-    cache = _cache_dir(args)
-    text = None
-    if cache and poly is None:
-        text = z4.family_json_bytes(family)
-        _write_cache(cache / "family-a" / f"n{n}.json", text)
-    return family, text
-
-
-def _build_ads(f: int, ds_kind: str, args) -> tuple[diffsets.CyclicSubset, str | None]:
-    """The lifted set, and its export text when it was rendered for the cache entry."""
-    if ds_kind == "singer":
-        k = (f + 1).bit_length() - 1
-        if (1 << k) - 1 != f:
-            raise ValueError(f"singer base needs f = 2^k - 1, got {f}")
-        W = diffsets.singer_ds(k)
+def _lift(f: int, kind: str) -> diffsets.CyclicSubset:
+    """The base difference set of modulus f, Singer or Legendre, lifted to Z_4f."""
+    if kind == "singer":
+        if f < 3 or f & (f + 1):
+            raise ValueError(f"singer base needs f = 2^k - 1 with k >= 2, got {f}")
+        W = diffsets.singer_ds(f.bit_length())
     else:  # argparse's choices leave only "legendre"
         W = diffsets.legendre_ds(f)
-    U = diffsets.lift_ads_to_z4f(W)
-    cache = _cache_dir(args)
-    text = None
-    if cache:
-        text = _ads_json_text(U)
-        _write_cache(cache / "ads" / f"f{f}-{ds_kind}.json", text)
-    return U, text
+    return diffsets.lift_ads_to_z4f(W)
 
 
 def _ads_json_text(U: diffsets.CyclicSubset) -> str:
@@ -106,9 +87,12 @@ def _parse_poly(text: str) -> tuple[int, ...]:
 
 
 def cmd_family(args) -> int:
-    family, text = _build_family(args.n, args)
+    family = z4.build_family_a(args.n, coeffs=_parse_poly(args.poly) if args.poly else None)
     alpha = z4.family_alpha_max(family)
-    _dump_text(text or z4.family_json_bytes(family), args.out)
+    text = z4.family_json_bytes(family)
+    if args.poly is None:  # custom polynomials are not cached
+        _save(args, f"family-a/n{args.n}.json", text)
+    _dump_text(text, args.out)
     print(f"familyA n={family.n} size={family.size} alpha_max={alpha:.6f}")
     return EXIT_OK
 
@@ -120,8 +104,10 @@ def cmd_ads(args) -> int:
         f = analysis.construction_params(args.n).f
     else:
         raise ValueError("ads needs --f or --n")
-    U, text = _build_ads(f, args.ds, args)
-    _dump_text(text or _ads_json_text(U), args.out)
+    U = _lift(f, args.ds)
+    text = _ads_json_text(U)
+    _save(args, f"ads/f{f}-{args.ds}.json", text)
+    _dump_text(text, args.out)
     c = diffsets.expected_ads_classification(f)  # what lift_ads_to_z4f certified
     print(f"ads f={f} q={U.modulus} classification=({c.p},{c.m},{c.lam},{c.t}) kind={c.kind}")
     return EXIT_OK
@@ -130,8 +116,8 @@ def cmd_ads(args) -> int:
 def cmd_qcss(args) -> int:
     n = args.n
     params = analysis.construction_params(n)
-    family, _ = _build_family(n, args)
-    ads, _ = _build_ads(params.f, args.ds, args)
+    family = z4.build_family_a(n)
+    ads = _lift(params.f, args.ds)
     qset = correlation.build_qcss(
         family,
         ads,
@@ -144,22 +130,26 @@ def cmd_qcss(args) -> int:
         },
     )
     [report] = correlation.tolerances(qset)
+    # the shape and the shift-class maxima hold by construction; the
+    # Welch-type floor is the one property the census can falsify
+    if args.verify and report.delta_max < report.lower_bound - correlation.MAGNITUDE_TOL:
+        print(f"verify: delta_max {report.delta_max} below lower bound {report.lower_bound}",
+              file=sys.stderr)
+        return EXIT_FALSIFIED
     if args.format == "csv":
-        _dump_text(correlation.report_per_shift_csv(report), args.out)
+        text = correlation.report_per_shift_csv(report)
     else:
-        _dump_json(correlation.report_to_json(report), args.out)
+        text = _json_text(correlation.report_to_json(report))
+    if args.cache_dir:
+        _save(args, f"family-a/n{n}.json", z4.family_json_bytes(family))
+        _save(args, f"ads/f{params.f}-{args.ds}.json", _ads_json_text(ads))
+    _dump_text(text, args.out)
     print(
         f"qcss n={n} K={report.num_sets} M={report.num_rows} N={report.period} q={report.q} "
         f"delta_max={report.delta_max:.6f} lower_bound={report.lower_bound:.6f} "
         f"rho={report.rho:.6f} claimed_delta_max={params.claimed_delta_max:.6f}"
     )
     if args.verify:
-        # the shape and the shift-class maxima hold by construction; the
-        # Welch-type floor is the one property the census can falsify
-        if report.delta_max < report.lower_bound - correlation.MAGNITUDE_TOL:
-            print(f"verify: delta_max {report.delta_max} below lower bound {report.lower_bound}",
-                  file=sys.stderr)
-            return EXIT_FALSIFIED
         print("verify: ok")
     return EXIT_OK
 

@@ -202,7 +202,7 @@ def correlation_tensor(qcss: QcssSet) -> Iterator[tuple[int, np.ndarray, np.ndar
     wr[b, a] = Wr of the pair (a, 0) at tau = start + b (beta_a is the gamma
     of code a), in blocks of about _BLOCK_ENTRIES // K shifts, at least one,
     that cover [0, (N + 1)/2).  N = 2^n - 1 is odd, so for tau >= 1 the
-    shifts tau and N - tau never coincide; ``_Tally.fold`` reads the shift
+    shifts tau and N - tau never coincide; ``tolerances`` reads the shift
     N - tau off the block at tau.
     """
     family = qcss.family
@@ -278,69 +278,30 @@ class CorrelationReport:
         return "R2" if tau % self.q == 0 else "R1"
 
 
-class _Tally:
-    """The running maxima of one set's report while blocks of shifts stream in."""
-
-    def __init__(self, qcss: QcssSet):
-        N, q = qcss.period, qcss.shift_set.modulus
-        E = exp_sum_profile(qcss.shift_set)
-        tau, magnitudes = np.arange((N + 1) // 2), np.abs(E)  # E(x) depends on x mod q
-        self.e_in = E[-tau % q][:, None]  # E(-tau)
-        self.e_wrap = E[(N - tau) % q][:, None]  # E(N - tau)
-        self.mirror = -tau % N  # N - tau, and 0 at tau = 0
-        self.ramp_sums = [magnitudes[x % q][:, None] for x in (tau, self.mirror)]  # |E(tau)|, |E(N - tau)|
-        self.qcss = qcss
-        self.per_shift = np.zeros(N)
-        self.gap = 0.0
-
-    def fold(self, taus: slice, w, wr, base_mags) -> None:
-        """Fold a block of shifts tau into the maxima at tau and at N - tau.
-
-        For tau >= 1, (k, l) -> (l, k) maps the pairs at tau onto those at
-        N - tau, and R(C_k, C_l; tau) = conj R(C_l, C_k; N - tau) holds for
-        the sets and for their base rows alike, so both shifts have the same
-        |G| and base magnitudes: one row maximum serves both, and the gap at
-        N - tau differs only by its ramp |E(N - tau)|.
-        """
-        g = self.e_in[taus] * w
-        g += self.e_wrap[taus] * wr
-        mags = np.abs(g)
-        d = np.empty_like(mags)
-        for ramp_sum in self.ramp_sums:
-            np.multiply(base_mags, ramp_sum[taus], out=d)
-            d -= mags
-            self.gap = max(self.gap, float(np.abs(d, out=d).max()))
-        if taus.start == 0:
-            mags[0, 0] = 0.0  # beta = 0 at tau = 0: the in-phase autocorrelation, trivially M*N
-        row_max = mags.max(axis=1)
-        self.per_shift[taus] = row_max
-        self.per_shift[self.mirror[taus]] = row_max
-
-    def report(self) -> CorrelationReport:
-        qcss, N, per_shift = self.qcss, self.qcss.period, self.per_shift
-        K, M, q = qcss.num_sets, qcss.num_rows, qcss.shift_set.modulus
-        # the pairs (k, k) at tau != 0, and the pairs k != l at every tau, give
-        # every code a (but a = 0 at tau = 0), so both maxima read off per_shift
-        delta_a, delta_c = float(per_shift[1:].max()), float(per_shift.max())
-        delta_max = max(delta_a, delta_c)
-        in_r2 = np.arange(1, N) % q == 0
-        bound = welch_lower_bound(K, M, N)
-        return CorrelationReport(
-            delta_a=delta_a,
-            delta_c=delta_c,
-            delta_max=delta_max,
-            lower_bound=bound,
-            rho=delta_max / bound if bound > 0 else None,
-            per_shift_max=per_shift,
-            r1_observed=float(per_shift[1:][~in_r2].max(initial=0.0)),
-            r2_observed=float(per_shift[1:][in_r2].max(initial=0.0)),
-            factorization_gap_max=self.gap,
-            q=q,
-            num_sets=K,
-            num_rows=M,
-            period=N,
-            provenance=dict(qcss.provenance),
-        )
+def _report(qcss: QcssSet, per_shift: np.ndarray, gap: float) -> CorrelationReport:
+    N, K, M, q = qcss.period, qcss.num_sets, qcss.num_rows, qcss.shift_set.modulus
+    # the pairs (k, k) at tau != 0, and the pairs k != l at every tau, give
+    # every code a (but a = 0 at tau = 0), so both maxima read off per_shift
+    delta_a, delta_c = float(per_shift[1:].max()), float(per_shift.max())
+    delta_max = max(delta_a, delta_c)
+    in_r2 = np.arange(1, N) % q == 0
+    bound = welch_lower_bound(K, M, N)
+    return CorrelationReport(
+        delta_a=delta_a,
+        delta_c=delta_c,
+        delta_max=delta_max,
+        lower_bound=bound,
+        rho=delta_max / bound if bound > 0 else None,
+        per_shift_max=per_shift,
+        r1_observed=float(per_shift[1:][~in_r2].max(initial=0.0)),
+        r2_observed=float(per_shift[1:][in_r2].max(initial=0.0)),
+        factorization_gap_max=gap,
+        q=q,
+        num_sets=K,
+        num_rows=M,
+        period=N,
+        provenance=dict(qcss.provenance),
+    )
 
 
 def tolerances(*qsets: QcssSet) -> list[CorrelationReport]:
@@ -358,21 +319,48 @@ def tolerances(*qsets: QcssSet) -> list[CorrelationReport]:
     with E(x) = sum_{d in D} exp(2 pi i d x / q) and W, Wr the in-range and
     wrapped parts of R(a_k, a_l; tau), whose K^2 pairs take only the 2^n
     values of the code a; the cost does not depend on M, and W and Wr do
-    not depend on the shift set, so one pass serves every set.  The stream
-    covers tau <= (N - 1)/2, and each block also gives the shifts N - tau.
+    not depend on the shift set, so one pass serves every set: each block
+    is folded into each set in turn, through that set's ramp columns
+    E(-tau), E(N - tau), |E(tau)| and |E(N - tau)|.
+
+    The stream covers tau <= (N - 1)/2.  For tau >= 1, (k, l) -> (l, k)
+    maps the pairs at tau onto those at N - tau, and R(C_k, C_l; tau) =
+    conj R(C_l, C_k; N - tau) holds for the sets and for their base rows
+    alike, so both shifts have the same |G| and base magnitudes: one row
+    maximum serves both, and the gap at N - tau differs only by its ramp.
     """
     if not qsets:
         raise ValueError("need at least one set")
     first = qsets[0]
     if any(qcss.family != first.family for qcss in qsets[1:]):
         raise ValueError("the sets of one census must share one family")
-    tallies = [_Tally(qcss) for qcss in qsets]
+    N = first.period
+    tau = np.arange((N + 1) // 2)
+    mirror = -tau % N  # N - tau, and 0 at tau = 0
+    columns = []  # per set: E(-tau), E(N - tau), |E(tau)|, |E(N - tau)|
+    for qcss in qsets:
+        q, E = qcss.shift_set.modulus, exp_sum_profile(qcss.shift_set)  # E(x) depends on x mod q
+        ramps = E[-tau % q], E[(N - tau) % q], np.abs(E[tau % q]), np.abs(E[mirror % q])
+        columns.append([x[:, None] for x in ramps])
+    per_shift, gap = np.zeros((len(qsets), N)), [0.0] * len(qsets)
     for start, w, wr in correlation_tensor(first):
         taus = slice(start, start + len(w))
         base_mags = np.abs(w + wr)  # |R(a_k, a_l; tau)|
-        for tally in tallies:
-            tally.fold(taus, w, wr, base_mags)
-    return [tally.report() for tally in tallies]
+        for i, (e_in, e_wrap, *ramp_sums) in enumerate(columns):
+            g = e_in[taus] * w
+            g += e_wrap[taus] * wr
+            mags = np.abs(g)
+            d = np.empty_like(mags)
+            for ramp_sum in ramp_sums:
+                np.multiply(base_mags, ramp_sum[taus], out=d)
+                d -= mags
+                gap[i] = max(gap[i], float(np.abs(d, out=d).max()))
+            if start == 0:
+                mags[0, 0] = 0.0  # beta = 0 at tau = 0: the in-phase autocorrelation, trivially M*N
+            row_max = mags.max(axis=1)
+            per_shift[i, taus] = row_max
+            per_shift[i, mirror[taus]] = row_max
+    return [_report(qcss, p, g) for qcss, p, g in zip(qsets, per_shift, gap)]
 
 
 def report_to_json(report: CorrelationReport) -> dict:

@@ -121,6 +121,21 @@ def test_ads_rejects_bad_modulus(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("f", [-1, 0, 1, 9])
+def test_ads_singer_base_needs_a_mersenne_modulus(f, tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert run(["ads", "--f", str(f), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: singer base needs f = 2^k - 1 with k >= 2, got {f}\n"
+    assert not out.exists()
+
+
+def test_ads_needs_f_or_n(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert run(["ads", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: ads needs --f or --n\n"
+    assert not out.exists()
+
+
 def test_qcss_command(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["qcss", "--n", "5", "--verify", "--out", str(out)]) == 0
@@ -132,6 +147,17 @@ def test_qcss_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "lower_bound=15.476521" in text
     assert "verify: ok" in text
+
+
+def test_qcss_legendre_at_n5_is_the_singer_report(tmp_path):
+    # at f = 7 the quadratic residues {1, 2, 4} are the Singer set
+    singer, legendre = tmp_path / "s.json", tmp_path / "l.json"
+    assert run(["qcss", "--n", "5", "--out", str(singer)]) == 0
+    assert run(["qcss", "--n", "5", "--ds", "legendre", "--out", str(legendre)]) == 0
+    s_doc, l_doc = json.loads(singer.read_text()), json.loads(legendre.read_text())
+    assert l_doc["deltaMax"] == s_doc["deltaMax"]
+    assert l_doc["perShiftMax"] == s_doc["perShiftMax"]
+    assert l_doc["provenance"]["dsKind"] == "legendre"
 
 
 def test_qcss_csv_profile(tmp_path):
@@ -429,6 +455,22 @@ def test_failed_cache_write_leaves_no_entry(argv, entry, tmp_path, monkeypatch):
     assert run(argv + ["--cache-dir", str(cache), "--out", str(tmp_path / "a.json")]) == 2
     assert not (cache / entry).exists()
     assert not any((cache / entry).parent.iterdir())  # no temporary file left either
+
+
+def test_failed_qcss_writes_no_cache_entry(tmp_path, capsys):
+    # the family builds at n = 6, but f = 15 has no Legendre set
+    cache, out = tmp_path / "cache", tmp_path / "r.json"
+    assert run(["qcss", "--n", "6", "--ds", "legendre", "--cache-dir", str(cache), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: 15 is not prime\n"
+    assert not out.exists()
+    assert not cache.exists() or not any(cache.rglob("*"))
+
+
+def test_falsified_verify_writes_no_cache_entry_or_export(tmp_path, monkeypatch):
+    monkeypatch.setattr(correlation, "welch_lower_bound", lambda K, M, N: 1e6)
+    cache, out = tmp_path / "cache", tmp_path / "r.json"
+    assert run(["qcss", "--n", "5", "--verify", "--cache-dir", str(cache), "--out", str(out)]) == 3
+    assert not out.exists() and not cache.exists()
 
 
 def test_qcss_with_cache_dir(tmp_path):
